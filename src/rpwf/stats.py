@@ -304,7 +304,7 @@ def _urn_chunk(args):
 
 def _urn_ensemble_parallel(params, n_steps, n_replicas, seed, checkpoints, workers: int) -> np.ndarray:
     """Replica-chunked ensemble; identical output for any worker count."""
-    workers = max(1, int(workers))
+    workers = max(1, min(int(workers), n_replicas))
     if workers == 1:
         return simulate_urn_ensemble(params, n_steps, n_replicas, seed, label="converge-urn", checkpoints=checkpoints)
     bounds = np.linspace(0, n_replicas, workers + 1).astype(int)

@@ -14,6 +14,23 @@ the centered increment obeys
 with eps_n = |b|(1-beta)/r*_{n+1} and delta_n = alpha/r*_{n+1}.  All ball
 counts are real-valued; ``beta = 1`` (the classical Polya urn) is allowed
 here, while the diffusion scaling family requires ``beta < 1``.
+
+Simulation steps psi directly.  The total r*_{n+1} = beta r*_n + (1-beta)|b|
++ alpha does not depend on the draw, so
+
+    r*_{n+1} psi_{n+1} = beta r*_n psi_n + (1 - beta) b + alpha xi_{n+1}
+
+is deterministic apart from xi.  One private kernel keeps the cumulative
+sums of psi for M replicas as a (k, M) array, takes xi from comparing each
+replica's uniform with them (the inverse-CDF rule of ``sample_color``), and
+updates them in place.  ``simulate_urn_ensemble`` runs it with M replicas
+and ``simulate_urn`` with one.  ``step``, ``UrnState`` and ``DrawOutcome``
+keep the ball-count form as an independent reference.
+
+Streams: replica i draws its uniforms, one per step, from ``StreamKey(seed,
+label, replica_offset + i)``.  Replicas share no arithmetic, so row i of an
+ensemble equals ``simulate_urn`` with that key bit for bit, and the output
+does not depend on how replicas are split across calls or workers.
 """
 
 from __future__ import annotations
@@ -240,20 +257,92 @@ def increment_decomposition(params: UrnParams, state: UrnState, draw: DrawOutcom
     return eps_n, delta_n, xi - psi
 
 
+_BLOCK_STEPS = 2048  # steps per noise block; a block holds _BLOCK_STEPS x M uniforms
+_FILL_GROUP = 64  # replicas drawn per tile while a block is filled
+
+
+def _check_sizes(n_steps: int, n_replicas: int) -> None:
+    if n_steps < 0:
+        raise ValidationError("steps", f"must be >= 0, got {n_steps}")
+    if n_replicas < 1:
+        raise ValidationError("replicas", f"must be >= 1, got {n_replicas}")
+
+
+def _fill_block(gens, u: np.ndarray) -> None:
+    """Set ``u[j, i]`` to the next uniform of ``gens[i]`` for every step j of the block.
+
+    Each replica's uniforms are drawn as one row and written into the
+    step-major block a tile of ``_FILL_GROUP`` replicas at a time.
+    """
+    m = u.shape[0]
+    tile = np.empty((min(_FILL_GROUP, len(gens)), m))
+    for lo in range(0, len(gens), _FILL_GROUP):
+        group = gens[lo : lo + _FILL_GROUP]
+        for t, g in enumerate(group):
+            tile[t] = g.random(size=m)
+        u[:, lo : lo + len(group)] = tile[: len(group)].T
+
+
+def _step_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe) -> None:
+    """Run one urn per stream key for ``n_steps`` steps: the module's only stepping loop.
+
+    The state is ``cum`` of shape (k, M), column i holding the cumulative
+    sums psi_{n,1}, psi_{n,1} + psi_{n,2}, ..., |psi_n| of replica i.  With
+    u the replica's next uniform, ``below = u < cum`` (last row always true)
+    marks the colors at or after the draw, so the drawn index is the number
+    of false entries: ``sample_color``'s rule.  Then, in place,
+
+        cum' = (beta r*_n cum + (1 - beta) cumsum(b) + alpha below) / r*_{n+1}
+
+    with r*_{n+1} = beta r*_n + (1 - beta)|b| + alpha, the same for every
+    draw.  ``observe(n, cum, below)`` sees the state after n steps (``below``
+    is None at n = 0) and must copy what it keeps.
+    """
+    k, M = params.k, len(keys)
+    beta, alpha = params.beta, params.alpha
+    b_cum = np.cumsum(params.b)[:, None]
+    gain = (1.0 - beta) * params.b_total + alpha
+    r = params.b_total + float(params.B0.sum())
+    cum = np.empty((k, M))
+    cum[:] = np.cumsum((params.b + params.B0) / r)[:, None]
+    below = np.ones((k, M), dtype=bool)
+    observe(0, cum, None)
+    gens = [key.generator() for key in keys]
+    u = np.empty((min(_BLOCK_STEPS, n_steps), M))
+    n = 0
+    while n < n_steps:
+        block = u[: min(_BLOCK_STEPS, n_steps - n)]
+        _fill_block(gens, block)
+        for row in block:
+            r_next = beta * r + gain
+            np.less(row, cum[:-1], out=below[:-1])
+            cum *= beta * r / r_next
+            cum += (1.0 - beta) / r_next * b_cum
+            cum += below * (alpha / r_next)
+            r = r_next
+            n += 1
+            observe(n, cum, below)
+
+
 def simulate_urn(params: UrnParams, n_steps: int, seed: StreamKey | int, label: str = "urn") -> UrnTrajectory:
-    """Simulate one trajectory; deterministic in the stream key."""
+    """Simulate one trajectory; deterministic in the stream key.
+
+    This is the ensemble kernel run with a single replica, so it equals
+    bit for bit the ensemble row that draws from the same stream key.
+    """
+    _check_sizes(n_steps, 1)
     key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), label)
-    rng = key.generator()
-    state = new_urn(params)
     k = params.k
-    psi = np.empty((n_steps + 1, k))
+    cum = np.empty((n_steps + 1, k))
     draws = np.empty(n_steps, dtype=np.int64)
-    psi[0] = predictive_mean(params, state)
-    for n in range(n_steps):
-        state, outcome = step(params, state, rng)
-        draws[n] = outcome.color
-        psi[n + 1] = predictive_mean(params, state)
-    return UrnTrajectory(params=params, draws=draws, psi=psi, seed=key)
+
+    def record(n, state, below):
+        cum[n] = state[:, 0]
+        if below is not None:
+            draws[n - 1] = k + 1 - np.count_nonzero(below)
+
+    _step_urns(params, n_steps, [key], record)
+    return UrnTrajectory(params=params, draws=draws, psi=np.diff(cum, axis=1, prepend=0.0), seed=key)
 
 
 def simulate_urn_ensemble(
@@ -264,18 +353,18 @@ def simulate_urn_ensemble(
     label: str = "urn",
     checkpoints: Sequence[int] | None = None,
     replica_offset: int = 0,
-    chunk: int = 2048,
 ) -> np.ndarray:
     """Predictive means of independent replicas at the given step indices.
 
     Replica ``i`` consumes exactly the stream ``StreamKey(seed, label,
-    replica_offset + i)``, so each row reproduces ``simulate_urn`` run with
-    that key.  Stepping is vectorized across replicas; uniforms are drawn
-    per replica in blocks of ``chunk`` steps to bound memory.
+    replica_offset + i)`` and runs the same arithmetic as ``simulate_urn``
+    with that key, so each row equals that single run bit for bit, and the
+    output does not depend on how replicas are split across calls.
 
     Returns an array of shape ``(len(checkpoints), n_replicas, k)``; the
     default checkpoint list is ``[n_steps]``.
     """
+    _check_sizes(n_steps, n_replicas)
     if checkpoints is None:
         checkpoints = [n_steps]
     cp_list = [int(c) for c in checkpoints]
@@ -284,26 +373,14 @@ def simulate_urn_ensemble(
     cp: dict[int, list[int]] = {}
     for j, c in enumerate(cp_list):
         cp.setdefault(c, []).append(j)
-    k = params.k
-    gens = [StreamKey(seed, label, replica_offset + i).generator() for i in range(n_replicas)]
-    B = np.tile(params.B0, (n_replicas, 1))
-    b = params.b
-    out = np.empty((len(cp_list), n_replicas, k))
-    for j in cp.get(0, []):
-        out[j] = (b + B) / (b.sum() + B.sum(axis=1, keepdims=True))
-    n = 0
-    while n < n_steps:
-        m = min(chunk, n_steps - n)
-        u = np.stack([g.random(m) for g in gens], axis=0)  # (n_replicas, m)
-        for j in range(m):
-            psi = (b + B) / (b.sum() + B.sum(axis=1, keepdims=True))
-            cum = np.cumsum(psi, axis=1)
-            idx = np.minimum((u[:, j : j + 1] >= cum).sum(axis=1), k - 1)
-            B *= params.beta
-            B[np.arange(n_replicas), idx] += params.alpha
-            n += 1
-            for row in cp.get(n, []):
-                out[row] = (b + B) / (b.sum() + B.sum(axis=1, keepdims=True))
+    out = np.empty((len(cp_list), n_replicas, params.k))
+
+    def record(n, state, below):
+        for j in cp.get(n, ()):
+            out[j] = np.diff(state, axis=0, prepend=0.0).T
+
+    keys = [StreamKey(seed, label, replica_offset + i) for i in range(n_replicas)]
+    _step_urns(params, n_steps, keys, record)
     return out
 
 

@@ -224,7 +224,6 @@ def simulate_wf_ensemble(
     label: str = "wf",
     checkpoints: Sequence[float] | None = None,
     replica_offset: int = 0,
-    chunk: int = 512,
 ) -> np.ndarray:
     """Ensemble values at checkpoint times; path i uses stream (seed, label, i).
 
@@ -244,6 +243,7 @@ def simulate_wf_ensemble(
     out = np.empty((len(checkpoints), n_paths, params.k))
     for j in cp.get(0, []):
         out[j] = X
+    chunk = 512
     i = 0
     while i < n:
         m = min(chunk, n - i)

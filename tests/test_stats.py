@@ -179,6 +179,13 @@ def test_stationary_urn_samples_shape_and_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stationary_urn_samples_rejects_zero_replicas(workers):
+    with pytest.raises(ValidationError) as exc:
+        stationary_urn_samples(WF2, beta=0.9, t_long=2.0, n_replicas=0, seed=7, workers=workers)
+    assert exc.value.field == "replicas"
+
+
 def test_marginal_specs_bipartition_for_k3():
     from rpwf.stats import _marginal_specs
 

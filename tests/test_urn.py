@@ -240,3 +240,29 @@ def test_trajectory_rows_sum_to_one():
     p = UrnParams(alpha=2.0, beta=0.85, b=np.array([1.0, 2.0, 3.0]), B0=np.array([1.0, 1.0, 1.0]))
     traj = simulate_urn(p, 300, 41)
     assert np.max(np.abs(traj.psi.sum(axis=1) - 1.0)) < 1e-12
+
+
+def test_ensemble_rows_match_across_noise_blocks():
+    # 2050 steps cross a noise-block boundary; 66 replicas cross a fill tile
+    p = make_params(beta=0.9, b=(1.0, 0.0, 2.0), B0=(0.5, 1.0, 0.5))
+    ens = simulate_urn_ensemble(p, 2050, 66, seed=3, label="urn", checkpoints=[2047, 2048, 2050])
+    for i in (0, 63, 64, 65):
+        single = simulate_urn(p, 2050, StreamKey(3, "urn", i))
+        assert np.array_equal(ens[:, i, :], single.psi[[2047, 2048, 2050]])
+
+
+def test_negative_steps_rejected():
+    p = make_params()
+    with pytest.raises(ValidationError) as exc:
+        simulate_urn(p, -1, 1)
+    assert exc.value.field == "steps"
+    with pytest.raises(ValidationError) as exc:
+        simulate_urn_ensemble(p, -1, 2, seed=1)
+    assert exc.value.field == "steps"
+
+
+@pytest.mark.parametrize("n_replicas", [0, -2])
+def test_ensemble_rejects_fewer_than_one_replica(n_replicas):
+    with pytest.raises(ValidationError) as exc:
+        simulate_urn_ensemble(make_params(), 10, n_replicas, seed=1)
+    assert exc.value.field == "replicas"
