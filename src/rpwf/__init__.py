@@ -69,7 +69,6 @@ from .wright_fisher import (
     SdeConfig,
     WfParams,
     drift,
-    em_step,
     mean_ode,
     sigma,
     simulate_marginal_1d,

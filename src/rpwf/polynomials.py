@@ -95,9 +95,6 @@ class GammaWeights:
     def total(self):
         return sum(self.gamma)
 
-    def is_rational(self) -> bool:
-        return all(isinstance(x, Fraction) for x in self.gamma)
-
 
 def multi_indices(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All multi-indices of total degree exactly ``degree`` in ``nvars`` variables."""
@@ -254,22 +251,6 @@ class MultiIndexPolynomial:
                     m = m * pw[i][:, ei]
             total += m
         return total
-
-    def eval_exact(self, y: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            term = Fraction(c) if not isinstance(c, float) else c
-            for yi, ei in zip(y, e):
-                term *= yi**ei
-            total += term
-        return total
-
-    def as_float(self) -> "MultiIndexPolynomial":
-        return MultiIndexPolynomial(self.nvars, {e: float(c) for e, c in self.coeffs.items()})
-
-    def max_coeff_diff(self, other: "MultiIndexPolynomial") -> float:
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max((abs(float(self.coeffs.get(e, 0)) - float(other.coeffs.get(e, 0))) for e in keys), default=0.0)
 
     def __eq__(self, other):
         if not isinstance(other, MultiIndexPolynomial):

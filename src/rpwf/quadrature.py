@@ -20,7 +20,7 @@ from scipy.stats import qmc
 from .errors import ValidationError
 from .polynomials import GammaWeights, MultiIndexPolynomial
 
-__all__ = ["gauss_jacobi_01", "simplex_rule", "expectation", "inner_product_quad", "log_dirichlet_constant"]
+__all__ = ["gauss_jacobi_01", "simplex_rule", "inner_product_quad", "log_dirichlet_constant"]
 
 
 def gauss_jacobi_01(npts: int, exp_at_zero: float, exp_at_one: float) -> tuple[np.ndarray, np.ndarray]:
@@ -72,12 +72,6 @@ def simplex_rule(gw: GammaWeights, level: int = 40, seed: int = 0) -> tuple[np.n
             remaining = remaining * (1.0 - z)
         return pts, np.full(n, 1.0 / n)
     raise ValidationError("k", f"quadrature supports 2 <= k <= 5, got {k}")
-
-
-def expectation(f, gw: GammaWeights, level: int = 40, seed: int = 0) -> float:
-    """E[f(Y)] under pi_gamma; f maps an (N, k-1) array to N values."""
-    pts, w = simplex_rule(gw, level, seed)
-    return float(w @ np.asarray(f(pts), dtype=float))
 
 
 def inner_product_quad(

@@ -188,10 +188,6 @@ class Partition:
         object.__setattr__(self, "groups", norm)
         object.__setattr__(self, "k", k)
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
     def matrix(self) -> np.ndarray:
         """(n_groups, k) aggregation matrix A with A[g, c-1] = 1 for c in group g."""
         A = np.zeros((len(self.groups), self.k))

@@ -35,15 +35,6 @@ def check_reduced(y, name: str = "y", atol: float = 1e-12) -> np.ndarray:
     return y
 
 
-def full_to_reduced(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)[:-1]
-
-
-def reduced_to_full(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    return np.concatenate([y, [1.0 - y.sum()]])
-
-
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Clamp negatives to zero and renormalize so the sum is exactly 1.0.
 

@@ -20,12 +20,13 @@ Simulation steps psi directly.  The total r*_{n+1} = beta r*_n + (1-beta)|b|
 
     r*_{n+1} psi_{n+1} = beta r*_n psi_n + (1 - beta) b + alpha xi_{n+1}
 
-is deterministic apart from xi.  One private kernel keeps the cumulative
-sums of psi for M replicas as a (k, M) array, takes xi from comparing each
-replica's uniform with them (the inverse-CDF rule of ``sample_color``), and
-updates them in place.  ``simulate_urn_ensemble`` runs it with M replicas
-and ``simulate_urn`` with one.  ``step``, ``UrnState`` and ``DrawOutcome``
-keep the ball-count form as an independent reference.
+is deterministic apart from xi.  One private kernel, stepped by
+``rng.run_streams``, keeps the cumulative sums of psi for M replicas as a
+(k, M) array, takes xi from comparing each replica's uniform with them (the
+inverse-CDF rule of ``sample_color``), and updates them in place.
+``simulate_urn_ensemble`` runs it with M replicas and ``simulate_urn`` with
+one.  ``step``, ``UrnState`` and ``DrawOutcome`` keep the ball-count form
+as an independent reference.
 
 Streams: replica i draws its uniforms, one per step, from ``StreamKey(seed,
 label, replica_offset + i)``.  Replicas share no arithmetic, so row i of an
@@ -41,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .rng import StreamKey
+from .rng import StreamKey, check_sizes, record_checkpoints, run_streams
 
 __all__ = [
     "UrnParams",
@@ -257,71 +258,38 @@ def increment_decomposition(params: UrnParams, state: UrnState, draw: DrawOutcom
     return eps_n, delta_n, xi - psi
 
 
-_BLOCK_STEPS = 2048  # steps per noise block; a block holds _BLOCK_STEPS x M uniforms
-_FILL_GROUP = 64  # replicas drawn per tile while a block is filled
+def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe) -> None:
+    """Run one urn per stream key, one uniform per step, through ``run_streams``.
 
-
-def _check_sizes(n_steps: int, n_replicas: int) -> None:
-    if n_steps < 0:
-        raise ValidationError("steps", f"must be >= 0, got {n_steps}")
-    if n_replicas < 1:
-        raise ValidationError("replicas", f"must be >= 1, got {n_replicas}")
-
-
-def _fill_block(gens, u: np.ndarray) -> None:
-    """Set ``u[j, i]`` to the next uniform of ``gens[i]`` for every step j of the block.
-
-    Each replica's uniforms are drawn as one row and written into the
-    step-major block a tile of ``_FILL_GROUP`` replicas at a time.
-    """
-    m = u.shape[0]
-    tile = np.empty((min(_FILL_GROUP, len(gens)), m))
-    for lo in range(0, len(gens), _FILL_GROUP):
-        group = gens[lo : lo + _FILL_GROUP]
-        for t, g in enumerate(group):
-            tile[t] = g.random(size=m)
-        u[:, lo : lo + len(group)] = tile[: len(group)].T
-
-
-def _step_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe) -> None:
-    """Run one urn per stream key for ``n_steps`` steps: the module's only stepping loop.
-
-    The state is ``cum`` of shape (k, M), column i holding the cumulative
-    sums psi_{n,1}, psi_{n,1} + psi_{n,2}, ..., |psi_n| of replica i.  With
-    u the replica's next uniform, ``below = u < cum`` (last row always true)
-    marks the colors at or after the draw, so the drawn index is the number
-    of false entries: ``sample_color``'s rule.  Then, in place,
+    The state is ``(cum, below)``: column i of ``cum`` (k, M) holds the
+    cumulative sums psi_{n,1}, psi_{n,1} + psi_{n,2}, ..., |psi_n| of
+    replica i, and ``below = u < cum`` (last row always true) marks the
+    colors at or after the draw for its uniform u, so the drawn index is the
+    number of false entries: ``sample_color``'s rule.  Then, in place,
 
         cum' = (beta r*_n cum + (1 - beta) cumsum(b) + alpha below) / r*_{n+1}
 
     with r*_{n+1} = beta r*_n + (1 - beta)|b| + alpha, the same for every
-    draw.  ``observe(n, cum, below)`` sees the state after n steps (``below``
-    is None at n = 0) and must copy what it keeps.
+    draw.  ``observe(n, (cum, below))`` must copy what it keeps.
     """
-    k, M = params.k, len(keys)
     beta, alpha = params.beta, params.alpha
     b_cum = np.cumsum(params.b)[:, None]
     gain = (1.0 - beta) * params.b_total + alpha
     r = params.b_total + float(params.B0.sum())
-    cum = np.empty((k, M))
-    cum[:] = np.cumsum((params.b + params.B0) / r)[:, None]
-    below = np.ones((k, M), dtype=bool)
-    observe(0, cum, None)
-    gens = [key.generator() for key in keys]
-    u = np.empty((min(_BLOCK_STEPS, n_steps), M))
-    n = 0
-    while n < n_steps:
-        block = u[: min(_BLOCK_STEPS, n_steps - n)]
-        _fill_block(gens, block)
-        for row in block:
-            r_next = beta * r + gain
-            np.less(row, cum[:-1], out=below[:-1])
-            cum *= beta * r / r_next
-            cum += (1.0 - beta) / r_next * b_cum
-            cum += below * (alpha / r_next)
-            r = r_next
-            n += 1
-            observe(n, cum, below)
+    cum = np.repeat(np.cumsum((params.b + params.B0) / r)[:, None], len(keys), axis=1)
+
+    def kernel(state, u):
+        nonlocal r
+        cum, below = state
+        r_next = beta * r + gain
+        np.less(u, cum[:-1], out=below[:-1])
+        cum *= beta * r / r_next
+        cum += (1.0 - beta) / r_next * b_cum
+        cum += below * (alpha / r_next)
+        r = r_next
+        return state
+
+    run_streams(keys, n_steps, (cum, np.ones(cum.shape, dtype=bool)), kernel, observe)
 
 
 def simulate_urn(params: UrnParams, n_steps: int, seed: StreamKey | int, label: str = "urn") -> UrnTrajectory:
@@ -330,18 +298,18 @@ def simulate_urn(params: UrnParams, n_steps: int, seed: StreamKey | int, label: 
     This is the ensemble kernel run with a single replica, so it equals
     bit for bit the ensemble row that draws from the same stream key.
     """
-    _check_sizes(n_steps, 1)
+    check_sizes(n_steps, 1)
     key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), label)
     k = params.k
     cum = np.empty((n_steps + 1, k))
     draws = np.empty(n_steps, dtype=np.int64)
 
-    def record(n, state, below):
-        cum[n] = state[:, 0]
-        if below is not None:
-            draws[n - 1] = k + 1 - np.count_nonzero(below)
+    def record(n, state):
+        cum[n] = state[0][:, 0]
+        if n:
+            draws[n - 1] = k + 1 - np.count_nonzero(state[1])
 
-    _step_urns(params, n_steps, [key], record)
+    _run_urns(params, n_steps, [key], record)
     return UrnTrajectory(params=params, draws=draws, psi=np.diff(cum, axis=1, prepend=0.0), seed=key)
 
 
@@ -364,30 +332,17 @@ def simulate_urn_ensemble(
     Returns an array of shape ``(len(checkpoints), n_replicas, k)``; the
     default checkpoint list is ``[n_steps]``.
     """
-    _check_sizes(n_steps, n_replicas)
-    if checkpoints is None:
-        checkpoints = [n_steps]
-    cp_list = [int(c) for c in checkpoints]
-    if cp_list and (min(cp_list) < 0 or max(cp_list) > n_steps):
-        raise ValidationError("checkpoints", "checkpoint indices must lie in [0, n_steps]")
-    cp: dict[int, list[int]] = {}
-    for j, c in enumerate(cp_list):
-        cp.setdefault(c, []).append(j)
+    check_sizes(n_steps, n_replicas)
+    cp_list = [int(c) for c in (checkpoints if checkpoints is not None else [n_steps])]
     out = np.empty((len(cp_list), n_replicas, params.k))
-
-    def record(n, state, below):
-        for j in cp.get(n, ()):
-            out[j] = np.diff(state, axis=0, prepend=0.0).T
-
+    record = record_checkpoints(cp_list, n_steps, int, out, lambda s: np.diff(s[0], axis=0, prepend=0.0).T)
     keys = [StreamKey(seed, label, replica_offset + i) for i in range(n_replicas)]
-    _step_urns(params, n_steps, keys, record)
+    _run_urns(params, n_steps, keys, record)
     return out
 
 
 def _draw_indices(draws) -> np.ndarray:
     """Normalize a draw sequence to a 0-based index array."""
-    if isinstance(draws, np.ndarray):
-        return np.asarray(draws, dtype=np.int64) - 1
     if len(draws) and isinstance(draws[0], DrawOutcome):
         return np.array([d.index for d in draws], dtype=np.int64)
     return np.asarray(draws, dtype=np.int64) - 1

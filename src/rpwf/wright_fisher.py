@@ -14,6 +14,11 @@ The 1-d marginal / grouped process ``Z`` solves
     dZ = (-a1 Z + a0 (1-Z)) dt + sqrt(max(0, Z(1-Z))) dW
 
 with a0 = (b/alpha) * sum_{l in J} p_l and a1 = b/alpha - a0.
+
+Both run on ``rng.run_streams`` (kernels ``em_update`` and the 1-d update;
+observers keep checkpoints, full paths or first exits, retiring exited
+paths).  Path i draws from ``StreamKey(seed, label, i)``; a single path is
+an ensemble of one, equal bit for bit to ensemble row i on that stream.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .rng import StreamKey
+from .rng import StreamKey, check_sizes, record_checkpoints, run_streams
 from .simplex import check_simplex, project_to_simplex
 
 __all__ = [
@@ -36,7 +41,6 @@ __all__ = [
     "sigma",
     "sigma_batch",
     "drift",
-    "em_step",
     "em_update",
     "simulate_wf",
     "simulate_wf_ensemble",
@@ -83,24 +87,13 @@ class WfParams:
 
 @dataclass(frozen=True)
 class SdeConfig:
-    """Discretization settings.
-
-    ``clamp`` records that max(0, .) guards the square roots; the guards
-    are always applied since the diffusion coefficient is undefined
-    without them, so False is rejected rather than silently honored.
-    """
+    """Discretization settings: the Euler-Maruyama step dt."""
 
     dt: float = 1e-3
-    scheme: str = "euler_maruyama"
-    clamp: bool = True
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValidationError("dt", f"must be > 0, got {self.dt}")
-        if self.scheme != "euler_maruyama":
-            raise ValidationError("scheme", f"unknown scheme {self.scheme!r}")
-        if not self.clamp:
-            raise ValidationError("clamp", "the square-root guard cannot be disabled")
 
 
 @dataclass(frozen=True)
@@ -185,10 +178,19 @@ def em_update(x, z, params: WfParams, dt: float) -> np.ndarray:
     return out[0] if single else out
 
 
-def em_step(x, params: WfParams, config: SdeConfig, rng: np.random.Generator) -> np.ndarray:
-    """Single stochastic Euler-Maruyama step from x."""
-    x = check_simplex(x, "x")
-    return em_update(x, rng.standard_normal(params.k), params, config.dt)
+def _n_steps(t: float, dt: float, name: str) -> int:
+    """Number of steps of size dt that cover [0, t]."""
+    if not dt > 0:
+        raise ValidationError("dt", f"must be > 0, got {dt}")
+    if not t >= 0:
+        raise ValidationError(name, f"must be >= 0, got {t}")
+    return int(math.ceil(t / dt))
+
+
+def _run_em(params: WfParams, x0: np.ndarray, n_steps: int, dt: float, keys, observe) -> None:
+    """Euler-Maruyama paths from x0, one per stream key; k normals per step."""
+    X = np.tile(x0, (len(keys), 1))
+    run_streams(keys, n_steps, X, lambda X, z: em_update(X, z, params, dt), observe, "standard_normal", (params.k,))
 
 
 def simulate_wf(
@@ -202,16 +204,14 @@ def simulate_wf(
     """Full path on the grid {0, dt, ..., ceil(t_max/dt)*dt}; deterministic in seed."""
     x0 = check_simplex(x0, "x0")
     key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), label)
-    rng = key.generator()
-    n = int(math.ceil(t_max / config.dt)) if t_max > 0 else 0
+    n = _n_steps(t_max, config.dt, "t-max")
     X = np.empty((n + 1, params.k))
-    X[0] = x0
-    x = x0
-    for i in range(n):
-        x = em_update(x, rng.standard_normal(params.k), params, config.dt)
-        X[i + 1] = x
-    t = config.dt * np.arange(n + 1)
-    return PathRecord(t=t, X=X, seed=key)
+
+    def record(i, state):
+        X[i] = state[0]
+
+    _run_em(params, x0, n, config.dt, [key], record)
+    return PathRecord(t=config.dt * np.arange(n + 1), X=X, seed=key)
 
 
 def simulate_wf_ensemble(
@@ -223,36 +223,20 @@ def simulate_wf_ensemble(
     seed: int,
     label: str = "wf",
     checkpoints: Sequence[float] | None = None,
-    replica_offset: int = 0,
 ) -> np.ndarray:
     """Ensemble values at checkpoint times; path i uses stream (seed, label, i).
 
     Returns shape ``(len(checkpoints), n_paths, k)``; default checkpoint is
-    ``t_max``.  Checkpoint times snap to the step grid by rounding.
+    ``t_max``.  Checkpoint times must lie in [0, t_max] and snap to the
+    step grid by rounding.  Row i equals ``simulate_wf`` on that stream.
     """
     x0 = check_simplex(x0, "x0")
-    if checkpoints is None:
-        checkpoints = [t_max]
-    n = int(math.ceil(t_max / config.dt)) if t_max > 0 else 0
-    cp_idx = [min(int(round(t / config.dt)), n) for t in checkpoints]
-    cp = {}
-    for j, i in enumerate(cp_idx):
-        cp.setdefault(i, []).append(j)
-    gens = [StreamKey(seed, label, replica_offset + i).generator() for i in range(n_paths)]
-    X = np.tile(x0, (n_paths, 1))
+    n = _n_steps(t_max, config.dt, "t-max")
+    check_sizes(n, n_paths)
+    checkpoints = list(checkpoints) if checkpoints is not None else [t_max]
     out = np.empty((len(checkpoints), n_paths, params.k))
-    for j in cp.get(0, []):
-        out[j] = X
-    chunk = 512
-    i = 0
-    while i < n:
-        m = min(chunk, n - i)
-        Z = np.stack([g.standard_normal((m, params.k)) for g in gens], axis=0)
-        for s in range(m):
-            X = em_update(X, Z[:, s, :], params, config.dt)
-            i += 1
-            for j in cp.get(i, []):
-                out[j] = X
+    record = record_checkpoints(checkpoints, t_max, lambda t: int(round(t / config.dt)), out, lambda X: X)
+    _run_em(params, x0, n, config.dt, [StreamKey(seed, label, i) for i in range(n_paths)], record)
     return out
 
 
@@ -270,6 +254,14 @@ def _marginal_em(z: np.ndarray, zn: np.ndarray, od: OneDimWf, dt: float) -> np.n
     return np.clip(z + d + noise, 0.0, 1.0)
 
 
+def _run_marginal(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, observe=lambda n, z: None) -> np.ndarray:
+    """1-d marginal paths from z0, one per stream key; returns the last values."""
+    if not 0.0 <= z0 <= 1.0:
+        raise ValidationError("z0", f"must lie in [0, 1], got {z0}")
+    z = np.full(len(keys), float(z0))
+    return run_streams(keys, n_steps, z, lambda z, zn: _marginal_em(z, zn, od, dt), observe, "standard_normal")
+
+
 def simulate_marginal_1d(
     od: OneDimWf,
     z0: float,
@@ -279,62 +271,51 @@ def simulate_marginal_1d(
     label: str = "wf1d",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single 1-d path clamped to [0, 1]; returns (t, z)."""
-    if not 0.0 <= z0 <= 1.0:
-        raise ValidationError("z0", f"must lie in [0, 1], got {z0}")
     key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), label)
-    rng = key.generator()
-    n = int(math.ceil(t_max / config.dt)) if t_max > 0 else 0
+    n = _n_steps(t_max, config.dt, "t-max")
     z = np.empty(n + 1)
-    z[0] = z0
-    cur = np.array([z0])
-    for i in range(n):
-        cur = _marginal_em(cur, rng.standard_normal(1), od, config.dt)
-        z[i + 1] = cur[0]
+
+    def record(i, state):
+        z[i] = state[0]
+
+    _run_marginal(od, z0, n, config.dt, [key], record)
     return config.dt * np.arange(n + 1), z
 
 
-def _marginal_batch(od, z0, n_steps, dt, n_paths, seed, label, replica_offset, chunk=4096):
-    gens = [StreamKey(seed, label, replica_offset + i).generator() for i in range(n_paths)]
-    z = np.full(n_paths, float(z0))
-    done = 0
-    while done < n_steps:
-        m = min(chunk, n_steps - done)
-        Z = np.stack([g.standard_normal(m) for g in gens], axis=0)
-        for s in range(m):
-            z = _marginal_em(z, Z[:, s], od, dt)
-        done += m
-        yield z, done
-
-
 def marginal_ensemble_values(
-    od: OneDimWf, z0: float, t: float, dt: float, n_paths: int, seed: int, label: str = "wf1d", replica_offset: int = 0
+    od: OneDimWf, z0: float, t: float, dt: float, n_paths: int, seed: int, label: str = "wf1d"
 ) -> np.ndarray:
     """Values of n_paths independent 1-d paths at time t."""
-    n = int(math.ceil(t / dt)) if t > 0 else 0
-    z = np.full(n_paths, float(z0))
-    for z, _ in _marginal_batch(od, z0, n, dt, n_paths, seed, label, replica_offset):
-        continue
-    return z
+    n = _n_steps(t, dt, "t")
+    check_sizes(n, n_paths)
+    return _run_marginal(od, z0, n, dt, [StreamKey(seed, label, i) for i in range(n_paths)])
+
+
+def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed, label) -> tuple[np.ndarray, np.ndarray]:
+    """Time and value of each path's first step at or beyond a or b (nan if none); exited paths retire."""
+    check_sizes(n_steps, n_paths)
+    tau = np.full(n_paths, np.nan)
+    z_exit = np.full(n_paths, np.nan)
+    ids = np.arange(n_paths)
+
+    def exits(n, z):  # retires the paths that left (a, b) at step n
+        nonlocal ids
+        out = (z <= a) | (z >= b)
+        if out.any():
+            tau[ids[out]], z_exit[ids[out]] = n * dt, z[out]
+            ids = ids[~out]
+            return np.flatnonzero(~out)
+
+    _run_marginal(od, z0, n_steps, dt, [StreamKey(seed, label, i) for i in range(n_paths)], exits)
+    return tau, z_exit
 
 
 def marginal_touch_flags(
     od: OneDimWf, z0: float, level: float, t_max: float, dt: float, n_paths: int, seed: int, label: str = "wf1d"
 ) -> np.ndarray:
     """Per-path flag: did the path enter [0, level] by time t_max."""
-    n = int(math.ceil(t_max / dt))
-    gens = [StreamKey(seed, label, i).generator() for i in range(n_paths)]
-    z = np.full(n_paths, float(z0))
-    touched = z <= level
-    done = 0
-    chunk = 4096
-    while done < n:
-        m = min(chunk, n - done)
-        Z = np.stack([g.standard_normal(m) for g in gens], axis=0)
-        for s in range(m):
-            z = _marginal_em(z, Z[:, s], od, dt)
-            touched |= z <= level
-        done += m
-    return touched
+    tau, _ = _first_exit(od, z0, level, np.inf, _n_steps(t_max, dt, "t-max"), dt, n_paths, seed, label)
+    return ~np.isnan(tau)
 
 
 def marginal_first_passage(
@@ -355,29 +336,5 @@ def marginal_first_passage(
     """
     if not a < z0 < b:
         raise ValidationError("z0", f"need a < z0 < b, got a={a}, z0={z0}, b={b}")
-    n = int(math.ceil(t_cap / dt))
-    gens = [StreamKey(seed, label, i).generator() for i in range(n_paths)]
-    z = np.full(n_paths, float(z0))
-    tau = np.full(n_paths, np.nan)
-    hit_b = np.zeros(n_paths, dtype=bool)
-    active = np.ones(n_paths, dtype=bool)
-    done = 0
-    chunk = 2048
-    while done < n and active.any():
-        m = min(chunk, n - done)
-        act_idx = np.nonzero(active)[0]
-        Z = np.stack([gens[i].standard_normal(m) for i in act_idx], axis=0)
-        za = z[act_idx]
-        alive = np.ones(act_idx.size, dtype=bool)
-        for s in range(m):
-            za[alive] = _marginal_em(za[alive], Z[alive, s], od, dt)
-            newly = alive & ((za <= a) | (za >= b))
-            if newly.any():
-                rows = act_idx[newly]
-                tau[rows] = (done + s + 1) * dt
-                hit_b[rows] = za[newly] >= b
-                alive &= ~newly
-        z[act_idx] = za
-        active[act_idx] = alive
-        done += m
-    return tau, hit_b
+    tau, z_exit = _first_exit(od, z0, a, b, _n_steps(t_cap, dt, "t-cap"), dt, n_paths, seed, label)
+    return tau, z_exit >= b

@@ -1,0 +1,130 @@
+"""Property tests of the stream engine ``rng.run_streams`` through every model.
+
+Each example checks one of the engine's guarantees on the Wright-Fisher,
+1-d marginal and urn simulators:
+
+* outputs do not depend on the noise block size: shrinking the blocks to a
+  few steps, so that blocks and path retirement end mid-run, changes no bit;
+* row i of an ensemble equals the single run on stream i at every step;
+* first exits and touch flags of the compacting ensemble equal those read
+  off the single path on the same stream.
+
+Time steps are powers of two so that the grid times t_j = j dt are exact.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from rpwf import rng
+from rpwf.rng import StreamKey
+from rpwf.urn import UrnParams, simulate_urn_ensemble
+from rpwf.wright_fisher import (
+    OneDimWf,
+    SdeConfig,
+    WfParams,
+    marginal_ensemble_values,
+    marginal_first_passage,
+    marginal_touch_flags,
+    simulate_marginal_1d,
+    simulate_wf,
+    simulate_wf_ensemble,
+)
+
+LABEL = "wf1d"  # the marginal entry points' default label
+
+seeds = st.integers(0, 2**32 - 1)
+dts = st.sampled_from([2.0**-3, 2.0**-5])
+n_paths = st.integers(1, 4)
+one_dim = st.builds(OneDimWf, a0=st.floats(0.0, 1.5), a1=st.floats(0.0, 1.5))
+
+
+@st.composite
+def wf_params(draw) -> tuple[WfParams, np.ndarray]:
+    k = draw(st.integers(2, 4))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    params = WfParams(b=draw(st.floats(0.1, 3.0)), alpha=draw(st.floats(0.2, 2.0)), p=w / w.sum())
+    x = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    x0 = x / x.sum() if x.sum() > 0 else params.p.copy()
+    return params, x0
+
+
+@st.composite
+def interval(draw) -> tuple[float, float, float]:
+    z0 = draw(st.floats(0.05, 0.95))
+    return z0 - draw(st.floats(0.01, 0.3)), z0, z0 + draw(st.floats(0.01, 0.3))
+
+
+def small_blocks(mp: pytest.MonkeyPatch, steps: int, values: int) -> None:
+    mp.setattr(rng, "_BLOCK_STEPS", steps)
+    mp.setattr(rng, "_BLOCK_VALUES", values)
+
+
+@given(wp=wf_params(), dt=dts, n_steps=st.integers(0, 24), m=n_paths, seed=seeds)
+def test_wf_ensemble_rows_are_single_paths(wp, dt, n_steps, m, seed):
+    params, x0 = wp
+    cfg = SdeConfig(dt=dt)
+    grid = [j * dt for j in range(n_steps + 1)]
+    ens = simulate_wf_ensemble(params, x0, n_steps * dt, cfg, m, seed, label="wf", checkpoints=grid)
+    for i in range(m):
+        path = simulate_wf(params, x0, n_steps * dt, cfg, StreamKey(seed, "wf", i))
+        assert np.array_equal(ens[:, i, :], path.X, equal_nan=True)
+
+
+@given(od=one_dim, z0=st.floats(0.0, 1.0), dt=dts, n_steps=st.integers(0, 24), m=n_paths, seed=seeds)
+def test_marginal_ensemble_rows_are_single_paths(od, z0, dt, n_steps, m, seed):
+    paths = [simulate_marginal_1d(od, z0, n_steps * dt, SdeConfig(dt=dt), StreamKey(seed, LABEL, i))[1] for i in range(m)]
+    for j in range(n_steps + 1):
+        assert np.array_equal(marginal_ensemble_values(od, z0, j * dt, dt, m, seed), [z[j] for z in paths])
+
+
+@given(od=one_dim, ab=interval(), dt=dts, n_steps=st.integers(1, 40), m=n_paths, seed=seeds)
+def test_first_exit_and_touch_match_single_paths(od, ab, dt, n_steps, m, seed):
+    a, z0, b = ab
+    tau, hit = marginal_first_passage(od, z0, a, b, dt, m, seed, t_cap=n_steps * dt)
+    touched = marginal_touch_flags(od, z0, a, n_steps * dt, dt, m, seed)
+    touched_at_start = marginal_touch_flags(od, z0, b, n_steps * dt, dt, m, seed)  # every path retires at n = 0
+    for i in range(m):
+        _, z = simulate_marginal_1d(od, z0, n_steps * dt, SdeConfig(dt=dt), StreamKey(seed, LABEL, i))
+        out = np.flatnonzero((z <= a) | (z >= b))
+        if out.size:
+            assert tau[i] == out[0] * dt and hit[i] == (z[out[0]] >= b)
+        else:
+            assert np.isnan(tau[i]) and not hit[i]
+        assert touched[i] == (z <= a).any()
+        assert touched_at_start[i]
+
+
+@given(
+    wp=wf_params(),
+    od=one_dim,
+    ab=interval(),
+    dt=dts,
+    n_steps=st.integers(0, 30),
+    m=st.integers(1, 6),
+    seed=seeds,
+    steps=st.integers(1, 4),
+    values=st.integers(1, 30),
+)
+def test_outputs_do_not_depend_on_block_size(wp, od, ab, dt, n_steps, m, seed, steps, values):
+    params, x0 = wp
+    a, z0, b = ab
+    urn = UrnParams(alpha=1.0, beta=0.7, b=params.p, B0=x0)
+    t = n_steps * dt
+
+    def run():
+        return [
+            simulate_wf_ensemble(params, x0, t, SdeConfig(dt=dt), m, seed, checkpoints=[0.0, t / 2, t]),
+            simulate_urn_ensemble(urn, n_steps, m, seed, checkpoints=[0, n_steps // 2, n_steps]),
+            marginal_ensemble_values(od, z0, t, dt, m, seed),
+            *marginal_first_passage(od, z0, a, b, dt, m, seed, t_cap=t),
+            marginal_touch_flags(od, z0, a, t, dt, m, seed),
+        ]
+
+    expected = run()
+    with pytest.MonkeyPatch.context() as mp:
+        small_blocks(mp, steps, values)
+        got = run()
+    for e, g in zip(expected, got):
+        assert np.array_equal(e, g, equal_nan=e.dtype.kind == "f")

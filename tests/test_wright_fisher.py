@@ -15,6 +15,8 @@ from rpwf.wright_fisher import (
     drift,
     em_update,
     marginal_ensemble_values,
+    marginal_first_passage,
+    marginal_touch_flags,
     mean_ode,
     sigma,
     sigma_batch,
@@ -207,3 +209,39 @@ def test_marginal_stationary_matches_beta_law():
     vals = marginal_ensemble_values(od, 0.4, 30.0, 1e-3, 1000, seed=61)
     report = ks_one_sample(vals, stationary_beta_cdf(od))
     assert report.D < report.critical[0.05]
+
+
+@pytest.mark.parametrize("checkpoints", [[-1.0], [0.5, 0.5 + 1e-3], [float("nan")]])
+def test_ensemble_rejects_checkpoints_outside_horizon(checkpoints):
+    # a negative checkpoint used to return uninitialised rows, a late one the value at t_max
+    with pytest.raises(ValidationError) as exc:
+        simulate_wf_ensemble(P2, [0.3, 0.7], 0.5, SdeConfig(dt=1e-2), 2, seed=1, checkpoints=checkpoints)
+    assert exc.value.field == "checkpoints"
+
+
+OD = OneDimWf(a0=0.3, a1=0.7)
+_BAD_INPUTS = {
+    "wf_ensemble_no_paths": ("replicas", lambda: simulate_wf_ensemble(P2, [0.5, 0.5], 0.1, SdeConfig(dt=1e-2), 0, seed=1)),
+    "values_no_paths": ("replicas", lambda: marginal_ensemble_values(OD, 0.5, 0.1, 1e-2, 0, seed=1)),
+    "values_negative_paths": ("replicas", lambda: marginal_ensemble_values(OD, 0.5, 0.1, 1e-2, -3, seed=1)),
+    "touch_no_paths": ("replicas", lambda: marginal_touch_flags(OD, 0.5, 0.2, 0.1, 1e-2, 0, seed=1)),
+    "passage_no_paths": ("replicas", lambda: marginal_first_passage(OD, 0.5, 0.2, 0.8, 1e-2, 0, seed=1)),
+    "values_dt_zero": ("dt", lambda: marginal_ensemble_values(OD, 0.5, 0.1, 0.0, 3, seed=1)),
+    "touch_dt_zero": ("dt", lambda: marginal_touch_flags(OD, 0.5, 0.2, 0.1, 0.0, 3, seed=1)),
+    "passage_dt_zero": ("dt", lambda: marginal_first_passage(OD, 0.5, 0.2, 0.8, 0.0, 3, seed=1)),
+    "values_dt_negative": ("dt", lambda: marginal_ensemble_values(OD, 0.5, 0.1, -1e-3, 3, seed=1)),
+    "passage_dt_negative": ("dt", lambda: marginal_first_passage(OD, 0.5, 0.2, 0.8, -1e-3, 3, seed=1)),
+    "values_z0_below": ("z0", lambda: marginal_ensemble_values(OD, -0.1, 0.1, 1e-2, 3, seed=1)),
+    "values_z0_above": ("z0", lambda: marginal_ensemble_values(OD, 1.5, 0.1, 1e-2, 3, seed=1)),
+    "touch_z0_above": ("z0", lambda: marginal_touch_flags(OD, 1.5, 0.2, 0.1, 1e-2, 3, seed=1)),
+    "path_negative_t_max": ("t-max", lambda: simulate_marginal_1d(OD, 0.5, -1.0, SdeConfig(dt=1e-2), 1)),
+    "passage_negative_t_cap": ("t-cap", lambda: marginal_first_passage(OD, 0.5, 0.2, 0.8, 1e-2, 3, seed=1, t_cap=-1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_simulators_reject_bad_inputs_by_name(case):
+    field, call = _BAD_INPUTS[case]
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.field == field
