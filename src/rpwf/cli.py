@@ -173,7 +173,7 @@ def _run_simulate_wf(r: dict) -> list[dict]:
     params = _wf_params(r)
     x0 = np.asarray(r["x0"], dtype=float) if r.get("x0") is not None else params.p.copy()
     cfg = SdeConfig(dt=r["dt"])
-    if r["replicas"] <= 1:
+    if r["replicas"] == 1:
         path = simulate_wf(params, x0, r["t_max"], cfg, StreamKey(r["seed"], "cli-wf"))
         data = rio.path_csv(path) if r["format"] == "csv" else rio.path_json(path)
         out = r.get("out") or f"wf-path.{r['format']}"

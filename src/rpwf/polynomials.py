@@ -384,28 +384,24 @@ def _jacobi_product_raw(n: tuple, gw: GammaWeights) -> MultiIndexPolynomial:
     return poly
 
 
-def _jacobi_norm_sq_log(n: tuple, gw: GammaWeights) -> float:
-    """log <P_n, P_n> of the raw product element, by factorization."""
+def jacobi_product_norm_sq_log(n: Sequence[int], gw: GammaWeights) -> float:
+    """log of the squared pi_gamma-norm of the raw product-Jacobi element, by factorization."""
+    n = tuple(int(v) for v in n)
     total = 0.0
     for i in range(gw.nvars):
         a_i, b_i = (float(v) for v in _jacobi_factor_params(n, gw, i))
         m = n[i]
         c_i = float(_trailing_weight_sum(gw, i))
-        num = (
-            lgamma(m + a_i + 1)
-            + lgamma(m + b_i + 1)
-            - math.log(2 * m + a_i + b_i + 1)
-            - lgamma(m + a_i + b_i + 1)
-            - lgamma(m + 1)
-        )
+        # (2m + a + b + 1) Gamma(m + a + b + 1), which is Gamma(a + b + 2) at m = 0
+        # (a + b + 1 may be <= 0 there, in the recessive regime)
+        if m == 0:
+            lead = lgamma(a_i + b_i + 2)
+        else:
+            lead = math.log(2 * m + a_i + b_i + 1) + lgamma(m + a_i + b_i + 1)
+        num = lgamma(m + a_i + 1) + lgamma(m + b_i + 1) - lead - lgamma(m + 1)
         den = lgamma(b_i + 1) + lgamma(c_i) - lgamma(b_i + 1 + c_i)
         total += num - den
     return total
-
-
-def jacobi_product_norm_sq_log(n: Sequence[int], gw: GammaWeights) -> float:
-    """log of the squared pi_gamma-norm of the raw product-Jacobi element."""
-    return _jacobi_norm_sq_log(tuple(int(v) for v in n), gw)
 
 
 def basis_jacobi(n: Sequence[int], gw: GammaWeights, normalized: bool = True) -> MultiIndexPolynomial:
@@ -418,7 +414,7 @@ def basis_jacobi(n: Sequence[int], gw: GammaWeights, normalized: bool = True) ->
     raw = _jacobi_product_raw(n, gw)
     if not normalized:
         return raw
-    scale = math.exp(-0.5 * _jacobi_norm_sq_log(n, gw))
+    scale = math.exp(-0.5 * jacobi_product_norm_sq_log(n, gw))
     return raw * scale
 
 

@@ -18,7 +18,7 @@ from scipy import special
 from scipy.stats import qmc
 
 from .errors import ValidationError
-from .polynomials import GammaWeights, MultiIndexPolynomial
+from .polynomials import GammaWeights, MultiIndexPolynomial, _trailing_weight_sum
 
 __all__ = ["gauss_jacobi_01", "simplex_rule", "inner_product_quad", "log_dirichlet_constant"]
 
@@ -65,9 +65,7 @@ def simplex_rule(gw: GammaWeights, level: int = 40, seed: int = 0) -> tuple[np.n
         pts = np.empty((n, k - 1))
         remaining = np.ones(n)
         for i in range(k - 1):
-            a = g[i] + 1.0
-            b = sum(g[i + 1 :]) + (k - 1 - i)
-            z = special.betaincinv(a, b, U[:, i])
+            z = special.betaincinv(g[i] + 1.0, float(_trailing_weight_sum(gw, i)), U[:, i])
             pts[:, i] = z * remaining
             remaining = remaining * (1.0 - z)
         return pts, np.full(n, 1.0 / n)

@@ -9,9 +9,12 @@ transition density expands as
 
 with nu_n = n (n + 2 b/alpha - 1)/2 and f_n ranging over any basis of the
 degree-n eigenspace; the kernel is basis-independent.  Evaluation uses the
-product-Jacobi basis in stick-breaking form with univariate three-term
-recurrences, which stays numerically stable far beyond the degrees where
-monomial expansion collapses.
+product-Jacobi basis in stick-breaking form: each basis value is a product
+of SciPy Jacobi values (``scipy.special.eval_jacobi`` at integer degree,
+a three-term recurrence) at the factor parameters and norms owned by
+``rpwf.polynomials``.  This stays numerically stable far beyond the degrees
+where monomial expansion collapses, and covers the recessive regime
+b/alpha <= 1/2, where gamma_i < 0.
 
 The series converges spectrally for t bounded away from 0; values at
 t < 0.05 are flagged unreliable rather than silently returned.
@@ -23,10 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import ValidationError
 from .polynomials import (
     GammaWeights,
+    _jacobi_factor_params,
+    eigenvalue_nu,
     jacobi_product_norm_sq_log,
     multi_indices,
     supported_degree_cap,
@@ -97,27 +103,12 @@ class TransitionDensity:
         }
 
 
-def _jacobi_values(mmax: int, a: float, b: float, t: float) -> np.ndarray:
-    """p_0..p_mmax^{(a,b)}(t) by the three-term recurrence."""
-    out = np.empty(mmax + 1)
-    out[0] = 1.0
-    if mmax == 0:
-        return out
-    out[1] = 0.5 * (a + b + 2.0) * t + 0.5 * (a - b)
-    for m in range(2, mmax + 1):
-        c1 = 2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0)
-        c2 = (2.0 * m + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * m + a + b - 2.0) * (2.0 * m + a + b - 1.0) * (2.0 * m + a + b)
-        c4 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b)
-        out[m] = ((c2 + c3 * t) * out[m - 1] - c4 * out[m - 2]) / c1
-    return out
-
-
 class SpectralTransitionDensity:
     """Transition density evaluator for fixed diffusion parameters.
 
-    Basis values are computed per point through the stick-breaking product
-    representation; norms are cached per multi-index.
+    Every multi-index up to ``max_degree`` is listed once, ordered by total
+    degree, with its per-factor degrees, Jacobi parameters and inverse norm;
+    a point's basis values are then one vectorised Jacobi product.
     """
 
     def __init__(self, params: WfParams, max_degree: int | None = None):
@@ -128,64 +119,33 @@ class SpectralTransitionDensity:
         self.max_degree = default_max_degree(k) if max_degree is None else int(max_degree)
         if not 0 <= self.max_degree <= cap:
             raise ValidationError("max-degree", f"must lie in [0, {cap}] for k={k}")
-        self._indices = [multi_indices(k - 1, n) for n in range(self.max_degree + 1)]
-        self._inv_norm = [
-            np.array([math.exp(-0.5 * jacobi_product_norm_sq_log(n, self.gw)) for n in idx])
-            for idx in self._indices
-        ]
-        rate = params.rate
-        self._nu = np.array([0.5 * n * (n + 2.0 * rate - 1.0) for n in range(self.max_degree + 1)])
+        by_degree = [multi_indices(k - 1, n) for n in range(self.max_degree + 1)]
+        indices = [n for idx in by_degree for n in idx]
+        self._starts = np.cumsum([0] + [len(idx) for idx in by_degree[:-1]])
+        self._n = np.array(indices, dtype=np.int64).T
+        ab = np.array([[_jacobi_factor_params(n, self.gw, i) for n in indices] for i in range(k - 1)], dtype=float)
+        self._a, self._b = ab[..., 0], ab[..., 1]
+        self._inv_norm = np.array([math.exp(-0.5 * jacobi_product_norm_sq_log(n, self.gw)) for n in indices])
+        self._nu = np.array([eigenvalue_nu(n, params) for n in range(self.max_degree + 1)])
 
-    def _point_tables(self, y: np.ndarray) -> list[np.ndarray]:
-        """tables[i][N, m] = R_i^m * p_m^{(a_i(N), gamma_i)}(2 y_i / R_i - 1),
-        indexed by the trailing degree N that fixes the Jacobi parameter."""
-        d = self.gw.nvars
-        g = [float(v) for v in self.gw.gamma]
-        tables = []
-        remaining = 1.0
-        for i in range(d):
-            if remaining <= 0.0:
-                raise ValidationError("y", "point must be interior for the spectral series")
-            t_i = 2.0 * y[i] / remaining - 1.0
-            c_i = sum(g[i + 1 :]) + (self.gw.k - 1 - i)
-            tab = np.zeros((self.max_degree + 1, self.max_degree + 1))
-            rpow = np.power(remaining, np.arange(self.max_degree + 1))
-            for N in range(self.max_degree + 1):
-                a_i = 2.0 * N + c_i - 1.0
-                mmax = self.max_degree - N
-                vals = _jacobi_values(mmax, a_i, g[i], t_i)
-                tab[N, : mmax + 1] = vals * rpow[: mmax + 1]
-            tables.append(tab)
-            remaining -= y[i]
-        return tables
-
-    def _normalized_values(self, y: np.ndarray) -> list[np.ndarray]:
-        """Unit-norm basis values at y, grouped by total degree."""
-        tables = self._point_tables(np.asarray(y, dtype=float))
-        out = []
-        for deg, idx in enumerate(self._indices):
-            vals = np.empty(len(idx))
-            for j, n in enumerate(idx):
-                v = 1.0
-                trailing = deg
-                for i, ni in enumerate(n):
-                    trailing -= ni
-                    v *= tables[i][trailing, ni]
-                vals[j] = v
-            out.append(vals * self._inv_norm[deg])
-        return out
+    def _normalized_values(self, y: np.ndarray) -> np.ndarray:
+        """Unit-norm basis values at y, in the order of ``self._n``: factor i
+        is R_i^{n_i} p_{n_i}^{(a_i, b_i)}(2 y_i / R_i - 1), R_i = 1 - y_1 - ... - y_{i-1}."""
+        remaining = 1.0 - np.concatenate([[0.0], np.cumsum(y[:-1])])
+        if np.any(remaining <= 0.0):
+            raise ValidationError("y", "point must be interior for the spectral series")
+        x = (2.0 * y / remaining - 1.0)[:, None]
+        factors = remaining[:, None] ** self._n * special.eval_jacobi(self._n, self._a, self._b, x)
+        return self._inv_norm * factors.prod(axis=0)
 
     def evaluate(self, y0, y, t: float) -> TransitionDensity:
         if not t > 0:
             raise ValidationError("t", f"transition density requires t > 0, got {t}")
         y0 = check_reduced(y0, "y0")
         y = check_reduced(y, "y")
-        f_y = self._normalized_values(y)
-        f_y0 = self._normalized_values(y0)
         stat = dirichlet_density(self.gw, y)
-        kernel_terms = np.array(
-            [float(f_y[n] @ f_y0[n]) * math.exp(-self._nu[n] * t) for n in range(self.max_degree + 1)]
-        )
+        per_degree = np.add.reduceat(self._normalized_values(y) * self._normalized_values(y0), self._starts)
+        kernel_terms = per_degree * np.exp(-self._nu * t)
         total = stat * kernel_terms.sum()
         tail = abs(stat * kernel_terms[-1]) if self.max_degree >= 1 else 0.0
         warn = bool(tail > 1e-6 * max(abs(total), 1e-300))

@@ -144,10 +144,9 @@ def sigma_batch(X: np.ndarray) -> np.ndarray:
     S_next[:, :-1] = S[:, 1:]
     safe_S = np.where(S > 0, S, 1.0)
     diag = np.sqrt(np.maximum(X * S_next / safe_S, 0.0))
-    denom = S * S_next
-    safe_denom = np.where(denom > 0, denom, 1.0)
-    # col[:, j] = sqrt(x_j / (S_j S_{j+1})); zero whenever the suffix runs out
-    col = np.where(denom > 0, np.sqrt(np.maximum(X, 0.0) / safe_denom), 0.0)
+    # col[:, j] = diag_j / S_{j+1} = sqrt(x_j / (S_j S_{j+1})), at most 1 / sqrt(S_{j+1})
+    # so it cannot overflow; zero whenever the suffix runs out
+    col = np.where(S_next > 0, diag / np.where(S_next > 0, S_next, 1.0), 0.0)
     out = np.zeros((M, k, k))
     li, lj = np.tril_indices(k, k=-1)
     out[:, li, lj] = -X[:, li] * col[:, lj]

@@ -107,6 +107,22 @@ def test_simulate_wf_path_and_ensemble(tmp_path, capsys):
     assert abs(sum(data["mean"]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("replicas", ["0", "-3"])
+def test_simulate_wf_rejects_replicas_below_one(tmp_path, capsys, replicas):
+    out = tmp_path / "wf.csv"
+    code = main(["simulate-wf", "--t-max", "0.1", "--dt", "0.01", "--replicas", replicas, "--out", str(out)])
+    assert code == 2
+    assert "--replicas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_density_recessive_regime(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    code, _ = run(["density", "--b", "0.4", "--p", "0.5,0.5", "--out", str(out)], capsys)
+    assert code == 0
+    assert json.loads(out.read_text())["value"] > 0.0
+
+
 def test_density_long_time_equals_stationary(tmp_path, capsys):
     out = tmp_path / "d.json"
     code, _ = run(

@@ -106,6 +106,17 @@ def test_norm_formula_matches_exact_inner_product():
         assert formula == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [(F(-3, 5), F(-3, 5)), (F(-1, 2), F(-1, 2), F(-1, 2))])
+def test_norm_formula_at_degree_zero_factors_in_recessive_regime(gamma):
+    # a_i + b_i + 1 <= 0 for some factor at degree 0: the m >= 1 form has log(0) or log(<0)
+    gw = GammaWeights(gamma)
+    for deg in range(3):
+        for n in multi_indices(gw.nvars, deg):
+            raw = basis_jacobi(n, gw, normalized=False)
+            exact = float(inner_product(raw, raw, gw))
+            assert jacobi_product_norm_sq_log(n, gw) == pytest.approx(math.log(exact), rel=1e-12, abs=1e-12)
+
+
 def test_monic_degree_zero_is_one():
     assert basis_monic((0, 0), GW3) == MultiIndexPolynomial.one(2)
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from rpwf.boundary import stationary_beta_cdf
 from rpwf.errors import ValidationError
@@ -99,6 +99,28 @@ def test_transition_density_integrates_to_one():
         vals = np.array([S([0.3], y, t) for y in pts])
         stat = np.array([dirichlet_density(gw, y) for y in pts])
         assert float(w @ (vals / stat)) == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.4, 0.2])
+def test_recessive_k2_density_has_unit_mass_and_reaches_beta(rate):
+    # b/alpha <= 1/2: the stick-breaking factor has a + b + 1 <= 0 at degree 0
+    params = WfParams(b=rate, alpha=1.0, p=np.array([0.5, 0.5]))
+    S = SpectralTransitionDensity(params)
+    gw = GammaWeights.from_wf(params)
+    pts, w = simplex_rule(gw, 40)
+    stat = np.array([dirichlet_density(gw, y) for y in pts])
+    for t in (0.5, 2.0, 8.0):
+        vals = np.array([S([0.5], y, t) for y in pts])
+        assert float(w @ (vals / stat)) == pytest.approx(1.0, abs=1e-10)
+    ys = np.linspace(0.05, 0.95, 19)
+    dens = np.array([S([0.5], [y], 8.0) for y in ys])
+    assert np.abs(dens / stats.beta(rate, rate).pdf(ys) - 1.0).max() < 1e-4
+
+
+def test_recessive_k4_uniform_density_evaluates():
+    params = WfParams(b=1.0, alpha=1.0, p=np.full(4, 0.25))  # gamma_i = -1/2
+    res = transition_density([0.2, 0.3, 0.25], [0.3, 0.2, 0.2], 1.0, params)
+    assert np.isfinite(res.value) and res.value > 0.0
 
 
 def test_transition_density_reversibility():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,21 @@ def test_sigma_factorization_random_points():
         # strictly lower-triangular above the diagonal
         for i in range(k):
             assert np.all(S[:, i, i + 1 :] == 0.0)
+
+
+def test_sigma_batch_finite_at_subnormal_component_before_zeros():
+    x = np.array([1.0, 5e-324, 0.0])
+    S = sigma_batch(x[None, :])[0]
+    assert np.all(np.isfinite(S))
+    assert np.abs(S @ S.T - (np.diag(x) - np.outer(x, x))).max() < 1e-15
+
+
+def test_simulate_wf_from_subnormal_component_stays_finite():
+    params = WfParams(b=1.0, alpha=1.0, p=np.array([0.3, 0.3, 0.4]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        path = simulate_wf(params, [1.0, 5e-324, 0.0], 0.05, SdeConfig(dt=2**-5))
+    assert np.all(np.isfinite(path.X))
 
 
 def test_sigma_rejects_off_simplex():
