@@ -223,7 +223,8 @@ def green_function(ip: IntervalProblem, x: float, s: float) -> float:
         lhs = scale_increment(ip.od, x, ip.b_pt)
         rhs = scale_increment(ip.od, ip.a, s)
     dens = s ** (2.0 * ip.od.a0 - 1.0) * (1.0 - s) ** (2.0 * ip.od.a1 - 1.0)
-    return 2.0 * lhs * rhs / den * dens
+    # lhs / den <= 1 and the small speed density offsets rhs: no overflow at large a0, a1
+    return 2.0 * (lhs / den) * (rhs * dens)
 
 
 def _panel_nodes(a: float, b: float, n_panels: int = 8):

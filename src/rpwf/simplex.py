@@ -7,6 +7,8 @@ Two coordinate systems are used throughout: full coordinates ``x``
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import ValidationError
@@ -35,34 +37,34 @@ def check_reduced(y, name: str = "y", atol: float = 1e-12) -> np.ndarray:
     return y
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Row sums of an (M, k) array, added one column at a time: sequential for every k."""
+    return reduce(np.add, rows.T[1:], rows[:, 0].copy())
+
+
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Clamp negatives to zero and renormalize so the sum is exactly 1.0.
 
-    Works on a single vector or a batch (last axis = components).  After the
-    division the last component is recomputed as 1 minus the head sum; for
-    the short rows used here numpy sums sequentially, so the full row sum is
-    then bit-exactly 1.0 (Sterbenz for head >= 1/2, half-ulp rounding below).
+    Works on a single vector or a batch (last axis = components).  Row sums
+    are taken sequentially, one column at a time, for every k; the last
+    component is recomputed as 1 minus the head sum, so the sequential row
+    sum is bit-exactly 1.0 (Sterbenz for head >= 1/2, half-ulp rounding below).
     """
-    v = np.maximum(np.asarray(v, dtype=float), 0.0)
-    s = v.sum(axis=-1, keepdims=True)
-    v = v / s
-    head = v[..., :-1].sum(axis=-1)
-    last = 1.0 - head
-    bad = last < 0.0
-    v[..., -1] = np.where(bad, v[..., -1], last)
-    if np.any(bad):
-        # head overshot 1 by rounding; absorb the residual iteratively
-        w = v[bad] if v.ndim > 1 else v
-        for _ in range(8):
-            r = 1.0 - w.sum(axis=-1, keepdims=True)
-            if not np.any(r):
-                break
-            w = np.maximum(w + r / w.shape[-1], 0.0)
-        if v.ndim > 1:
-            v[bad] = w
-        else:
-            v = w
-    return v
+    shape = np.shape(v)
+    rows = np.maximum(np.asarray(v, dtype=float), 0.0).reshape(-1, shape[-1])
+    rows /= _row_sums(rows)[:, None]
+    head = _row_sums(rows[:, :-1])
+    bad = np.flatnonzero(head > 1.0)
+    while bad.size:
+        # the head overshot 1 by rounding (the last component is ~0): take the
+        # excess off the row's largest head component until the head is <= 1
+        w = rows[bad]
+        w[np.arange(bad.size), w[:, :-1].argmax(axis=1)] -= head[bad] - 1.0
+        rows[bad] = w
+        head[bad] = _row_sums(w[:, :-1])
+        bad = bad[head[bad] > 1.0]
+    rows[:, -1] = 1.0 - head
+    return rows.reshape(shape)
 
 
 def random_simplex_points(k: int, n: int, rng: np.random.Generator) -> np.ndarray:

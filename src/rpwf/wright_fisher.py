@@ -7,7 +7,8 @@ The limiting dynamics of the urn scaling family:
 where ``Sigma(x) Sigma(x)^T = diag(x) - x x^T`` and Sigma is the explicit
 lower-triangular square root with zero column sums (so paths stay on the
 affine hull of the simplex).  Discretization is Euler-Maruyama followed by
-a clamp-and-renormalize projection back onto the simplex.
+a clamp-and-renormalize projection back onto the simplex.  A step forms the
+noise (Sigma z)_i = diag_i z_i - x_i sum_{j<i} col_j z_j in O(k) per point.
 
 The 1-d marginal / grouped process ``Z`` solves
 
@@ -135,18 +136,25 @@ def sigma(x) -> np.ndarray:
     return sigma_batch(x[None, :])[0]
 
 
+def _sigma_factors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of Sigma for an (M, k) batch: Sigma_ii = diag_i, Sigma_ij = -x_i col_j for j < i."""
+    S_next = np.zeros_like(X)  # S_next[:, j] = sum_{l > j} x_l, one pass per column
+    for j in range(X.shape[1] - 2, -1, -1):
+        np.add(S_next[:, j + 1], X[:, j + 1], out=S_next[:, j])
+    S = S_next + X
+    diag = X * S_next  # diag_j = sqrt(x_j S_{j+1} / S_j); 0 where S_j = 0
+    np.divide(diag, S, out=diag, where=S > 0)
+    np.sqrt(np.maximum(diag, 0.0, out=diag), out=diag)
+    # col_j = diag_j / S_{j+1} <= 1 / sqrt(S_{j+1}) cannot overflow; 0 where the suffix runs out
+    col = np.divide(diag, S_next, out=np.zeros_like(X), where=S_next > 0)
+    return diag, col
+
+
 def sigma_batch(X: np.ndarray) -> np.ndarray:
     """Vectorized ``sigma`` for an (M, k) batch of simplex points."""
     X = np.asarray(X, dtype=float)
     M, k = X.shape
-    S = np.cumsum(X[:, ::-1], axis=1)[:, ::-1]  # S[:, j] = sum_{l >= j} x_l
-    S_next = np.zeros_like(S)
-    S_next[:, :-1] = S[:, 1:]
-    safe_S = np.where(S > 0, S, 1.0)
-    diag = np.sqrt(np.maximum(X * S_next / safe_S, 0.0))
-    # col[:, j] = diag_j / S_{j+1} = sqrt(x_j / (S_j S_{j+1})), at most 1 / sqrt(S_{j+1})
-    # so it cannot overflow; zero whenever the suffix runs out
-    col = np.where(S_next > 0, diag / np.where(S_next > 0, S_next, 1.0), 0.0)
+    diag, col = _sigma_factors(X)
     out = np.zeros((M, k, k))
     li, lj = np.tril_indices(k, k=-1)
     out[:, li, lj] = -X[:, li] * col[:, lj]
@@ -161,18 +169,29 @@ def drift(x, params: WfParams) -> np.ndarray:
     return -params.rate * (x - params.p)
 
 
+def _sigma_z(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Rows of Sigma(x) z in O(k): (Sigma z)_i = diag_i z_i - x_i sum_{j<i} col_j z_j."""
+    diag, col = _sigma_factors(X)
+    cz = col * Z
+    run = np.zeros_like(cz)  # run[:, i] = sum_{j<i} col_j z_j, one pass per column
+    for i in range(1, X.shape[1]):
+        np.add(run[:, i - 1], cz[:, i - 1], out=run[:, i])
+    return diag * Z - X * run
+
+
 def em_update(x, z, params: WfParams, dt: float) -> np.ndarray:
     """One deterministic Euler-Maruyama update given the normal draw z.
 
     Works on a single point (k,) with z (k,), or a batch (M, k) with
-    z (M, k).  The result is projected exactly onto the simplex.
+    z (M, k).  The noise Sigma(x) z costs O(k) per point; the (M, k, k)
+    matrices of ``sigma_batch`` are never built.  The result is projected
+    exactly onto the simplex.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     single = x.ndim == 1
     xb = np.atleast_2d(x)
-    zb = np.atleast_2d(z)
-    noise = math.sqrt(dt) * np.einsum("mij,mj->mi", sigma_batch(xb), zb)
+    noise = math.sqrt(dt) * _sigma_z(xb, np.atleast_2d(z))
     out = project_to_simplex(xb + drift(xb, params) * dt + noise)
     return out[0] if single else out
 

@@ -244,6 +244,15 @@ def test_expected_cost_two_representations_agree():
         assert w1 == pytest.approx(w2, abs=1e-8 * max(1.0, abs(w1)))
 
 
+@pytest.mark.parametrize("a", [150.0, 200.0])
+def test_mean_exit_time_finite_at_large_symmetric_coefficients(a):
+    # the Green function's product of two scale increments used to overflow to inf
+    ip = IntervalProblem(od=OneDimWf(a0=a, a1=a), a=0.25, b_pt=0.75)
+    w = mean_exit_time(ip, 0.5)
+    assert math.isfinite(w)
+    assert w == pytest.approx(expected_cost_scale_form(ip, 0.5, lambda s: 1.0), rel=1e-8)
+
+
 def test_mean_exit_time_matches_monte_carlo():
     od = OneDimWf(a0=0.5, a1=0.5)
     ip = IntervalProblem(od=od, a=0.25, b_pt=0.75)
