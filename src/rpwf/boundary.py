@@ -256,9 +256,16 @@ def expected_cost_scale_form(ip: IntervalProblem, z0: float, g) -> float:
     """Same expected cost through the scale/speed two-integral representation:
 
     w(z0) = 2 [ u(z0) int_z0^b (S(b)-S(t)) m(t) g(t) dt
-              + (1 - u(z0)) int_a^z0 (S(t)-S(a)) m(t) g(t) dt ].
+              + v(z0) int_a^z0 (S(t)-S(a)) m(t) g(t) dt ],
+
+    with u = (S(z0)-S(a))/(S(b)-S(a)) and v = (S(b)-S(z0))/(S(b)-S(a)) each
+    its own scale ratio: v as 1 - u is lost to rounding when u is near 1.
     """
-    u = hitting_prob(ip, z0)
+    if not ip.a <= z0 <= ip.b_pt:
+        raise ValidationError("z0", f"must lie in [{ip.a}, {ip.b_pt}], got {z0}")
+    den = scale_increment(ip.od, ip.a, ip.b_pt)
+    u = scale_increment(ip.od, ip.a, z0) / den
+    v = scale_increment(ip.od, z0, ip.b_pt) / den
     upper = 0.0
     if z0 < ip.b_pt:
         s, w = _panel_nodes(z0, ip.b_pt)
@@ -269,7 +276,7 @@ def expected_cost_scale_form(ip: IntervalProblem, z0: float, g) -> float:
         s, w = _panel_nodes(ip.a, z0)
         vals = np.array([scale_increment(ip.od, ip.a, si) * speed_density(ip.od, si) * g(si) for si in s])
         lower = float(w @ vals)
-    return 2.0 * (u * upper + (1.0 - u) * lower)
+    return 2.0 * (u * upper + v * lower)
 
 
 def mean_exit_time(ip: IntervalProblem, z0: float) -> float:

@@ -5,7 +5,8 @@ config file > built-in defaults; ``RPWF_SEED`` overrides the default seed
 only when neither a flag nor a config entry supplies one.  Every run
 prints a manifest (resolved parameters, seed, sha256 of each output) and
 writes it next to the primary output, so a run can be reproduced
-bit-exactly from the manifest alone.
+bit-exactly from the manifest alone.  The worker count is left out of it:
+no output depends on it.
 
 Exit codes: 0 success, 2 parameter validation failure, 3 I/O failure.
 """
@@ -118,7 +119,8 @@ def _resolve(opts: list[Opt], ns: argparse.Namespace) -> dict:
         if value is None:
             resolved[opt.dest] = None
             continue
-        raw[opt.name] = ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
+        if opt.name != "workers":  # no output depends on it, so manifests agree across machines
+            raw[opt.name] = ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
         try:
             resolved[opt.dest] = opt.conv(value) if not isinstance(value, (list, bool)) else value
         except (TypeError, ValueError) as exc:

@@ -13,6 +13,11 @@ kernel advances M replicas with a noise row holding each one's next draw.
 Replica i reads only stream i, in order, and shares no arithmetic with the
 others, so a single path (an ensemble of one) equals ensemble row i bit for
 bit, and no output depends on the noise block size or on worker counts.
+
+A noise block is stored replica-last, ``(steps,) + shape + (M,)``, and the
+kernel is handed each step's row as an ``(M,) + shape`` view of it: the
+shapes are the replica-first ones, while a pass over one draw index reads
+a contiguous row of M values.
 """
 
 from __future__ import annotations
@@ -73,11 +78,12 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
 
     Each step every replica draws a value of ``shape`` with its generator's
     ``draw`` method, then ``state = kernel(state, noise)`` with noise of
-    shape ``(M,) + shape``.  ``observe(n, state)`` sees the state after n
-    steps, from n = 0, and must copy what it keeps.  It may retire replicas
-    by returning the indices, among the current rows, of those that stay:
-    the state's first axis is indexed with them and their streams are no
-    longer drawn.  A noise block holds about ``_BLOCK_VALUES`` values.
+    shape ``(M,) + shape``, a view of memory with the replica axis last.
+    ``observe(n, state)`` sees the state after n steps, from n = 0, and
+    must copy what it keeps.  It may retire replicas by returning the
+    indices, among the current rows, of those that stay: the state's first
+    axis is indexed with them and their streams are no longer drawn.  A
+    noise block holds about ``_BLOCK_VALUES`` values.
     """
     check_sizes(n_steps, len(keys))
     gens = [key.generator() for key in keys]
@@ -91,15 +97,15 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
         steps = min(n_steps - n, _BLOCK_STEPS, max(1, _BLOCK_VALUES // width))
         if buf.size < steps * width:  # reused by later blocks, which are rarely larger
             buf = np.empty(steps * width)
-        block = buf[: steps * width].reshape((steps, len(gens)) + shape)
+        block = buf[: steps * width].reshape((steps,) + shape + (len(gens),))
         tile = np.empty((min(_FILL_GROUP, len(gens)), steps) + shape)
         for lo in range(0, len(gens), _FILL_GROUP):  # one draw call per replica, transposed a tile at a time
             group = gens[lo : lo + _FILL_GROUP]
             for t, g in enumerate(group):
                 tile[t] = getattr(g, draw)(size=tile.shape[1:])
-            block[:, lo : lo + len(group)] = tile[: len(group)].swapaxes(0, 1)
+            block[..., lo : lo + len(group)] = np.moveaxis(tile[: len(group)], 0, -1)
         cols = None  # block columns of the replicas still running, None while all are
-        for row in block:
+        for row in np.moveaxis(block, -1, 1):  # (M,) + shape views of replica-last rows
             n += 1
             state = kernel(state, row if cols is None else row[cols])
             keep = observe(n, state)

@@ -3,11 +3,13 @@
 Two coordinate systems are used throughout: full coordinates ``x``
 (length k, nonnegative, summing to 1) and reduced coordinates ``y``
 (length k-1, the last component implicit as ``1 - sum(y)``).
+
+``project_to_simplex`` keeps the (…, k) shape of its input but works on a
+component-major (k, M) copy, the replica axis last in memory, so its
+sequential row sums add whole contiguous component rows.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 
@@ -37,9 +39,12 @@ def check_reduced(y, name: str = "y", atol: float = 1e-12) -> np.ndarray:
     return y
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """Row sums of an (M, k) array, added one column at a time: sequential for every k."""
-    return reduce(np.add, rows.T[1:], rows[:, 0].copy())
+def _component_sums(R: np.ndarray) -> np.ndarray:
+    """Sums over the first axis of a component-major (k, M) array, added one component at a time."""
+    total = R[0].copy()
+    for r in R[1:]:
+        total += r
+    return total
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -49,22 +54,25 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     are taken sequentially, one column at a time, for every k; the last
     component is recomputed as 1 minus the head sum, so the sequential row
     sum is bit-exactly 1.0 (Sterbenz for head >= 1/2, half-ulp rounding below).
+    The work runs on a component-major (k, M) copy, so an (M, k) batch comes
+    back as a view of (k, M) memory.
     """
     shape = np.shape(v)
-    rows = np.maximum(np.asarray(v, dtype=float), 0.0).reshape(-1, shape[-1])
-    rows /= _row_sums(rows)[:, None]
-    head = _row_sums(rows[:, :-1])
+    rows = np.asarray(v, dtype=float).reshape(-1, shape[-1])
+    R = np.maximum(rows.T, 0.0, out=np.empty(rows.T.shape))
+    R /= _component_sums(R)
+    head = _component_sums(R[:-1])
     bad = np.flatnonzero(head > 1.0)
     while bad.size:
         # the head overshot 1 by rounding (the last component is ~0): take the
         # excess off the row's largest head component until the head is <= 1
-        w = rows[bad]
-        w[np.arange(bad.size), w[:, :-1].argmax(axis=1)] -= head[bad] - 1.0
-        rows[bad] = w
-        head[bad] = _row_sums(w[:, :-1])
+        w = R[:, bad]
+        w[w[:-1].argmax(axis=0), np.arange(bad.size)] -= head[bad] - 1.0
+        R[:, bad] = w
+        head[bad] = _component_sums(w[:-1])
         bad = bad[head[bad] > 1.0]
-    rows[:, -1] = 1.0 - head
-    return rows.reshape(shape)
+    np.subtract(1.0, head, out=R[-1])
+    return R.T.reshape(shape)
 
 
 def random_simplex_points(k: int, n: int, rng: np.random.Generator) -> np.ndarray:

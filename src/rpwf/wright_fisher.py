@@ -9,6 +9,9 @@ lower-triangular square root with zero column sums (so paths stay on the
 affine hull of the simplex).  Discretization is Euler-Maruyama followed by
 a clamp-and-renormalize projection back onto the simplex.  A step forms the
 noise (Sigma z)_i = diag_i z_i - x_i sum_{j<i} col_j z_j in O(k) per point.
+Batches keep their (M, k) shape, but the ensemble state and noise live
+component-major, as (M, k) views of (k, M) memory with the replica axis
+last, so every per-component pass of a step runs over a contiguous row.
 
 The 1-d marginal / grouped process ``Z`` solves
 
@@ -136,17 +139,25 @@ def sigma(x) -> np.ndarray:
     return sigma_batch(x[None, :])[0]
 
 
-def _sigma_factors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of Sigma for an (M, k) batch: Sigma_ii = diag_i, Sigma_ij = -x_i col_j for j < i."""
-    S_next = np.zeros_like(X)  # S_next[:, j] = sum_{l > j} x_l, one pass per column
-    for j in range(X.shape[1] - 2, -1, -1):
-        np.add(S_next[:, j + 1], X[:, j + 1], out=S_next[:, j])
-    S = S_next + X
-    diag = X * S_next  # diag_j = sqrt(x_j S_{j+1} / S_j); 0 where S_j = 0
-    np.divide(diag, S, out=diag, where=S > 0)
+def _sigma_factors(XT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of Sigma for a component-major (k, M) batch: Sigma_ii = diag_i, Sigma_ij = -x_i col_j for j < i.
+
+    Every pass runs over whole component rows; diag and col are (k, M).
+    """
+    k = XT.shape[0]
+    tail = np.empty((k + 1,) + XT.shape[1:])  # tail[j] = S_j = sum_{l >= j} x_l, one pass per component
+    tail[k] = 0.0
+    for j in range(k - 1, -1, -1):
+        np.add(tail[j + 1], XT[j], out=tail[j])
+    S, S_next = tail[:-1], tail[1:]
+    positive = tail > 0
+    diag, col = np.empty((2,) + XT.shape)
+    np.multiply(XT, S_next, out=diag)  # diag_j = sqrt(x_j S_{j+1} / S_j); 0 where S_j = 0
+    np.divide(diag, S, out=diag, where=positive[:-1])
     np.sqrt(np.maximum(diag, 0.0, out=diag), out=diag)
     # col_j = diag_j / S_{j+1} <= 1 / sqrt(S_{j+1}) cannot overflow; 0 where the suffix runs out
-    col = np.divide(diag, S_next, out=np.zeros_like(X), where=S_next > 0)
+    col.fill(0.0)
+    np.divide(diag, S_next, out=col, where=positive[1:])
     return diag, col
 
 
@@ -154,12 +165,12 @@ def sigma_batch(X: np.ndarray) -> np.ndarray:
     """Vectorized ``sigma`` for an (M, k) batch of simplex points."""
     X = np.asarray(X, dtype=float)
     M, k = X.shape
-    diag, col = _sigma_factors(X)
+    diag, col = _sigma_factors(X.T)
     out = np.zeros((M, k, k))
     li, lj = np.tril_indices(k, k=-1)
-    out[:, li, lj] = -X[:, li] * col[:, lj]
+    out[:, li, lj] = -X[:, li] * col.T[:, lj]
     idx = np.arange(k)
-    out[:, idx, idx] = diag
+    out[:, idx, idx] = diag.T
     return out
 
 
@@ -171,12 +182,16 @@ def drift(x, params: WfParams) -> np.ndarray:
 
 def _sigma_z(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Rows of Sigma(x) z in O(k): (Sigma z)_i = diag_i z_i - x_i sum_{j<i} col_j z_j."""
-    diag, col = _sigma_factors(X)
-    cz = col * Z
-    run = np.zeros_like(cz)  # run[:, i] = sum_{j<i} col_j z_j, one pass per column
-    for i in range(1, X.shape[1]):
-        np.add(run[:, i - 1], cz[:, i - 1], out=run[:, i])
-    return diag * Z - X * run
+    XT, ZT = X.T, Z.T
+    diag, col = _sigma_factors(XT)
+    cz = np.multiply(col, ZT, out=col)
+    run = np.empty_like(cz)  # run[i] = sum_{j<i} col_j z_j, one pass per component
+    run[0] = 0.0
+    for i in range(1, XT.shape[0]):
+        np.add(run[i - 1], cz[i - 1], out=run[i])
+    out = np.multiply(diag, ZT, out=diag)
+    out -= np.multiply(XT, run, out=run)
+    return out.T
 
 
 def em_update(x, z, params: WfParams, dt: float) -> np.ndarray:
@@ -185,14 +200,21 @@ def em_update(x, z, params: WfParams, dt: float) -> np.ndarray:
     Works on a single point (k,) with z (k,), or a batch (M, k) with
     z (M, k).  The noise Sigma(x) z costs O(k) per point; the (M, k, k)
     matrices of ``sigma_batch`` are never built.  The result is projected
-    exactly onto the simplex.
+    exactly onto the simplex.  A batch comes back as an (M, k) view of
+    (k, M) memory, the layout the arithmetic runs fastest on: given such
+    views for x and z, every pass reads and writes contiguous rows.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     single = x.ndim == 1
     xb = np.atleast_2d(x)
-    noise = math.sqrt(dt) * _sigma_z(xb, np.atleast_2d(z))
-    out = project_to_simplex(xb + drift(xb, params) * dt + noise)
+    noise = _sigma_z(xb, np.atleast_2d(z))
+    noise *= math.sqrt(dt)
+    v = drift(xb, params)  # laid out like xb
+    v *= dt
+    v += xb
+    v += noise
+    out = project_to_simplex(v)
     return out[0] if single else out
 
 

@@ -253,6 +253,19 @@ def test_mean_exit_time_finite_at_large_symmetric_coefficients(a):
     assert w == pytest.approx(expected_cost_scale_form(ip, 0.5, lambda s: 1.0), rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "a0, a1, want",
+    [(50.0, 30.0, 3.754091405884478), (200.0, 150.0, 5.624e19), (200.0, 3.0, 9.4262e-4)],
+)
+def test_scale_form_keeps_lower_weight_when_upper_hit_is_near_certain(a0, a1, want):
+    # the lower integral's weight (S(b)-S(z0))/(S(b)-S(a)) is ~1e-19 here; as
+    # 1 - P(hit b) it rounded to 0 and dropped a lower integral of ~1e19
+    ip = IntervalProblem(od=OneDimWf(a0=a0, a1=a1), a=0.25, b_pt=0.75)
+    w = expected_cost_scale_form(ip, 0.7, lambda s: 1.0)
+    assert w == pytest.approx(mean_exit_time(ip, 0.7), rel=1e-8)
+    assert w == pytest.approx(want, rel=1e-4)
+
+
 def test_mean_exit_time_matches_monte_carlo():
     od = OneDimWf(a0=0.5, a1=0.5)
     ip = IntervalProblem(od=od, a=0.25, b_pt=0.75)

@@ -107,6 +107,18 @@ def test_simulate_wf_path_and_ensemble(tmp_path, capsys):
     assert abs(sum(data["mean"]) - 1.0) < 1e-12
 
 
+def test_manifest_does_not_depend_on_workers(tmp_path, capsys):
+    out = tmp_path / "ens.json"
+    argv = ["simulate-wf", "--b", "1,1", "--t-max", "0.1", "--dt", "0.01", "--replicas", "8", "--out", str(out)]
+    manifests = []
+    for workers in (["--workers", "1"], ["--workers", "2"], []):  # the default is the machine's CPU count
+        code, _ = run(argv + workers, capsys)
+        assert code == 0
+        manifests.append((tmp_path / "ens.json.manifest.json").read_bytes())
+    assert manifests[0] == manifests[1] == manifests[2]
+    assert "workers" not in json.loads(manifests[0])["params"]
+
+
 @pytest.mark.parametrize("replicas", ["0", "-3"])
 def test_simulate_wf_rejects_replicas_below_one(tmp_path, capsys, replicas):
     out = tmp_path / "wf.csv"
