@@ -128,7 +128,9 @@ def scale_increment(od: OneDimWf, z1: float, z2: float) -> float:
 
     Endpoints 0 and 1 are admitted: the result is finite when the matching
     exponent is integrable (2 a_z < 1) and ``inf`` (reported divergence,
-    entrance boundary) otherwise.
+    entrance boundary) otherwise.  A finite integral too large for a float
+    raises ``ValidationError`` naming the coefficient whose factor is
+    largest on [z1, z2].
     """
     for name, z in (("z1", z1), ("z2", z2)):
         if not 0.0 <= z <= 1.0:
@@ -138,22 +140,27 @@ def scale_increment(od: OneDimWf, z1: float, z2: float) -> float:
     sign = 1.0 if z2 > z1 else -1.0
     lo, hi = min(z1, z2), max(z1, z2)
     total = 0.0
-    if lo == 0.0:
-        if 2.0 * od.a0 >= 1.0:
-            return sign * math.inf
-        cut = min(hi, 0.25)
-        total += _endpoint_tail(od, 0.0, cut)
-        lo = cut
-    if hi == 1.0 and lo < 1.0:
-        if 2.0 * od.a1 >= 1.0:
-            return sign * math.inf
-        cut = max(lo, 0.75)
-        total += _endpoint_tail(od, 1.0, cut)
-        hi = cut
-    for a, b in _scale_panels(lo, hi) if hi > lo else []:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * _GL_NODES
-        total += half * float(_GL_WEIGHTS @ (t ** (-2.0 * od.a0) * (1.0 - t) ** (-2.0 * od.a1)))
+    with np.errstate(over="ignore"):  # an overflow shows as a non-finite total
+        if lo == 0.0:
+            if 2.0 * od.a0 >= 1.0:
+                return sign * math.inf
+            cut = min(hi, 0.25)
+            total += _endpoint_tail(od, 0.0, cut)
+            lo = cut
+        if hi == 1.0 and lo < 1.0:
+            if 2.0 * od.a1 >= 1.0:
+                return sign * math.inf
+            cut = max(lo, 0.75)
+            total += _endpoint_tail(od, 1.0, cut)
+            hi = cut
+        for a, b in _scale_panels(lo, hi) if hi > lo else []:
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            t = mid + half * _GL_NODES
+            total += half * float(_GL_WEIGHTS @ (t ** (-2.0 * od.a0) * (1.0 - t) ** (-2.0 * od.a1)))
+    if not math.isfinite(total):
+        # the factors peak at the ends: t^{-2 a0} at lo, (1-t)^{-2 a1} at hi
+        name = "a0" if -od.a0 * math.log(lo) >= -od.a1 * math.log1p(-hi) else "a1"
+        raise ValidationError(name, f"scale integral over [{z1}, {z2}] overflows at a0={od.a0}, a1={od.a1}")
     return sign * total
 
 

@@ -253,6 +253,33 @@ def test_mean_exit_time_finite_at_large_symmetric_coefficients(a):
     assert w == pytest.approx(expected_cost_scale_form(ip, 0.5, lambda s: 1.0), rel=1e-8)
 
 
+def test_scale_integral_keeps_its_bytes_below_overflow():
+    ip = IntervalProblem(od=OneDimWf(a0=210.0, a1=210.0), a=0.25, b_pt=0.75)
+    assert hitting_prob(ip, 0.5) == 0.5
+    assert mean_exit_time(ip, 0.5) == 4.6320038471753387e48
+
+
+@pytest.mark.parametrize("a0, a1, field", [(215.0, 215.0, "a0"), (220.0, 220.0, "a0"), (250.0, 250.0, "a0"), (3.0, 300.0, "a1")])
+def test_scale_integral_overflow_raises_naming_the_coefficient(a0, a1, field):
+    # t^{-2 a0} (1-t)^{-2 a1} overflows a float on (1/4, 3/4) from a0 = a1 = 215 on; the results were nan
+    ip = IntervalProblem(od=OneDimWf(a0=a0, a1=a1), a=0.25, b_pt=0.75)
+    for result in (
+        lambda: hitting_prob(ip, 0.5),
+        lambda: mean_exit_time(ip, 0.5),
+        lambda: expected_cost_scale_form(ip, 0.5, lambda s: 1.0),
+    ):
+        with pytest.raises(ValidationError) as info:
+            result()
+        assert info.value.field == field
+
+
+def test_scale_increment_endpoint_tail_overflow_raises():
+    # the Jacobi tail at 0 evaluates (1-t)^{-2 a1}, which overflowed with a RuntimeWarning
+    with pytest.raises(ValidationError) as info:
+        scale_increment(OneDimWf(a0=0.3, a1=1500.0), 0.0, 0.5)
+    assert info.value.field == "a1"
+
+
 @pytest.mark.parametrize(
     "a0, a1, want",
     [(50.0, 30.0, 3.754091405884478), (200.0, 150.0, 5.624e19), (200.0, 3.0, 9.4262e-4)],

@@ -182,6 +182,15 @@ def test_hit_prob_output(tmp_path, capsys):
     assert data["mean_exit_time"] > 0
 
 
+def test_hit_prob_overflow_exits_2_naming_the_coefficient(tmp_path, capsys):
+    # the scale integral overflows at a0 = a1 = 250 on (1/4, 3/4); this wrote nan with exit 0
+    out = tmp_path / "h.json"
+    code = main(["hit-prob", "--a0", "250", "--a1", "250", "--a", "0.25", "--b-pt", "0.75", "--z0", "0.5", "--out", str(out)])
+    assert code == 2
+    assert "--a0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_converge_writes_report_and_samples(tmp_path, capsys):
     out = tmp_path / "conv.json"
     code, _ = run(

@@ -1,7 +1,9 @@
 """Property tests of the stream engine ``rng.run_streams`` through every model.
 
-Each example checks one of the engine's guarantees on the Wright-Fisher,
-1-d marginal and urn simulators:
+``rng.generators``, which builds the engine's streams in one batch, starts
+every stream in the PCG64 state of the per-key reference ``key.generator()``.
+Each other example checks one of the engine's guarantees on the
+Wright-Fisher, 1-d marginal and urn simulators:
 
 * outputs do not depend on the noise block size: shrinking the blocks to a
   few steps, so that blocks and path retirement end mid-run, changes no bit;
@@ -12,9 +14,11 @@ Each example checks one of the engine's guarantees on the Wright-Fisher,
 Time steps are powers of two so that the grid times t_j = j dt are exact.
 """
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rpwf import rng
@@ -56,9 +60,33 @@ def interval(draw) -> tuple[float, float, float]:
     return z0 - draw(st.floats(0.01, 0.3)), z0, z0 + draw(st.floats(0.01, 0.3))
 
 
+stream_keys = st.builds(
+    StreamKey,
+    seed=st.one_of(st.integers(-(2**63), -1), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+    label=st.text(),
+    index=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**40)),
+)
+
+
 def small_blocks(mp: pytest.MonkeyPatch, steps: int, values: int) -> None:
     mp.setattr(rng, "_BLOCK_STEPS", steps)
     mp.setattr(rng, "_BLOCK_VALUES", values)
+
+
+@given(keys=st.lists(stream_keys, max_size=12))
+@example(keys=[])
+@example(keys=[StreamKey(-1, "", 2**32), StreamKey(2**64 - 1, "\u00e9\u2713", 0), StreamKey(0, "wf", 2**40), StreamKey(2**33, "urn", 5)])
+def test_generators_start_in_the_reference_states(keys):
+    # a seed or an index >= 2**32 adds an entropy word, so the batches mix 6-, 7- and 8-word keys
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gens = rng.generators(keys)
+    assert len(gens) == len(keys)
+    for key, gen in zip(keys, gens):
+        ref = key.generator()
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert gen.random() == ref.random()
+        assert gen.standard_normal() == ref.standard_normal()
 
 
 @given(wp=wf_params(), dt=dts, n_steps=st.integers(0, 24), m=n_paths, seed=seeds)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rpwf.errors import ValidationError
 from rpwf.rng import generator
@@ -125,19 +127,30 @@ def test_project_group_p_additivity():
     assert np.allclose(grouped.params.p, [0.3, 0.7])
 
 
-def test_grouped_path_satisfies_two_color_recursion():
+@st.composite
+def grouped_members(draw) -> tuple[ScaledFamilyParams, Partition]:
+    """A k-colour family member (k = 3..6) and a random partition of its colours into 2..k-1 groups."""
+    k = draw(st.integers(3, 6))
+    n_groups = draw(st.integers(2, k - 1))
+    order = draw(st.permutations(range(1, k + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, k - 1), min_size=n_groups - 1, max_size=n_groups - 1)))
+    groups = [order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, k])]
+    b = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=k, max_size=k)))
+    return ScaledFamilyParams(alpha=1.0, b=b, beta=draw(st.floats(0.5, 0.999))), Partition(groups, k=k)
+
+
+@given(member=grouped_members(), n_steps=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+def test_grouped_path_satisfies_grouped_recursion(member, n_steps, seed):
     # aggregated psi follows the grouped recursion on the same draw stream
-    fp = ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 1.0, 2.0, 1.0]), beta=0.9)
-    traj = simulate_urn(build_family_member(fp), 10_000, 19)
-    part = Partition([[1, 3], [2, 4]], k=4)
+    fp, part = member
+    traj = simulate_urn(build_family_member(fp), n_steps, seed)
     grouped = project_group(traj, part)
     eps, delta = eps_delta(fp.alpha, fp.b_scalar, fp.beta)
     psi = grouped.psi
-    p_grouped = grouped.params.p
-    onehot = np.zeros((traj.n_steps, 2))
-    onehot[np.arange(traj.n_steps), grouped.draws - 1] = 1.0
+    onehot = np.zeros((n_steps, len(part.groups)))
+    onehot[np.arange(n_steps), grouped.draws - 1] = 1.0
     dM = onehot - psi[:-1]
-    residual = psi[1:] - psi[:-1] + eps * (psi[:-1] - p_grouped) - delta * dM
+    residual = psi[1:] - psi[:-1] + eps * (psi[:-1] - grouped.params.p) - delta * dM
     assert np.max(np.abs(residual)) < 1e-12
 
 
