@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lgamma
 from typing import Iterable, Mapping, Sequence
 
@@ -94,6 +94,19 @@ class GammaWeights:
     @property
     def total(self):
         return sum(self.gamma)
+
+    @cached_property
+    def float_gamma(self) -> np.ndarray:
+        """gamma as a read-only float array, built once per instance."""
+        g = np.array([float(v) for v in self.gamma])
+        g.setflags(write=False)
+        return g
+
+    @cached_property
+    def log_dirichlet_constant(self) -> float:
+        """log of 1/w_gamma, i.e. of the Dirichlet integral of the raw weight."""
+        g = [float(x) for x in self.gamma]
+        return sum(lgamma(x + 1.0) for x in g) - lgamma(sum(g) + len(g))
 
 
 def multi_indices(nvars: int, degree: int) -> list[tuple[int, ...]]:

@@ -11,7 +11,6 @@ approximates the expectation of f under the stationary Dirichlet law.
 from __future__ import annotations
 
 import math
-from math import lgamma
 
 import numpy as np
 from scipy import special
@@ -20,7 +19,7 @@ from scipy.stats import qmc
 from .errors import ValidationError
 from .polynomials import GammaWeights, MultiIndexPolynomial, _trailing_weight_sum
 
-__all__ = ["gauss_jacobi_01", "simplex_rule", "inner_product_quad", "log_dirichlet_constant"]
+__all__ = ["gauss_jacobi_01", "simplex_rule", "inner_product_quad"]
 
 
 def gauss_jacobi_01(npts: int, exp_at_zero: float, exp_at_one: float) -> tuple[np.ndarray, np.ndarray]:
@@ -33,12 +32,6 @@ def gauss_jacobi_01(npts: int, exp_at_zero: float, exp_at_one: float) -> tuple[n
     return t, w * scale
 
 
-def log_dirichlet_constant(gw: GammaWeights) -> float:
-    """log of 1/w_gamma, i.e. of the Dirichlet integral of the raw weight."""
-    g = [float(x) for x in gw.gamma]
-    return sum(lgamma(x + 1.0) for x in g) - lgamma(sum(g) + len(g))
-
-
 def simplex_rule(gw: GammaWeights, level: int = 40, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Points (N, k-1) and pi_gamma-normalized weights for T^{k-1}.
 
@@ -49,14 +42,14 @@ def simplex_rule(gw: GammaWeights, level: int = 40, seed: int = 0) -> tuple[np.n
     k = gw.k
     if k == 2:
         t, w = gauss_jacobi_01(level, g[0], g[1])
-        return t[:, None], w * math.exp(-log_dirichlet_constant(gw))
+        return t[:, None], w * math.exp(-gw.log_dirichlet_constant)
     if k == 3:
         # y1 = u, y2 = v (1 - u); the Jacobian (1-u) joins the u-weight
         u, wu = gauss_jacobi_01(level, g[0], g[1] + g[2] + 1.0)
         v, wv = gauss_jacobi_01(level, g[1], g[2])
         U, V = np.meshgrid(u, v, indexing="ij")
         pts = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
-        w = np.outer(wu, wv).ravel() * math.exp(-log_dirichlet_constant(gw))
+        w = np.outer(wu, wv).ravel() * math.exp(-gw.log_dirichlet_constant)
         return pts, w
     if k in (4, 5):
         n = min(1 << level, 1 << 16)

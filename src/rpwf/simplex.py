@@ -22,9 +22,10 @@ def check_simplex(x, name: str = "x", atol: float = SIMPLEX_ATOL) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError(name, "expected a vector of length >= 2")
-    if np.any(x < -atol):
-        raise ValidationError(name, f"negative component {x.min()!r}")
-    if abs(x.sum() - 1.0) > atol:
+    # written in positive form, so that a NaN (every comparison false) fails
+    if not np.all(x >= -atol):
+        raise ValidationError(name, f"negative or NaN component {x.min()!r}")
+    if not abs(x.sum() - 1.0) <= atol:
         raise ValidationError(name, f"components sum to {x.sum()!r}, not 1")
     return x
 
@@ -34,7 +35,7 @@ def check_reduced(y, name: str = "y", atol: float = 1e-12) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValidationError(name, "expected a 1-d point")
-    if np.any(y < -atol) or y.sum() > 1.0 + atol:
+    if not (np.all(y >= -atol) and y.sum() <= 1.0 + atol):  # positive form: NaN fails
         raise ValidationError(name, f"{y!r} lies outside the reduced simplex")
     return y
 

@@ -152,6 +152,25 @@ def test_density_long_time_equals_stationary(tmp_path, capsys):
     assert data["n_terms"] == 31
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--y", "nan"], "--y"),
+        (["--y", "nan,0.5"], "--y"),
+        (["--y0", "nan"], "--y0"),
+        (["--t", "inf"], "--t"),
+        (["--t", "nan"], "--t"),
+    ],
+)
+def test_density_rejects_non_finite_input(tmp_path, capsys, extra, flag):
+    # --y nan and --t inf exited 0 and wrote "value": NaN
+    out = tmp_path / "d.json"
+    code = main(["density", "--b", "1,1", "--y0", "0.3", "--out", str(out)] + extra)
+    assert code == 2
+    assert f"error: {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_density_accepts_full_coordinates(tmp_path, capsys):
     out1, out2 = tmp_path / "d1.json", tmp_path / "d2.json"
     base = ["density", "--b", "1,1", "--t", "1.0"]

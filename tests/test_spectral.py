@@ -8,7 +8,7 @@ from scipy import integrate, stats
 from rpwf.boundary import stationary_beta_cdf
 from rpwf.errors import ValidationError
 from rpwf.polynomials import GammaWeights, basis_jacobi, multi_indices
-from rpwf.quadrature import gauss_jacobi_01, log_dirichlet_constant, simplex_rule
+from rpwf.quadrature import gauss_jacobi_01, simplex_rule
 from rpwf.spectral import (
     SpectralTransitionDensity,
     dirichlet_density,
@@ -52,7 +52,7 @@ def test_dirichlet_normalization_against_adaptive_quadrature():
         return val * y1**0.2 * (1 - y1) ** 1.5
 
     raw, _ = integrate.quad(inner, 0, 1, epsabs=1e-12, limit=200)
-    assert raw == pytest.approx(math.exp(log_dirichlet_constant(gw)), abs=1e-8)
+    assert raw == pytest.approx(math.exp(gw.log_dirichlet_constant), abs=1e-8)
 
 
 def test_dirichlet_integrates_to_one_on_triangle():
@@ -76,6 +76,33 @@ def test_gauss_jacobi_01_polynomial_exactness():
 def test_transition_density_rejects_bad_t():
     with pytest.raises(ValidationError):
         transition_density([0.3], [0.5], 0.0, RATE1)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_transition_density_rejects_non_finite_t(t):
+    # t = inf computed 0 * inf in the degree-0 term and returned nan with a RuntimeWarning
+    with pytest.raises(ValidationError) as exc:
+        transition_density([0.3], [0.5], t, RATE1)
+    assert exc.value.field == "t"
+
+
+@pytest.mark.parametrize("y0", [[0.3], [0.3, 0.2, 0.1]])
+def test_evaluate_rejects_y0_of_wrong_length(y0):
+    # at k = 3 a one-coordinate y0 broadcast silently (1.6437); a three-coordinate one raised a numpy error
+    S = SpectralTransitionDensity(WfParams(b=1.0, alpha=1.0, p=np.full(3, 1 / 3)))
+    with pytest.raises(ValidationError) as exc:
+        S.evaluate(y0, [0.2, 0.3], 1.0)
+    assert exc.value.field == "y0"
+
+
+@pytest.mark.parametrize("field", ["y0", "y"])
+def test_evaluate_rejects_nan_points(field):
+    points = {"y0": [0.3, 0.2], "y": [0.2, 0.3]}
+    points[field] = [0.2, math.nan]
+    S = SpectralTransitionDensity(WfParams(b=1.0, alpha=1.0, p=np.full(3, 1 / 3)))
+    with pytest.raises(ValidationError) as exc:
+        S.evaluate(points["y0"], points["y"], 1.0)
+    assert exc.value.field == field
 
 
 def test_transition_density_small_t_flag():

@@ -5,17 +5,32 @@ recessive threshold 1/2), an interior mutation kernel p, interior points and
 t in [0.3, 4], then checks unit mass on the Gauss simplex rule, detailed
 balance against the stationary Dirichlet density, and agreement with the
 symbolic product-Jacobi basis.
+
+The call-sequence property checks the evaluator's caches (the table of
+distinct Jacobi factors and the memoised basis row of y0) against a plain
+per-multi-index evaluation kept verbatim in this file, and against a fresh
+evaluator, bit for bit.
 """
 
+import copy
 import math
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 
-from rpwf.polynomials import GammaWeights, basis_jacobi, eigenvalue_nu, multi_indices
+from rpwf.polynomials import (
+    GammaWeights,
+    _jacobi_factor_params,
+    basis_jacobi,
+    eigenvalue_nu,
+    jacobi_product_norm_sq_log,
+    multi_indices,
+    supported_degree_cap,
+)
 from rpwf.quadrature import simplex_rule
-from rpwf.spectral import SpectralTransitionDensity, dirichlet_density
+from rpwf.spectral import SMALL_T_THRESHOLD, SpectralTransitionDensity, default_max_degree, dirichlet_density
 from rpwf.wright_fisher import WfParams
 
 
@@ -66,3 +81,95 @@ def test_density_matches_symbolic_basis_route(case, max_degree):
             kernel += math.exp(-eigenvalue_nu(deg, params) * t) * f(y) * f(y0)
     symbolic = dirichlet_density(gw, y) * kernel
     assert abs(S(y0, y, t) - symbolic) <= 1e-10 * max(1.0, abs(symbolic))
+
+
+class PerMultiIndexOracle:
+    """Every factor of every multi-index evaluated on its own, then multiplied out per multi-index.
+
+    The table build, ``_normalized_values`` and the arithmetic of
+    ``evaluate`` are those of the evaluator before it kept a table of
+    distinct factors and a memo of y0's row; the stationary factor is the
+    Dirichlet density of an interior point, written out.
+    """
+
+    def __init__(self, params, max_degree):
+        self.gw = GammaWeights.from_wf(params)
+        k = params.k
+        self.max_degree = default_max_degree(k) if max_degree is None else int(max_degree)
+        by_degree = [multi_indices(k - 1, n) for n in range(self.max_degree + 1)]
+        indices = [n for idx in by_degree for n in idx]
+        self._starts = np.cumsum([0] + [len(idx) for idx in by_degree[:-1]])
+        self._n = np.array(indices, dtype=np.int64).T
+        ab = np.array([[_jacobi_factor_params(n, self.gw, i) for n in indices] for i in range(k - 1)], dtype=float)
+        self._a, self._b = ab[..., 0], ab[..., 1]
+        self._inv_norm = np.array([math.exp(-0.5 * jacobi_product_norm_sq_log(n, self.gw)) for n in indices])
+        self._nu = np.array([eigenvalue_nu(n, params) for n in range(self.max_degree + 1)])
+
+    def _normalized_values(self, y):
+        remaining = 1.0 - np.concatenate([[0.0], np.cumsum(y[:-1])])
+        x = (2.0 * y / remaining - 1.0)[:, None]
+        factors = remaining[:, None] ** self._n * special.eval_jacobi(self._n, self._a, self._b, x)
+        return self._inv_norm * factors.prod(axis=0)
+
+    def _stationary(self, y):
+        coords = np.concatenate([y, [1.0 - y.sum()]])
+        g = np.array([float(v) for v in self.gw.gamma])
+        log_const = sum(math.lgamma(x + 1.0) for x in g) - math.lgamma(sum(g) + len(g))
+        return math.exp(float(g @ np.log(coords)) - log_const)
+
+    def evaluate(self, y0, y, t):
+        stat = self._stationary(y)
+        per_degree = np.add.reduceat(self._normalized_values(y) * self._normalized_values(y0), self._starts)
+        kernel_terms = per_degree * np.exp(-self._nu * t)
+        total = stat * kernel_terms.sum()
+        tail = abs(stat * kernel_terms[-1]) if self.max_degree >= 1 else 0.0
+        warn = bool(tail > 1e-6 * max(abs(total), 1e-300))
+        return total, tail, warn, bool(t < SMALL_T_THRESHOLD)
+
+
+def _bits(value, tail, warn, small_t):
+    return float(value).hex(), float(tail).hex(), warn, small_t
+
+
+# (k, b/alpha) with p uniform where factors of different index share (n_i, a_i, b_i):
+# at k = 4, b/alpha = 4 factor 1 of (0, 1, 1) equals factor 0 of (1, 0, 0)
+LATTICE = [(4, 4.0), (5, 2.5), (5, 5.0)]
+
+
+@st.composite
+def call_sequences(draw):
+    if draw(st.booleans()):
+        k, rate = draw(st.sampled_from(LATTICE))
+        p = np.full(k, 1.0 / k)
+    else:
+        k, rate = draw(st.integers(2, 5)), draw(st.floats(0.15, 4.0))
+        p = draw(interior(k))
+    params = WfParams(b=rate, alpha=1.0, p=p)
+    max_degree = draw(st.none() | st.integers(0, supported_degree_cap(k)))
+    # three start points and six evaluation points, interior as in ``interior``, drawn in one list
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=9 * k, max_size=9 * k))).reshape(9, k)
+    points = (w / w.sum(axis=1, keepdims=True))[:, :-1]
+    ts = draw(st.lists(st.floats(0.02, 4.0), min_size=6, max_size=6))
+    return params, max_degree, points[:3], points[3:], ts
+
+
+@given(call_sequences())
+def test_cached_evaluation_matches_per_multi_index_oracle(case):
+    params, max_degree, (first, second, third), ys, ts = case
+    S = SpectralTransitionDensity(params, max_degree)
+    pristine = copy.deepcopy(S)
+    oracle = PerMultiIndexOracle(params, max_degree)
+    held, other = first.copy(), second.copy()
+    # repeat y0, alternate two y0 arrays, then overwrite the held array in place
+    plan = [held, held, other, held, "overwrite", held, other]
+    calls = iter(zip(ys, ts))
+    for y0 in plan:
+        if isinstance(y0, str):
+            held[:] = third
+            continue
+        y, t = next(calls)
+        got = S.evaluate(y0, y, t)
+        fresh = copy.deepcopy(pristine).evaluate(y0.copy(), y, t)
+        expected = _bits(*oracle.evaluate(y0.copy(), y, t))
+        assert _bits(got.value, got.tail_term, got.tail_warning, got.small_t) == expected
+        assert _bits(fresh.value, fresh.tail_term, fresh.tail_warning, fresh.small_t) == expected

@@ -6,7 +6,7 @@ import pytest
 
 from rpwf.errors import ValidationError
 from rpwf.rng import StreamKey, generator
-from rpwf.simplex import random_simplex_points
+from rpwf.simplex import check_reduced, random_simplex_points
 from rpwf.stats import ks_two_sample
 from rpwf.wright_fisher import (
     OneDimWf,
@@ -79,6 +79,21 @@ def test_simulate_wf_from_subnormal_component_stays_finite():
 def test_sigma_rejects_off_simplex():
     with pytest.raises(ValidationError):
         sigma(np.array([0.5, 0.6]))
+
+
+@pytest.mark.parametrize("p", [[math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan], [math.inf, 0.5]])
+def test_params_reject_non_finite_mutation_kernel(p):
+    # every comparison with nan is false, so the checks once accepted WfParams(1, 1, [nan, 0.5])
+    with pytest.raises(ValidationError) as exc:
+        WfParams(b=1.0, alpha=1.0, p=np.array(p))
+    assert exc.value.field == "p"
+
+
+@pytest.mark.parametrize("y", [[math.nan], [0.2, math.nan], [math.inf, 0.0], [-math.inf, 0.5]])
+def test_check_reduced_rejects_non_finite_points(y):
+    with pytest.raises(ValidationError) as exc:
+        check_reduced(y, "y")
+    assert exc.value.field == "y"
 
 
 def test_drift_fixed_point_and_unit_rate():
