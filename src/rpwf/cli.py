@@ -48,14 +48,18 @@ EXIT_IO = 3
 
 
 def _floats(s: str) -> list[float]:
-    try:
-        return [float(v) for v in str(s).split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError("value", f"expected a comma list of numbers, got {s!r}") from exc
+    return [float(v) for v in str(s).split(",") if v.strip() != ""]
 
 
 def _ints(s: str) -> list[int]:
     return [int(v) for v in str(s).split(",") if v.strip() != ""]
+
+
+def _workers(s: str) -> int:
+    workers = int(s)
+    if workers < 1:
+        raise ValidationError("workers", f"must be >= 1, got {workers}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,14 @@ _COMMON = [
     Opt("config", str, None, "flat key = value config file"),
     Opt("out", str, None, "output path (default derived from the command)"),
     Opt("format", str, "csv", "csv or json"),
-    Opt("workers", int, os.cpu_count() or 1, "replica-chunk worker count"),
+    Opt("workers", _workers, os.cpu_count() or 1, "processes for converge, stationary-test, simulate-wf --replicas"),
+]
+
+
+_WF = [  # the diffusion's parameters, read by _wf_params
+    Opt("alpha", float, 1.0),
+    Opt("b", _floats, [1.0, 1.0], "ball vector, or a single total used with --p"),
+    Opt("p", _floats, None, "mutation kernel (default b/|b|)"),
 ]
 
 
@@ -123,6 +134,8 @@ def _resolve(opts: list[Opt], ns: argparse.Namespace) -> dict:
             raw[opt.name] = ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
         try:
             resolved[opt.dest] = opt.conv(value) if not isinstance(value, (list, bool)) else value
+        except ValidationError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ValidationError(opt.name, f"bad value {value!r}") from exc
     if resolved.get("seed") is None:
@@ -158,6 +171,11 @@ def _reduced_point(vals: list[float], k: int, name: str) -> np.ndarray:
 # ---------------------------------------------------------------- commands
 
 
+def _write(r: dict, default: str, data: bytes) -> list[dict]:
+    """Write the primary output to --out, else to ``default``."""
+    return [rio.write_bytes(r.get("out") or default, data)]
+
+
 def _run_simulate_urn(r: dict) -> list[dict]:
     params = UrnParams(
         alpha=r["alpha"],
@@ -167,8 +185,7 @@ def _run_simulate_urn(r: dict) -> list[dict]:
     )
     traj = simulate_urn(params, r["steps"], StreamKey(r["seed"], "cli-urn"))
     data = rio.urn_trajectory_csv(traj) if r["format"] == "csv" else rio.urn_trajectory_json(traj)
-    out = r.get("out") or f"urn-trajectory.{r['format']}"
-    return [rio.write_bytes(out, data)]
+    return _write(r, f"urn-trajectory.{r['format']}", data)
 
 
 def _run_simulate_wf(r: dict) -> list[dict]:
@@ -178,14 +195,12 @@ def _run_simulate_wf(r: dict) -> list[dict]:
     if r["replicas"] == 1:
         path = simulate_wf(params, x0, r["t_max"], cfg, StreamKey(r["seed"], "cli-wf"))
         data = rio.path_csv(path) if r["format"] == "csv" else rio.path_json(path)
-        out = r.get("out") or f"wf-path.{r['format']}"
-        return [rio.write_bytes(out, data)]
+        return _write(r, f"wf-path.{r['format']}", data)
     values = simulate_wf_ensemble(
-        params, x0, r["t_max"], cfg, r["replicas"], seed=r["seed"], label="cli-wf", checkpoints=[r["t_max"]]
+        params, x0, r["t_max"], cfg, r["replicas"], r["seed"], "cli-wf", [r["t_max"]], r["workers"]
     )[0]
     data = rio.ensemble_summary_json(r["t_max"], values, {"seed": r["seed"], "label": "cli-wf"})
-    out = r.get("out") or "wf-ensemble.json"
-    return [rio.write_bytes(out, data)]
+    return _write(r, "wf-ensemble.json", data)
 
 
 def _run_density(r: dict) -> list[dict]:
@@ -193,9 +208,7 @@ def _run_density(r: dict) -> list[dict]:
     y0 = _reduced_point(r["y0"], params.k, "y0")
     y = _reduced_point(r["y"], params.k, "y")
     result = transition_density(y0, y, r["t"], params, r.get("max_degree"))
-    data = rio.canonical_json(result.as_dict())
-    out = r.get("out") or "density.json"
-    return [rio.write_bytes(out, data)]
+    return _write(r, "density.json", rio.canonical_json(result.as_dict()))
 
 
 def _run_boundary(r: dict) -> list[dict]:
@@ -212,8 +225,7 @@ def _run_boundary(r: dict) -> list[dict]:
         "recessive": is_recessive(params, J),
         "dominant_colors": dominant_colors(params),
     }
-    out = r.get("out") or "boundary.json"
-    return [rio.write_bytes(out, rio.canonical_json(report))]
+    return _write(r, "boundary.json", rio.canonical_json(report))
 
 
 def _run_hit_prob(r: dict) -> list[dict]:
@@ -228,8 +240,7 @@ def _run_hit_prob(r: dict) -> list[dict]:
         "u": hitting_prob(ip, r["z0"]),
         "mean_exit_time": mean_exit_time(ip, r["z0"]),
     }
-    out = r.get("out") or "hit-prob.json"
-    return [rio.write_bytes(out, rio.canonical_json(report))]
+    return _write(r, "hit-prob.json", rio.canonical_json(report))
 
 
 def _run_converge(r: dict) -> list[dict]:
@@ -270,8 +281,7 @@ def _run_stationary_test(r: dict) -> list[dict]:
                 "pass_5pct": ks.passes(0.05),
             }
         )
-    out = r.get("out") or "stationary-test.json"
-    return [rio.write_bytes(out, rio.canonical_json({"n_replicas": r["replicas"], "tests": reports}))]
+    return _write(r, "stationary-test.json", rio.canonical_json({"n_replicas": r["replicas"], "tests": reports}))
 
 
 _COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], list[dict]]]] = {
@@ -287,11 +297,7 @@ _COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], list[dict]]]] = {
         _run_simulate_urn,
     ),
     "simulate-wf": (
-        _COMMON
-        + [
-            Opt("alpha", float, 1.0),
-            Opt("b", _floats, [1.0, 1.0], "ball vector, or a single total used with --p"),
-            Opt("p", _floats, None, "mutation kernel (default b/|b|)"),
+        _COMMON + _WF + [
             Opt("x0", _floats, None, "start point (default p)"),
             Opt("t-max", float, 1.0),
             Opt("dt", float, 1e-3),
@@ -300,11 +306,7 @@ _COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], list[dict]]]] = {
         _run_simulate_wf,
     ),
     "density": (
-        _COMMON
-        + [
-            Opt("alpha", float, 1.0),
-            Opt("b", _floats, [1.0, 1.0]),
-            Opt("p", _floats, None),
+        _COMMON + _WF + [
             Opt("y0", _floats, [0.5], "start point, full or reduced coordinates"),
             Opt("y", _floats, [0.5], "evaluation point"),
             Opt("t", float, 1.0),
@@ -313,13 +315,7 @@ _COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], list[dict]]]] = {
         _run_density,
     ),
     "boundary": (
-        _COMMON
-        + [
-            Opt("alpha", float, 1.0),
-            Opt("b", _floats, [1.0, 1.0]),
-            Opt("p", _floats, None),
-            Opt("j", _ints, [1], "color group, comma list of 1-based colors"),
-        ],
+        _COMMON + _WF + [Opt("j", _ints, [1], "color group, comma list of 1-based colors")],
         _run_boundary,
     ),
     "hit-prob": (
@@ -334,11 +330,7 @@ _COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], list[dict]]]] = {
         _run_hit_prob,
     ),
     "converge": (
-        _COMMON
-        + [
-            Opt("alpha", float, 1.0),
-            Opt("b", _floats, [1.0, 1.0]),
-            Opt("p", _floats, None),
+        _COMMON + _WF + [
             Opt("x0", _floats, None),
             Opt("betas", _floats, [0.9, 0.99], "comma list of beta values"),
             Opt("times", _floats, [1.0], "checkpoint times in rescaled units"),
@@ -348,11 +340,7 @@ _COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], list[dict]]]] = {
         _run_converge,
     ),
     "stationary-test": (
-        _COMMON
-        + [
-            Opt("alpha", float, 1.0),
-            Opt("b", _floats, [1.0, 1.0]),
-            Opt("p", _floats, None),
+        _COMMON + _WF + [
             Opt("beta", float, 0.99),
             Opt("t-long", float, 10.0),
             Opt("replicas", int, 1000),

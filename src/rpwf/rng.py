@@ -25,6 +25,10 @@ A noise block is stored replica-last, ``(steps,) + shape + (M,)``, and the
 kernel is handed each step's row as an ``(M,) + shape`` view of it: the
 shapes are the replica-first ones, while a pass over one draw index reads
 a contiguous row of M values.
+
+``map_replicas`` is the package's only process pool: worker processes run
+a per-slice job on contiguous slices of an ensemble's stream keys, and the
+results are joined along the replica axis, so row i still reads stream i.
 """
 
 from __future__ import annotations
@@ -214,13 +218,40 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
     return state
 
 
-def record_checkpoints(checkpoints, horizon, step_of, out: np.ndarray, values) -> Callable:
-    """Observer setting ``out[j] = values(state)`` at step ``step_of(checkpoints[j])``; all must lie in [0, horizon]."""
+def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int = 1) -> np.ndarray:
+    """``job(keys)``, with the keys split into contiguous slices over ``workers`` processes.
+
+    ``job`` must pickle (a module-level function, or a ``functools.partial``
+    of one) and return an array with one entry per key along axis 1, as a
+    ``(checkpoints, replicas, k)`` ensemble does.  Callers validate inputs
+    first, so that no process starts on a bad one.  At one worker the job
+    runs in this process.
+    """
+    if not workers >= 1:
+        raise ValidationError("workers", f"must be >= 1, got {workers}")
+    workers = min(int(workers), len(keys))
+    if workers <= 1:
+        return job(keys)
+    from concurrent.futures import ProcessPoolExecutor  # imported on first use: it pulls in multiprocessing
+
+    bounds = [len(keys) * w // workers for w in range(workers + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(job, [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
+    return np.concatenate(parts, axis=1)
+
+
+def checkpoint_steps(checkpoints, horizon, step_of) -> dict[int, list[int]]:
+    """``{n: [j, ...]}``: checkpoint j is taken after step ``step_of(checkpoints[j])``; all lie in [0, horizon]."""
     if any(not 0 <= c <= horizon for c in checkpoints):
         raise ValidationError("checkpoints", f"must lie in [0, {horizon}], got {list(checkpoints)}")
     at: dict[int, list[int]] = {}
     for j, c in enumerate(checkpoints):
         at.setdefault(step_of(c), []).append(j)
+    return at
+
+
+def record_checkpoints(at: dict[int, list[int]], out: np.ndarray, values) -> Callable:
+    """Observer setting ``out[j] = values(state)`` after step n for every j in ``at[n]``."""
 
     def observe(n, state):
         for j in at.get(n, ()):

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, freeze_arrays
 from .urn import UrnParams, UrnTrajectory
 
 __all__ = [
@@ -55,30 +55,21 @@ def eps_delta(alpha: float, b_scalar: float, beta: float) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class ScaledFamilyParams:
-    """Family member specification: alpha, fixed vector b, beta, start direction.
+    """Family member specification: alpha, fixed vector b, beta.
 
-    ``B0_direction`` is a simplex point; the balanced start is
-    ``B0 = (alpha/(1-beta)) * B0_direction``.  The default direction ``p``
-    pins psi_0 = p, a concrete convergent initial law.
+    ``build_family_member`` takes the balanced start ``B0 = (alpha/(1-beta)) p``,
+    which pins psi_0 = p, a concrete convergent initial law;
+    ``family_member_for_start`` starts at any interior point instead.
     """
 
     alpha: float
     b: np.ndarray
     beta: float
-    B0_direction: np.ndarray | None = None
 
     def __post_init__(self):
-        b = np.array(self.b, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "b", b)
+        freeze_arrays(self, "b")
         if not 0.0 <= self.beta < 1.0:
             raise ValidationError("beta", f"scaling family requires beta in [0, 1), got {self.beta}")
-        if self.B0_direction is not None:
-            d = np.array(self.B0_direction, dtype=float)
-            if d.shape != b.shape or np.any(d < 0) or abs(d.sum() - 1.0) > 1e-10:
-                raise ValidationError("b0-direction", "must be a simplex point matching b")
-            d.setflags(write=False)
-            object.__setattr__(self, "B0_direction", d)
 
     @property
     def b_scalar(self) -> float:
@@ -99,8 +90,7 @@ class ScaledFamilyParams:
 
 def build_family_member(fp: ScaledFamilyParams) -> UrnParams:
     """Urn parameters of the balanced member (constant total ball count)."""
-    direction = fp.B0_direction if fp.B0_direction is not None else fp.p
-    return UrnParams(alpha=fp.alpha, beta=fp.beta, b=fp.b, B0=fp.B0_norm * direction)
+    return UrnParams(alpha=fp.alpha, beta=fp.beta, b=fp.b, B0=fp.B0_norm * fp.p)
 
 
 def family_member_for_start(fp: ScaledFamilyParams, x0) -> UrnParams:
@@ -123,12 +113,7 @@ class RescaledPath:
     beta: float
 
     def __post_init__(self):
-        t = np.array(self.t_grid, dtype=float)
-        X = np.array(self.X, dtype=float)
-        t.setflags(write=False)
-        X.setflags(write=False)
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "X", X)
+        freeze_arrays(self, "t_grid", "X")
 
 
 def native_step_count(beta: float, t_max: float) -> int:

@@ -4,6 +4,9 @@ The convergence experiment realizes the weak-convergence statement at desk
 scale: urn predictive means at rescaled time t (beta near 1) are compared,
 marginal by marginal, against Euler-Maruyama samples of the limiting
 Wright-Fisher diffusion through two-sample Kolmogorov-Smirnov distances.
+
+Both exhibits hand ``workers`` to the urn and Euler-Maruyama ensembles,
+which split replicas over processes in ``rng.map_replicas``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .scaling import ScaledFamilyParams, family_member_for_start, native_step_count, step_index
+from .scaling import ScaledFamilyParams, family_member_for_start, step_index
 from .urn import simulate_urn_ensemble
 from .wright_fisher import SdeConfig, WfParams, mean_ode, simulate_wf_ensemble
 
@@ -35,6 +38,7 @@ __all__ = [
 ]
 
 _KS_LEVELS = (0.01, 0.05)
+_MAX_URN_STEPS = 20_000_000  # the most urn steps either exhibit runs; more are rejected before anything runs
 
 
 @dataclass(frozen=True)
@@ -162,12 +166,8 @@ class ConvergenceConfig:
     x0: tuple[float, ...] | None = None
     dt: float = 1e-3
     seed: int = 0
-    max_steps: int = 20_000_000
     workers: int = 1
     keep_samples: bool = False
-
-    def x0_vector(self) -> np.ndarray:
-        return np.array(self.x0, dtype=float) if self.x0 is not None else self.wf.p.copy()
 
 
 @dataclass(frozen=True)
@@ -222,6 +222,13 @@ def _marginal_specs(k: int, seed: int) -> list[tuple[str, np.ndarray]]:
     return specs
 
 
+def _check_urn_steps(field: str, beta: float, t: float) -> None:
+    """Reject rescaled time t at beta if the urn needs more than ``_MAX_URN_STEPS`` steps to reach it."""
+    steps = t / (1.0 - beta) ** 2
+    if steps > _MAX_URN_STEPS:
+        raise ValidationError(field, f"beta={beta} at rescaled time {t} needs {steps:.4g} urn steps, over {_MAX_URN_STEPS}")
+
+
 def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     """Two-sample KS distances between urn ensembles and the EM diffusion.
 
@@ -236,13 +243,8 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     if not betas or not times:
         raise ValidationError("betas", "need at least one beta and one checkpoint time")
     t_max = times[-1]
-    worst = max(native_step_count(b, t_max) for b in betas)
-    if worst > config.max_steps:
-        raise ValidationError(
-            "steps",
-            f"beta={max(betas)} at t_max={t_max} needs {worst} urn steps, over the cap {config.max_steps}",
-        )
-    x0 = config.x0_vector()
+    _check_urn_steps("times", betas[-1], t_max)
+    x0 = np.array(config.x0, dtype=float) if config.x0 is not None else wf.p.copy()
     specs = _marginal_specs(wf.k, config.seed)
     wf_samples = simulate_wf_ensemble(
         wf,
@@ -253,6 +255,7 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
         seed=config.seed,
         label="converge-wf",
         checkpoints=list(times),
+        workers=config.workers,
     )
     distances = []
     moment_z = []
@@ -261,7 +264,9 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
         fp = ScaledFamilyParams(alpha=wf.alpha, b=wf.b * wf.p, beta=beta)
         urn_params = family_member_for_start(fp, x0)
         idx = [step_index(beta, t) for t in times]
-        psi = _urn_ensemble_parallel(urn_params, max(idx), config.n_replicas, config.seed, idx, config.workers)
+        psi = simulate_urn_ensemble(
+            urn_params, max(idx), config.n_replicas, config.seed, "converge-urn", idx, config.workers
+        )
         per_beta = []
         per_beta_z = []
         for j, t in enumerate(times):
@@ -295,31 +300,6 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     )
 
 
-def _urn_chunk(args):
-    params, n_steps, seed, checkpoints, start, count = args
-    return simulate_urn_ensemble(
-        params, n_steps, count, seed, label="converge-urn", checkpoints=checkpoints, replica_offset=start
-    )
-
-
-def _urn_ensemble_parallel(params, n_steps, n_replicas, seed, checkpoints, workers: int) -> np.ndarray:
-    """Replica-chunked ensemble; identical output for any worker count."""
-    workers = max(1, min(int(workers), n_replicas))
-    if workers == 1:
-        return simulate_urn_ensemble(params, n_steps, n_replicas, seed, label="converge-urn", checkpoints=checkpoints)
-    bounds = np.linspace(0, n_replicas, workers + 1).astype(int)
-    jobs = [
-        (params, n_steps, seed, list(checkpoints), int(lo), int(hi - lo))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_urn_chunk, jobs))
-    return np.concatenate(parts, axis=1)
-
-
 def stationary_urn_samples(
     wf: WfParams, beta: float, t_long: float, n_replicas: int, seed: int, workers: int = 1
 ) -> np.ndarray:
@@ -328,7 +308,10 @@ def stationary_urn_samples(
     Independent replicas, one sample each, for stationary goodness-of-fit
     against Dir(2 (b/alpha) p).
     """
+    if not t_long >= 0:
+        raise ValidationError("t-long", f"must be >= 0, got {t_long}")
     fp = ScaledFamilyParams(alpha=wf.alpha, b=wf.b * wf.p, beta=beta)
     params = family_member_for_start(fp, wf.p)
+    _check_urn_steps("t-long", beta, t_long)
     n = step_index(beta, t_long)
-    return _urn_ensemble_parallel(params, n, n_replicas, seed, [n], workers)[0]
+    return simulate_urn_ensemble(params, n, n_replicas, seed, label="converge-urn", checkpoints=[n], workers=workers)[0]

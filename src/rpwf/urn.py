@@ -29,20 +29,21 @@ one.  ``step``, ``UrnState`` and ``DrawOutcome`` keep the ball-count form
 as an independent reference.
 
 Streams: replica i draws its uniforms, one per step, from ``StreamKey(seed,
-label, replica_offset + i)``.  Replicas share no arithmetic, so row i of an
-ensemble equals ``simulate_urn`` with that key bit for bit, and the output
-does not depend on how replicas are split across calls or workers.
+label, i)``.  Replicas share no arithmetic, so row i of an ensemble equals
+``simulate_urn`` with that key bit for bit, and ``rng.map_replicas`` can
+split an ensemble over worker processes without changing its output.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .rng import StreamKey, check_sizes, record_checkpoints, run_streams
+from .errors import ValidationError, freeze_arrays
+from .rng import StreamKey, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_streams
 
 __all__ = [
     "UrnParams",
@@ -72,12 +73,7 @@ class UrnParams:
     B0: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.b, dtype=float)
-        B0 = np.array(self.B0, dtype=float)
-        b.setflags(write=False)
-        B0.setflags(write=False)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "B0", B0)
+        b, B0 = freeze_arrays(self, "b", "B0")
         if not self.alpha > 0:
             raise ValidationError("alpha", f"must be > 0, got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
@@ -123,9 +119,7 @@ class UrnState:
     r_star: float
 
     def __post_init__(self):
-        B = np.array(self.B, dtype=float)
-        B.setflags(write=False)
-        object.__setattr__(self, "B", B)
+        freeze_arrays(self, "B")
 
 
 @dataclass(frozen=True)
@@ -158,12 +152,8 @@ class UrnTrajectory:
     seed: StreamKey
 
     def __post_init__(self):
-        draws = np.array(self.draws, dtype=np.int64)
-        psi = np.array(self.psi, dtype=float)
-        draws.setflags(write=False)
-        psi.setflags(write=False)
-        object.__setattr__(self, "draws", draws)
-        object.__setattr__(self, "psi", psi)
+        (draws,) = freeze_arrays(self, "draws", dtype=np.int64)
+        (psi,) = freeze_arrays(self, "psi")
         if psi.shape != (draws.size + 1, self.params.k):
             raise ValidationError("psi", "psi must have one more row than draws")
 
@@ -313,6 +303,13 @@ def simulate_urn(params: UrnParams, n_steps: int, seed: StreamKey | int, label: 
     return UrnTrajectory(params=params, draws=draws, psi=np.diff(cum, axis=1, prepend=0.0), seed=key)
 
 
+def _urn_checkpoints(params: UrnParams, n_steps: int, at: dict, n_out: int, keys: Sequence[StreamKey]) -> np.ndarray:
+    """``(n_out, len(keys), k)`` predictive means after the steps of ``at``: one slice of an ensemble."""
+    out = np.empty((n_out, len(keys), params.k))
+    _run_urns(params, n_steps, keys, record_checkpoints(at, out, lambda s: np.diff(s[0], axis=0, prepend=0.0).T))
+    return out
+
+
 def simulate_urn_ensemble(
     params: UrnParams,
     n_steps: int,
@@ -320,25 +317,22 @@ def simulate_urn_ensemble(
     seed: int,
     label: str = "urn",
     checkpoints: Sequence[int] | None = None,
-    replica_offset: int = 0,
+    workers: int = 1,
 ) -> np.ndarray:
     """Predictive means of independent replicas at the given step indices.
 
-    Replica ``i`` consumes exactly the stream ``StreamKey(seed, label,
-    replica_offset + i)`` and runs the same arithmetic as ``simulate_urn``
-    with that key, so each row equals that single run bit for bit, and the
-    output does not depend on how replicas are split across calls.
+    Replica ``i`` consumes exactly the stream ``StreamKey(seed, label, i)``
+    and runs the same arithmetic as ``simulate_urn`` with that key, so each
+    row equals that single run bit for bit, and the output does not depend
+    on ``workers``, the number of processes the replicas are split over.
 
     Returns an array of shape ``(len(checkpoints), n_replicas, k)``; the
     default checkpoint list is ``[n_steps]``.
     """
     check_sizes(n_steps, n_replicas)
     cp_list = [int(c) for c in (checkpoints if checkpoints is not None else [n_steps])]
-    out = np.empty((len(cp_list), n_replicas, params.k))
-    record = record_checkpoints(cp_list, n_steps, int, out, lambda s: np.diff(s[0], axis=0, prepend=0.0).T)
-    keys = [StreamKey(seed, label, replica_offset + i) for i in range(n_replicas)]
-    _run_urns(params, n_steps, keys, record)
-    return out
+    job = functools.partial(_urn_checkpoints, params, n_steps, checkpoint_steps(cp_list, n_steps, int), len(cp_list))
+    return map_replicas(job, [StreamKey(seed, label, i) for i in range(n_replicas)], workers)
 
 
 def _draw_indices(draws) -> np.ndarray:

@@ -21,20 +21,21 @@ with a0 = (b/alpha) * sum_{l in J} p_l and a1 = b/alpha - a0.
 
 Both run on ``rng.run_streams`` (kernels ``em_update`` and the 1-d update;
 observers keep checkpoints, full paths or first exits, retiring exited
-paths).  Path i draws from ``StreamKey(seed, label, i)``; a single path is
-an ensemble of one, equal bit for bit to ensemble row i on that stream.
+paths).  Path i draws from ``StreamKey(seed, label, i)``, at any worker
+count; a single path is an ensemble of one, equal bit for bit to row i.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .rng import StreamKey, check_sizes, record_checkpoints, run_streams
+from .errors import ValidationError, freeze_arrays
+from .rng import StreamKey, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_streams
 from .simplex import check_simplex, project_to_simplex
 
 __all__ = [
@@ -65,9 +66,7 @@ class WfParams:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
+        (p,) = freeze_arrays(self, "p")
         if not self.b > 0:
             raise ValidationError("b", f"|b| must be > 0, got {self.b}")
         if not self.alpha > 0:
@@ -121,12 +120,7 @@ class PathRecord:
     seed: StreamKey
 
     def __post_init__(self):
-        t = np.array(self.t, dtype=float)
-        X = np.array(self.X, dtype=float)
-        t.setflags(write=False)
-        X.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "X", X)
+        freeze_arrays(self, "t", "X")
 
 
 def sigma(x) -> np.ndarray:
@@ -254,6 +248,13 @@ def simulate_wf(
     return PathRecord(t=config.dt * np.arange(n + 1), X=X, seed=key)
 
 
+def _wf_checkpoints(params: WfParams, x0, n_steps: int, dt: float, at: dict, n_out: int, keys) -> np.ndarray:
+    """``(n_out, len(keys), k)`` path values after the steps of ``at``: one slice of an ensemble."""
+    out = np.empty((n_out, len(keys), params.k))
+    _run_em(params, x0, n_steps, dt, keys, record_checkpoints(at, out, lambda X: X))
+    return out
+
+
 def simulate_wf_ensemble(
     params: WfParams,
     x0,
@@ -263,21 +264,22 @@ def simulate_wf_ensemble(
     seed: int,
     label: str = "wf",
     checkpoints: Sequence[float] | None = None,
+    workers: int = 1,
 ) -> np.ndarray:
     """Ensemble values at checkpoint times; path i uses stream (seed, label, i).
 
     Returns shape ``(len(checkpoints), n_paths, k)``; default checkpoint is
     ``t_max``.  Checkpoint times must lie in [0, t_max] and snap to the
-    step grid by rounding.  Row i equals ``simulate_wf`` on that stream.
+    step grid by rounding.  Row i equals ``simulate_wf`` on that stream,
+    whatever the number of worker processes the paths are split over.
     """
     x0 = check_simplex(x0, "x0")
     n = _n_steps(t_max, config.dt, "t-max")
     check_sizes(n, n_paths)
     checkpoints = list(checkpoints) if checkpoints is not None else [t_max]
-    out = np.empty((len(checkpoints), n_paths, params.k))
-    record = record_checkpoints(checkpoints, t_max, lambda t: int(round(t / config.dt)), out, lambda X: X)
-    _run_em(params, x0, n, config.dt, [StreamKey(seed, label, i) for i in range(n_paths)], record)
-    return out
+    at = checkpoint_steps(checkpoints, t_max, lambda t: int(round(t / config.dt)))
+    job = functools.partial(_wf_checkpoints, params, x0, n, config.dt, at, len(checkpoints))
+    return map_replicas(job, [StreamKey(seed, label, i) for i in range(n_paths)], workers)
 
 
 def mean_ode(params: WfParams, x0, t: float) -> np.ndarray:

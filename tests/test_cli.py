@@ -228,6 +228,15 @@ def test_converge_writes_report_and_samples(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 80
 
 
+def test_converge_rejects_too_many_urn_steps_naming_times(tmp_path, capsys):
+    # beta = 0.9999 at t = 10 needs 1e9 urn steps, over the 2e7 cap; this named --steps, not a converge flag
+    out = tmp_path / "conv.json"
+    code = main(["converge", "--betas", "0.9999", "--times", "10", "--replicas", "10", "--out", str(out)])
+    assert code == 2
+    assert "--times" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_converge_worker_count_invariance(tmp_path, capsys):
     outs = []
     for w, name in ((1, "w1"), (3, "w3")):

@@ -150,7 +150,7 @@ def test_convergence_experiment_smoke():
 
 def test_convergence_experiment_reports_infeasible_steps_before_running():
     config = ConvergenceConfig(
-        wf=WF2, betas=(0.9999,), times=(10.0,), n_replicas=10, seed=1, max_steps=100_000
+        wf=WF2, betas=(0.9999,), times=(10.0,), n_replicas=10, seed=1
     )
     with pytest.raises(ValidationError) as exc:
         convergence_experiment(config)
