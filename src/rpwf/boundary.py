@@ -187,11 +187,11 @@ def scale_function(od: OneDimWf, z: float, z_ref: float = 0.5, S_ref: float = 0.
     return S_ref + slope_ref * scale_increment(od, z_ref, z)
 
 
-def speed_density(od: OneDimWf, z: float, slope_ref: float = 1.0) -> float:
-    """m(z) = z^{2 a0 - 1} (1-z)^{2 a1 - 1} / slope_ref."""
+def speed_density(od: OneDimWf, z: float) -> float:
+    """m(z) = z^{2 a0 - 1} (1-z)^{2 a1 - 1}, in the frame of unit scale slope."""
     if not 0.0 < z < 1.0:
         raise ValidationError("z", f"speed density is defined on (0, 1), got {z}")
-    return z ** (2.0 * od.a0 - 1.0) * (1.0 - z) ** (2.0 * od.a1 - 1.0) / slope_ref
+    return z ** (2.0 * od.a0 - 1.0) * (1.0 - z) ** (2.0 * od.a1 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,11 @@ class IntervalProblem:
     b_pt: float
 
     def __post_init__(self):
-        if not 0.0 < self.a < self.b_pt < 1.0:
-            raise ValidationError("a", f"need 0 < a < b < 1, got a={self.a}, b={self.b_pt}")
+        # positive form, so that a NaN (every comparison false) fails
+        if not 0.0 < self.a < 1.0:
+            raise ValidationError("a", f"must lie in (0, 1), got {self.a}")
+        if not self.a < self.b_pt < 1.0:
+            raise ValidationError("b-pt", f"need a < b < 1, got a={self.a}, b={self.b_pt}")
 
 
 def hitting_prob(ip: IntervalProblem, z0: float) -> float:
@@ -234,8 +237,9 @@ def green_function(ip: IntervalProblem, x: float, s: float) -> float:
     return 2.0 * (lhs / den) * (rhs * dens)
 
 
-def _panel_nodes(a: float, b: float, n_panels: int = 8):
-    edges = np.linspace(a, b, n_panels + 1)
+def _panel_nodes(a: float, b: float):
+    """Gauss-Legendre nodes and weights on eight equal panels of [a, b]."""
+    edges = np.linspace(a, b, 9)
     pts, wts = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -133,7 +133,7 @@ def _resolve(opts: list[Opt], ns: argparse.Namespace) -> dict:
         if opt.name != "workers":  # no output depends on it, so manifests agree across machines
             raw[opt.name] = ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
         try:
-            resolved[opt.dest] = opt.conv(value) if not isinstance(value, (list, bool)) else value
+            resolved[opt.dest] = opt.conv(value) if not isinstance(value, list) else value
         except ValidationError:
             raise
         except (TypeError, ValueError) as exc:
@@ -254,7 +254,6 @@ def _run_converge(r: dict) -> list[dict]:
         dt=r["dt"],
         seed=r["seed"],
         workers=r["workers"],
-        keep_samples=True,
     )
     report = convergence_experiment(config)
     out = r.get("out") or "converge.json"

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import StreamKey
 from .scaling import RescaledPath
 from .urn import UrnTrajectory
 from .wright_fisher import PathRecord
@@ -99,7 +98,7 @@ def rescaled_path_csv(path: RescaledPath) -> bytes:
     return _t_x_csv(path.t_grid, path.X)
 
 
-def ensemble_summary_json(t: float, values: np.ndarray, seed: StreamKey | dict) -> bytes:
+def ensemble_summary_json(t: float, values: np.ndarray, seed: dict) -> bytes:
     """Summary of an (M, k) ensemble slice at one time point."""
     mean = values.mean(axis=0)
     stderr = values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
@@ -109,7 +108,7 @@ def ensemble_summary_json(t: float, values: np.ndarray, seed: StreamKey | dict) 
             "mean": [float(v) for v in mean],
             "stderr": [float(v) for v in stderr],
             "n_paths": int(values.shape[0]),
-            "seed": seed.as_dict() if isinstance(seed, StreamKey) else seed,
+            "seed": seed,
         }
     )
 

@@ -49,12 +49,14 @@ __all__ = [
     "inner_product",
     "dirichlet_moment",
     "supported_degree_cap",
+    "default_max_degree",
     "jacobi_product_norm_sq_log",
 ]
 
-# Degree caps per reduced dimension: the univariate layer is cheap, higher
-# dimensions blow up combinatorially.
-_DEGREE_CAPS = {1: 40, 2: 10, 3: 6, 4: 6}
+# The supported k, each with (default truncation degree of the spectral
+# series, degree cap): the univariate layer is cheap, higher dimensions blow
+# up combinatorially.
+_DEGREES = {2: (30, 40), 3: (10, 10), 4: (6, 6), 5: (6, 6)}
 
 
 def _as_number(x):
@@ -125,11 +127,19 @@ def degree_space_dimension(k: int, n: int) -> int:
     return comb(n + k - 2, n)
 
 
+def _degrees(k: int) -> tuple[int, int]:
+    if k not in _DEGREES:
+        raise ValidationError("k", f"polynomial and spectral layers support 2 <= k <= 5, got k={k}")
+    return _DEGREES[k]
+
+
 def supported_degree_cap(k: int) -> int:
-    d = k - 1
-    if d not in _DEGREE_CAPS:
-        raise ValidationError("k", f"polynomial layer supports 2 <= k <= 5, got k={k}")
-    return _DEGREE_CAPS[d]
+    return _degrees(k)[1]
+
+
+def default_max_degree(k: int) -> int:
+    """Truncation degree of the spectral series when none is given."""
+    return _degrees(k)[0]
 
 
 def _check_supported(n: Sequence[int], gw: GammaWeights) -> tuple[int, ...]:
@@ -166,17 +176,14 @@ class MultiIndexPolynomial:
         return cls(nvars, {(0,) * nvars: Fraction(1)})
 
     @classmethod
-    def monomial(cls, nvars: int, exponents: Sequence[int], coeff=Fraction(1)) -> "MultiIndexPolynomial":
-        return cls(nvars, {tuple(exponents): coeff})
+    def monomial(cls, nvars: int, exponents: Sequence[int]) -> "MultiIndexPolynomial":
+        return cls(nvars, {tuple(exponents): Fraction(1)})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiIndexPolynomial":
         e = [0] * nvars
         e[i] = 1
         return cls.monomial(nvars, e)
-
-    def copy(self) -> "MultiIndexPolynomial":
-        return MultiIndexPolynomial(self.nvars, dict(self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -279,20 +286,6 @@ class MultiIndexPolynomial:
             mono = "*".join(f"y{i+1}^{v}" for i, v in enumerate(e) if v) or "1"
             parts.append(f"({c})*{mono}")
         return " + ".join(parts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "coeffs": {",".join(map(str, e)): str(c) for e, c in self.coeffs.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MultiIndexPolynomial":
-        coeffs = {}
-        for key, val in d["coeffs"].items():
-            e = tuple(int(v) for v in key.split(","))
-            coeffs[e] = Fraction(val) if "/" in val or val.lstrip("-").isdigit() else float(val)
-        return cls(d["nvars"], coeffs)
 
 
 def _poch(x, m: int):

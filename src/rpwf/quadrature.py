@@ -32,11 +32,11 @@ def gauss_jacobi_01(npts: int, exp_at_zero: float, exp_at_one: float) -> tuple[n
     return t, w * scale
 
 
-def simplex_rule(gw: GammaWeights, level: int = 40, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def simplex_rule(gw: GammaWeights, level: int = 40) -> tuple[np.ndarray, np.ndarray]:
     """Points (N, k-1) and pi_gamma-normalized weights for T^{k-1}.
 
     ``level`` is the per-axis Gauss order for k <= 3; the QMC fallback uses
-    2^level points (capped) for k in {4, 5}.
+    2^level points (capped) for k in {4, 5}, scrambled with seed 0.
     """
     g = [float(x) for x in gw.gamma]
     k = gw.k
@@ -53,7 +53,7 @@ def simplex_rule(gw: GammaWeights, level: int = 40, seed: int = 0) -> tuple[np.n
         return pts, w
     if k in (4, 5):
         n = min(1 << level, 1 << 16)
-        sob = qmc.Sobol(d=k - 1, scramble=True, seed=seed)
+        sob = qmc.Sobol(d=k - 1, scramble=True, seed=0)
         U = sob.random(n)
         pts = np.empty((n, k - 1))
         remaining = np.ones(n)
@@ -65,9 +65,7 @@ def simplex_rule(gw: GammaWeights, level: int = 40, seed: int = 0) -> tuple[np.n
     raise ValidationError("k", f"quadrature supports 2 <= k <= 5, got {k}")
 
 
-def inner_product_quad(
-    f: MultiIndexPolynomial, g: MultiIndexPolynomial, gw: GammaWeights, level: int = 40, seed: int = 0
-) -> float:
-    """<f, g> under pi_gamma by quadrature (independent of the moment route)."""
-    pts, w = simplex_rule(gw, level, seed)
+def inner_product_quad(f: MultiIndexPolynomial, g: MultiIndexPolynomial, gw: GammaWeights) -> float:
+    """<f, g> under pi_gamma by the level-40 quadrature (independent of the moment route)."""
+    pts, w = simplex_rule(gw)
     return float(w @ (f.eval_many(pts) * g.eval_many(pts)))

@@ -18,24 +18,24 @@ from .errors import ValidationError
 SIMPLEX_ATOL = 1e-10
 
 
-def check_simplex(x, name: str = "x", atol: float = SIMPLEX_ATOL) -> np.ndarray:
+def check_simplex(x, name: str = "x") -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError(name, "expected a vector of length >= 2")
     # written in positive form, so that a NaN (every comparison false) fails
-    if not np.all(x >= -atol):
+    if not np.all(x >= -SIMPLEX_ATOL):
         raise ValidationError(name, f"negative or NaN component {x.min()!r}")
-    if not abs(x.sum() - 1.0) <= atol:
+    if not abs(x.sum() - 1.0) <= SIMPLEX_ATOL:
         raise ValidationError(name, f"components sum to {x.sum()!r}, not 1")
     return x
 
 
-def check_reduced(y, name: str = "y", atol: float = 1e-12) -> np.ndarray:
+def check_reduced(y, name: str = "y") -> np.ndarray:
     """Validate a point of the reduced simplex (all y_i >= 0, sum <= 1)."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValidationError(name, "expected a 1-d point")
-    if not (np.all(y >= -atol) and y.sum() <= 1.0 + atol):  # positive form: NaN fails
+    if not (np.all(y >= -1e-12) and y.sum() <= 1.0 + 1e-12):  # positive form: NaN fails
         raise ValidationError(name, f"{y!r} lies outside the reduced simplex")
     return y
 

@@ -44,6 +44,7 @@ from .errors import ValidationError
 from .polynomials import (
     GammaWeights,
     _jacobi_factor_params,
+    default_max_degree,
     eigenvalue_nu,
     jacobi_product_norm_sq_log,
     multi_indices,
@@ -63,16 +64,9 @@ __all__ = [
 ]
 
 SMALL_T_THRESHOLD = 0.05
-_DEFAULT_DEGREE = {2: 30, 3: 10, 4: 6, 5: 6}
 
 
-def default_max_degree(k: int) -> int:
-    if k not in _DEFAULT_DEGREE:
-        raise ValidationError("k", f"spectral layer supports 2 <= k <= 5, got {k}")
-    return _DEFAULT_DEGREE[k]
-
-
-def dirichlet_density(gw: GammaWeights, y, log: bool = False) -> float:
+def dirichlet_density(gw: GammaWeights, y) -> float:
     """pi_gamma at the reduced point y; +inf at a boundary hit by a negative exponent."""
     y = check_reduced(y, "y")
     if y.size != gw.nvars:
@@ -84,12 +78,11 @@ def dirichlet_density(gw: GammaWeights, y, log: bool = False) -> float:
         if np.any(g[zero] < 0.0):
             return math.inf
         if np.any(g[zero] > 0.0):
-            return -math.inf if log else 0.0
+            return 0.0
         # exponent exactly zero at the boundary: factor is 1
         coords = np.where(zero, 1.0, coords)
         g = np.where(zero, 0.0, g)
-    logpdf = float(g @ np.log(coords)) - gw.log_dirichlet_constant
-    return logpdf if log else math.exp(logpdf)
+    return math.exp(float(g @ np.log(coords)) - gw.log_dirichlet_constant)
 
 
 @dataclass(frozen=True)
@@ -176,8 +169,8 @@ class SpectralTransitionDensity:
         y0 = check_reduced(y0, "y0")
         if y0.size != self.gw.nvars:
             raise ValidationError("y0", f"expected {self.gw.nvars} coordinates")
-        y = check_reduced(y, "y")
-        stat = dirichlet_density(self.gw, y)
+        stat = dirichlet_density(self.gw, y)  # checks y
+        y = np.asarray(y, dtype=float)
         per_degree = np.add.reduceat(self._normalized_values(y) * self._start_row(y0), self._starts)
         kernel_terms = per_degree * np.exp(-self._nu * t)
         total = stat * kernel_terms.sum()
@@ -220,14 +213,20 @@ def forward_equation_residual(
     t: float,
     params: WfParams,
     h: float = 1e-2,
-    ht: float | None = None,
 ) -> np.ndarray:
     """Residual of the Kolmogorov forward equation at interior grid points.
 
     ``density(y, t)`` is any evaluable density on reduced coordinates
-    (shape (k-1,)); both the time derivative and the spatial operator are
-    applied by finite differences, so the check is independent of how the
-    density was produced.  Supports k = 2 and k = 3.
+    (shape (k-1,)), for any k; both the time derivative and the spatial
+    operator are applied by five-point finite differences, so the check is
+    independent of how the density was produced.  Each coordinate adds a
+    flux and a diffusion term, each pair of coordinates a mixed term:
+
+        d/dt p = (b/alpha) sum_i d_i[(y_i - p_i) p] + 1/2 sum_i d_ii[y_i (1 - y_i) p]
+                 - sum_{i<j} d_ij[y_i y_j p].
+
+    The spatial step is min(h, 0.4 min_i y_i, 0.4 / min(k-1, 2) y_k), so
+    every stencil point stays inside the simplex.
     """
     k = params.k
     rate = params.rate
@@ -235,41 +234,27 @@ def forward_equation_residual(
     y_grid = np.atleast_2d(np.asarray(y_grid, dtype=float))
     if y_grid.shape[1] != k - 1:
         raise ValidationError("y_grid", f"expected points with {k - 1} coordinates")
-    if ht is None:
-        ht = min(0.2 * t, 1e-3 * max(t, 1.0)) if t > 0 else 1e-3
+    ht = min(0.2 * t, 1e-3 * max(t, 1.0)) if t > 0 else 1e-3
     out = np.empty(y_grid.shape[0])
-    if k == 2:
-        for row, (y,) in enumerate(y_grid):
-            hy = min(h, 0.4 * y, 0.4 * (1.0 - y))
-            dt_term = _d1_5pt(lambda tt: density(np.array([y]), tt), t, ht)
-            flux = _d1_5pt(lambda s: (s - p[0]) * density(np.array([s]), t), y, hy)
-            diff = _d2_5pt(lambda s: s * (1.0 - s) * density(np.array([s]), t), y, hy)
-            out[row] = dt_term - (rate * flux + 0.5 * diff)
-        return out
-    if k == 3:
-        for row, y in enumerate(y_grid):
-            y1, y2 = y
-            y3 = 1.0 - y1 - y2
-            hy = min(h, 0.4 * y1, 0.4 * y2, 0.2 * y3)
-            dt_term = _d1_5pt(lambda tt: density(y, tt), t, ht)
-            flux = 0.0
-            diff = 0.0
-            for i in range(2):
-                def along(s, i=i):
-                    q = y.copy()
-                    q[i] = s
-                    return q
+    for row, y in enumerate(y_grid):
+        y_last = 1.0
+        for v in y:
+            y_last -= v  # in coordinate order, as 1 - y_1 - y_2 - ...
+        hy = min(h, 0.4 * y.min(), 0.4 / min(k - 1, 2) * y_last)
 
-                flux += _d1_5pt(lambda s: (s - p[i]) * density(along(s), t), y[i], hy)
-                diff += _d2_5pt(lambda s: s * (1.0 - s) * density(along(s), t), y[i], hy)
+        def at(*moves):
+            """density at y with the coordinates of ``moves`` (index, value) replaced."""
+            q = y.copy()
+            for i, s in moves:
+                q[i] = s
+            return density(q, t)
 
-            def cross(u, v):
-                return u * v * density(np.array([u, v]), t)
-
-            def d2_cross(u):
-                return _d1_5pt(lambda v: cross(u, v), y2, hy)
-
-            mixed = _d1_5pt(d2_cross, y1, hy)
-            out[row] = dt_term - (rate * flux + 0.5 * (diff - 2.0 * mixed))
-        return out
-    raise ValidationError("k", "forward-equation residual supports k = 2 and k = 3")
+        dt_term = _d1_5pt(lambda tt: density(y, tt), t, ht)
+        flux = diff = mixed = 0.0
+        for i in range(k - 1):
+            flux += _d1_5pt(lambda s: (s - p[i]) * at((i, s)), y[i], hy)
+            diff += _d2_5pt(lambda s: s * (1.0 - s) * at((i, s)), y[i], hy)
+            for j in range(i + 1, k - 1):
+                mixed += _d1_5pt(lambda u: _d1_5pt(lambda v: u * v * at((i, u), (j, v)), y[j], hy), y[i], hy)
+        out[row] = dt_term - (rate * flux + 0.5 * (diff - 2.0 * mixed))
+    return out

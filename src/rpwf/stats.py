@@ -4,6 +4,8 @@ The convergence experiment realizes the weak-convergence statement at desk
 scale: urn predictive means at rescaled time t (beta near 1) are compared,
 marginal by marginal, against Euler-Maruyama samples of the limiting
 Wright-Fisher diffusion through two-sample Kolmogorov-Smirnov distances.
+It needs at least two replicas (a KS distance and a moment z-score take a
+sample spread), and its report keeps both ensembles at every checkpoint.
 
 Both exhibits hand ``workers`` to the urn and Euler-Maruyama ensembles,
 which split replicas over processes in ``rng.map_replicas``.
@@ -79,18 +81,14 @@ def chi_squared_report(O, p) -> ChiSqReport:
 def empirical_mean(draws) -> np.ndarray:
     """Running empirical mean of the one-hot draw sequence, one row per prefix.
 
-    ``draws`` holds colors in 1..k (array) or an (N, k) one-hot matrix.
+    ``draws`` is a 1-d array of colors in 1..k, as in ``UrnTrajectory.draws``.
     """
     draws = np.asarray(draws)
-    if draws.ndim == 1:
-        if draws.size == 0:
-            raise ValidationError("draws", "need at least one draw")
-        k = int(draws.max())
-        onehot = np.zeros((draws.size, k))
-        onehot[np.arange(draws.size), draws - 1] = 1.0
-    else:
-        onehot = draws.astype(float)
-    return np.cumsum(onehot, axis=0) / np.arange(1, onehot.shape[0] + 1)[:, None]
+    if draws.ndim != 1 or draws.size == 0:
+        raise ValidationError("draws", "need a nonempty 1-d array of colors")
+    onehot = np.zeros((draws.size, int(draws.max())))
+    onehot[np.arange(draws.size), draws - 1] = 1.0
+    return np.cumsum(onehot, axis=0) / np.arange(1, draws.size + 1)[:, None]
 
 
 def ks_critical_value(n: int, alpha: float, m: int | None = None) -> float:
@@ -167,7 +165,6 @@ class ConvergenceConfig:
     dt: float = 1e-3
     seed: int = 0
     workers: int = 1
-    keep_samples: bool = False
 
 
 @dataclass(frozen=True)
@@ -183,9 +180,9 @@ class ConvergenceReport:
     moment_z: tuple
     n_replicas: int
     trend_ok: bool
-    # populated only when the experiment ran with keep_samples:
+    # both ensembles at every checkpoint, always kept (``as_dict`` leaves them out):
     # samples[(i_beta, i_time)] = (urn (M, k), wf (M, k))
-    samples: dict | None = field(default=None, compare=False)
+    samples: dict = field(compare=False)
 
     def mean_distance(self, i_beta: int) -> float:
         return float(np.mean(np.asarray(self.distances)[i_beta]))
@@ -242,6 +239,8 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     times = tuple(sorted(config.times))
     if not betas or not times:
         raise ValidationError("betas", "need at least one beta and one checkpoint time")
+    if not config.n_replicas >= 2:
+        raise ValidationError("replicas", f"KS distances and z-scores need >= 2 replicas, got {config.n_replicas}")
     t_max = times[-1]
     _check_urn_steps("times", betas[-1], t_max)
     x0 = np.array(config.x0, dtype=float) if config.x0 is not None else wf.p.copy()
@@ -259,7 +258,7 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     )
     distances = []
     moment_z = []
-    kept = {} if config.keep_samples else None
+    samples = {}
     for i_beta, beta in enumerate(betas):
         fp = ScaledFamilyParams(alpha=wf.alpha, b=wf.b * wf.p, beta=beta)
         urn_params = family_member_for_start(fp, x0)
@@ -270,8 +269,7 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
         per_beta = []
         per_beta_z = []
         for j, t in enumerate(times):
-            if kept is not None:
-                kept[(i_beta, j)] = (psi[j].copy(), wf_samples[j].copy())
+            samples[(i_beta, j)] = (psi[j], wf_samples[j])
             per_t = []
             for _, sel in specs:
                 urn_m = psi[j] @ sel
@@ -296,7 +294,7 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
         moment_z=tuple(np.asarray(moment_z).tolist()),
         n_replicas=config.n_replicas,
         trend_ok=trend_ok,
-        samples=kept,
+        samples=samples,
     )
 
 

@@ -196,14 +196,15 @@ def step(params: UrnParams, state: UrnState, rng: np.random.Generator):
     return new, DrawOutcome(color=idx + 1)
 
 
-def closed_form_B(params: UrnParams, draws: Sequence[DrawOutcome] | np.ndarray, n: int) -> np.ndarray:
+def closed_form_B(params: UrnParams, draws: np.ndarray, n: int) -> np.ndarray:
     """Evaluate B_n = beta^n B_0 + alpha * sum_h beta^(n-h) xi_h directly.
 
     Powers are accumulated forward (beta^(n-h), largest h first in weight)
     so that nothing overflows for beta near 0; the summation order differs
     from the step recursion, making this an independent floating-point path.
+    ``draws`` holds the int colors 1..k of ``UrnTrajectory.draws``.
     """
-    draws = _draw_indices(draws)
+    draws = np.asarray(draws, dtype=np.int64) - 1
     if n > draws.size:
         raise ValidationError("n", f"need {n} draws, trajectory has {draws.size}")
     if n < 0:
@@ -333,10 +334,3 @@ def simulate_urn_ensemble(
     cp_list = [int(c) for c in (checkpoints if checkpoints is not None else [n_steps])]
     job = functools.partial(_urn_checkpoints, params, n_steps, checkpoint_steps(cp_list, n_steps, int), len(cp_list))
     return map_replicas(job, [StreamKey(seed, label, i) for i in range(n_replicas)], workers)
-
-
-def _draw_indices(draws) -> np.ndarray:
-    """Normalize a draw sequence to a 0-based index array."""
-    if len(draws) and isinstance(draws[0], DrawOutcome):
-        return np.array([d.index for d in draws], dtype=np.int64)
-    return np.asarray(draws, dtype=np.int64) - 1

@@ -95,8 +95,8 @@ class SdeConfig:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValidationError("dt", f"must be > 0, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError("dt", f"must be finite and > 0, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,10 @@ class OneDimWf:
     a1: float
 
     def __post_init__(self):
-        if self.a0 < 0 or self.a1 < 0:
-            raise ValidationError("a0", "marginal coefficients must be nonnegative")
+        for name in ("a0", "a1"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # positive form, so that a NaN fails
+                raise ValidationError(name, f"must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -214,10 +216,10 @@ def em_update(x, z, params: WfParams, dt: float) -> np.ndarray:
 
 def _n_steps(t: float, dt: float, name: str) -> int:
     """Number of steps of size dt that cover [0, t]."""
-    if not dt > 0:
-        raise ValidationError("dt", f"must be > 0, got {dt}")
-    if not t >= 0:
-        raise ValidationError(name, f"must be >= 0, got {t}")
+    if not 0 < dt < math.inf:
+        raise ValidationError("dt", f"must be finite and > 0, got {dt}")
+    if not 0 <= t < math.inf:
+        raise ValidationError(name, f"must be finite and >= 0, got {t}")
     return int(math.ceil(t / dt))
 
 

@@ -210,6 +210,52 @@ def test_hit_prob_overflow_exits_2_naming_the_coefficient(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--a0", "-1"], "--a0"),
+        (["--a1", "-1"], "--a1"),  # named --a0
+        (["--a0", "nan"], "--a0"),  # failed later as an overflowing scale integral naming --a1
+        (["--a1", "inf"], "--a1"),
+        (["--a", "nan"], "--a"),
+        (["--b-pt", "1.5"], "--b-pt"),  # named --a
+        (["--b-pt", "0.1"], "--b-pt"),
+    ],
+)
+def test_hit_prob_names_the_bad_flag(tmp_path, capsys, extra, flag):
+    out = tmp_path / "h.json"
+    code = main(["hit-prob", "--a", "0.25", "--b-pt", "0.75", "--z0", "0.5", "--out", str(out)] + extra)
+    assert code == 2
+    assert f"error: {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--t-max", "inf"], "--t-max"),  # crashed with OverflowError, exit 1
+        (["--t-max", "nan"], "--t-max"),
+        (["--dt", "inf"], "--dt"),  # exited 0 with a zero-step path
+        (["--dt", "inf", "--replicas", "3"], "--dt"),
+    ],
+)
+def test_simulate_wf_rejects_non_finite_times(tmp_path, capsys, extra, flag):
+    out = tmp_path / "wf.csv"
+    code = main(["simulate-wf", "--b", "1,1", "--out", str(out)] + extra)
+    assert code == 2
+    assert f"error: {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_converge_rejects_one_replica(tmp_path, capsys):
+    # one replica exited 0 with RuntimeWarnings and a NaN stderr read as 1.0
+    out = tmp_path / "conv.json"
+    code = main(["converge", "--b", "1,1", "--betas", "0.5", "--times", "0.1", "--replicas", "1", "--out", str(out)])
+    assert code == 2
+    assert "error: --replicas:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_converge_writes_report_and_samples(tmp_path, capsys):
     out = tmp_path / "conv.json"
     code, _ = run(

@@ -13,7 +13,7 @@ from rpwf.io import (
     urn_trajectory_csv,
     urn_trajectory_json,
 )
-from rpwf.rng import StreamKey, generator
+from rpwf.rng import generator
 from rpwf.scaling import ScaledFamilyParams, build_family_member, rescale_time
 from rpwf.urn import simulate_urn
 from rpwf.wright_fisher import SdeConfig, WfParams, simulate_wf
@@ -63,8 +63,9 @@ def test_path_and_rescaled_csv_headers():
 
 def test_ensemble_summary_fields():
     vals = generator(7, "ens").random((50, 3))
-    data = json.loads(ensemble_summary_json(1.5, vals, StreamKey(7, "ens")).decode())
+    data = json.loads(ensemble_summary_json(1.5, vals, {"seed": 7, "label": "ens"}).decode())
     assert data["t"] == 1.5
+    assert data["seed"] == {"seed": 7, "label": "ens"}
     assert data["n_paths"] == 50
     assert len(data["mean"]) == 3 and len(data["stderr"]) == 3
 

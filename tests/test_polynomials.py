@@ -52,12 +52,6 @@ def test_polynomial_eval_matches_eval_many():
     assert np.allclose(single, f.eval_many(pts), atol=1e-14)
 
 
-def test_polynomial_json_round_trip():
-    f = MultiIndexPolynomial(2, {(1, 2): F(3, 7), (0, 0): F(-2)})
-    g = MultiIndexPolynomial.from_json_dict(f.to_json_dict())
-    assert f == g
-
-
 def test_jacobi_coeffs_match_scipy():
     c = jacobi_coeffs_1d(5, F(3, 2), F(1, 4))
     t = 0.37

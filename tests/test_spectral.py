@@ -268,6 +268,16 @@ def test_forward_equation_residual_k3_stationary():
     assert np.abs(res).max() < 1e-6
 
 
+def test_forward_equation_residual_k4_stationary():
+    # three mixed terms; the residual was 1.4e-10
+    params = WfParams(b=4.0, alpha=1.0, p=np.full(4, 0.25))  # gamma = (1,1,1,1)
+    gw = GammaWeights.from_wf(params)
+    g = np.linspace(0.15, 0.35, 4)
+    grid = np.array([[a, b, c] for a in g for b in g for c in g if a + b + c < 0.8])
+    res = forward_equation_residual(lambda y, t: dirichlet_density(gw, y), grid, 1.0, params)
+    assert np.abs(res).max() < 1e-6
+
+
 def test_generator_matches_em_one_step_mean():
     # cross-layer convention check: (E[f(X_dt)] - f(x)) / dt -> (1/2) L_gamma f
     from rpwf.polynomials import MultiIndexPolynomial, apply_generator

@@ -67,6 +67,13 @@ def test_empirical_mean_constant_draws():
     assert np.allclose(means2[-1], [0.75, 0.25])
 
 
+@pytest.mark.parametrize("draws", [np.eye(3)[[0, 1, 1]], np.array([], dtype=int)])
+def test_empirical_mean_rejects_anything_but_colors(draws):
+    with pytest.raises(ValidationError) as exc:
+        empirical_mean(draws)
+    assert exc.value.field == "draws"
+
+
 def test_empirical_mean_rows_on_simplex():
     traj = simulate_urn(build_family_member(ScaledFamilyParams(1.0, np.array([1.0, 1.0, 2.0]), 0.7)), 500, 9)
     means = empirical_mean(traj.draws)
@@ -148,6 +155,17 @@ def test_convergence_experiment_smoke():
     assert len(report.moment_z) == 2
 
 
+def test_convergence_experiment_rejects_one_replica_before_running(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an ensemble ran")
+
+    monkeypatch.setattr("rpwf.stats.simulate_wf_ensemble", never)
+    monkeypatch.setattr("rpwf.stats.simulate_urn_ensemble", never)
+    with pytest.raises(ValidationError) as exc:
+        convergence_experiment(ConvergenceConfig(wf=WF2, betas=(0.5,), times=(0.1,), n_replicas=1))
+    assert exc.value.field == "replicas"
+
+
 def test_convergence_experiment_reports_infeasible_steps_before_running():
     config = ConvergenceConfig(
         wf=WF2, betas=(0.9999,), times=(10.0,), n_replicas=10, seed=1
@@ -165,7 +183,7 @@ def test_convergence_distances_shrink_with_beta():
 
 
 def test_convergence_keep_samples_round_trip():
-    config = ConvergenceConfig(wf=WF2, betas=(0.8,), times=(0.25,), n_replicas=100, dt=2e-3, seed=3, keep_samples=True)
+    config = ConvergenceConfig(wf=WF2, betas=(0.8,), times=(0.25,), n_replicas=100, dt=2e-3, seed=3)
     report = convergence_experiment(config)
     urn_vals, wf_vals = report.samples[(0, 0)]
     assert urn_vals.shape == (100, 2)

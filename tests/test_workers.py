@@ -50,7 +50,7 @@ def test_convergence_experiment_does_not_depend_on_workers():
     reports = [
         convergence_experiment(
             ConvergenceConfig(
-                wf=WF3, betas=(0.6, 0.8), times=(0.1, 0.25), n_replicas=7, dt=0.01, seed=2, workers=w, keep_samples=True
+                wf=WF3, betas=(0.6, 0.8), times=(0.1, 0.25), n_replicas=7, dt=0.01, seed=2, workers=w
             )
         )
         for w in WORKERS

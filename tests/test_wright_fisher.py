@@ -7,7 +7,8 @@ import pytest
 from rpwf.errors import ValidationError
 from rpwf.rng import StreamKey, generator
 from rpwf.simplex import check_reduced, random_simplex_points
-from rpwf.stats import ks_two_sample
+from rpwf.scaling import Partition
+from rpwf.stats import ks_critical_value, ks_two_sample
 from rpwf.wright_fisher import (
     OneDimWf,
     SdeConfig,
@@ -232,6 +233,20 @@ def test_grouped_wf_agrees_with_low_dimensional_wf():
     assert rep1.D < rep1.critical[0.01]
 
 
+def test_grouping_commutes_with_projection_for_the_wf_ensemble():
+    # Summing a k=4 ensemble over the partition {1,2},{3,4} gives, in law, the
+    # k=2 diffusion with the grouped mutation kernel (0.3, 0.7), at every checkpoint.
+    cfg = SdeConfig(dt=1e-2)
+    p4 = WfParams(b=1.0, alpha=1.0, p=np.array([0.1, 0.2, 0.3, 0.4]))
+    p2 = WfParams(b=1.0, alpha=1.0, p=np.array([0.3, 0.7]))
+    x4 = simulate_wf_ensemble(p4, [0.3, 0.3, 0.2, 0.2], 0.5, cfg, 2000, seed=5, label="k4", checkpoints=[0.25, 0.5])
+    x2 = simulate_wf_ensemble(p2, [0.6, 0.4], 0.5, cfg, 2000, seed=5, label="k2", checkpoints=[0.25, 0.5])
+    grouped = x4 @ Partition([[1, 2], [3, 4]], 4).matrix().T
+    crit = ks_critical_value(2000, 1e-6, 2000)  # 0.085; distances were <= 0.04 over five seeds
+    for j in range(2):
+        assert ks_two_sample(grouped[j][:, 0], x2[j][:, 0]).D < crit
+
+
 def test_marginal_stationary_matches_beta_law():
     from rpwf.boundary import stationary_beta_cdf
     from rpwf.stats import ks_one_sample
@@ -267,6 +282,14 @@ _BAD_INPUTS = {
     "touch_z0_above": ("z0", lambda: marginal_touch_flags(OD, 1.5, 0.2, 0.1, 1e-2, 3, seed=1)),
     "path_negative_t_max": ("t-max", lambda: simulate_marginal_1d(OD, 0.5, -1.0, SdeConfig(dt=1e-2), 1)),
     "passage_negative_t_cap": ("t-cap", lambda: marginal_first_passage(OD, 0.5, 0.2, 0.8, 1e-2, 3, seed=1, t_cap=-1.0)),
+    "passage_infinite_t_cap": ("t-cap", lambda: marginal_first_passage(OD, 0.5, 0.2, 0.8, 1e-2, 3, seed=1, t_cap=math.inf)),
+    "values_infinite_t": ("t", lambda: marginal_ensemble_values(OD, 0.5, math.inf, 1e-2, 3, seed=1)),
+    "values_infinite_dt": ("dt", lambda: marginal_ensemble_values(OD, 0.5, 0.1, math.inf, 3, seed=1)),
+    "path_infinite_t_max": ("t-max", lambda: simulate_wf(P2, [0.5, 0.5], math.inf, SdeConfig(dt=1e-2))),
+    "path_nan_t_max": ("t-max", lambda: simulate_marginal_1d(OD, 0.5, math.nan, SdeConfig(dt=1e-2), 1)),
+    "config_infinite_dt": ("dt", lambda: SdeConfig(dt=math.inf)),
+    "marginal_negative_a1": ("a1", lambda: OneDimWf(a0=0.3, a1=-1.0)),
+    "marginal_nan_a0": ("a0", lambda: OneDimWf(a0=math.nan, a1=0.3)),
 }
 
 
