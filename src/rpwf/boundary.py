@@ -232,9 +232,8 @@ def green_function(ip: IntervalProblem, x: float, s: float) -> float:
     else:
         lhs = scale_increment(ip.od, x, ip.b_pt)
         rhs = scale_increment(ip.od, ip.a, s)
-    dens = s ** (2.0 * ip.od.a0 - 1.0) * (1.0 - s) ** (2.0 * ip.od.a1 - 1.0)
     # lhs / den <= 1 and the small speed density offsets rhs: no overflow at large a0, a1
-    return 2.0 * (lhs / den) * (rhs * dens)
+    return 2.0 * (lhs / den) * (rhs * speed_density(ip.od, s))
 
 
 def _panel_nodes(a: float, b: float):
@@ -253,13 +252,19 @@ def expected_cost(ip: IntervalProblem, z0: float, g) -> float:
     Green function; g is sampled on a Gauss grid split at z0."""
     if not ip.a <= z0 <= ip.b_pt:
         raise ValidationError("z0", f"must lie in [{ip.a}, {ip.b_pt}], got {z0}")
+    od, a, b = ip.od, ip.a, ip.b_pt
+    den = scale_increment(od, a, b)
+    # green_function(ip, z0, s) node by node, with its z0-side ratio lhs / den
+    # computed once per side of z0 (keyed on z0 <= s, green_function's branch)
+    ratio = {True: scale_increment(od, a, z0) / den, False: scale_increment(od, z0, b) / den}
     total = 0.0
-    for lo, hi in ((ip.a, z0), (z0, ip.b_pt)):
+    for lo, hi in ((a, z0), (z0, b)):
         if hi <= lo:
             continue
         s, w = _panel_nodes(lo, hi)
-        vals = np.array([green_function(ip, z0, si) * g(si) for si in s])
-        total += float(w @ vals)
+        rhs = [scale_increment(od, si, b) if z0 <= si else scale_increment(od, a, si) for si in s]
+        vals = [2.0 * ratio[z0 <= si] * (r * speed_density(od, si)) * g(si) for si, r in zip(s, rhs)]
+        total += float(w @ np.array(vals))
     return total
 
 

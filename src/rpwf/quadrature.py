@@ -1,11 +1,11 @@
-"""Quadrature rules for the Dirichlet-weighted simplex.
-
-Gauss-Jacobi product rules (exact weight matching) for k = 2 and 3; a
-scrambled-Sobol stick-breaking rule for k = 4 and 5, where stratified
-uniforms are pushed through the Beta inverse CDFs of the stick-breaking
-representation.  All rules return points in reduced coordinates together
-with weights normalized against pi_gamma, so ``weights @ f(points)``
-approximates the expectation of f under the stationary Dirichlet law.
+"""Quadrature for the Dirichlet-weighted simplex: one Gauss-Jacobi product
+rule in stick-breaking coordinates (Stroud's conical product rule) for
+every supported k.  The substitution y_i = z_i (1 - y_1 - ... - y_{i-1})
+turns the Dirichlet weight into a product of z_i^{gamma_i} (1 - z_i)^{C_i - 1},
+C_i = sum_{j>i} (gamma_j + 1), one Gauss-Jacobi rule per axis.  Points are
+reduced coordinates and weights are normalized against pi_gamma, so
+``weights @ f(points)`` is the expectation of f under the stationary
+Dirichlet law, exact for polynomials of total degree up to 2 level - 1.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import math
 
 import numpy as np
 from scipy import special
-from scipy.stats import qmc
 
 from .errors import ValidationError
-from .polynomials import GammaWeights, MultiIndexPolynomial, _trailing_weight_sum
+from .polynomials import GammaWeights, MultiIndexPolynomial, _degrees
 
 __all__ = ["gauss_jacobi_01", "simplex_rule", "inner_product_quad"]
 
@@ -32,40 +31,24 @@ def gauss_jacobi_01(npts: int, exp_at_zero: float, exp_at_one: float) -> tuple[n
     return t, w * scale
 
 
-def simplex_rule(gw: GammaWeights, level: int = 40) -> tuple[np.ndarray, np.ndarray]:
-    """Points (N, k-1) and pi_gamma-normalized weights for T^{k-1}.
+def simplex_rule(gw: GammaWeights, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points (level^(k-1), k-1) and pi_gamma-normalized weights for T^{k-1}.
 
-    ``level`` is the per-axis Gauss order for k <= 3; the QMC fallback uses
-    2^level points (capped) for k in {4, 5}, scrambled with seed 0.
+    ``level`` is the Gauss order per axis; the first axis varies slowest.
     """
-    g = [float(x) for x in gw.gamma]
     k = gw.k
-    if k == 2:
-        t, w = gauss_jacobi_01(level, g[0], g[1])
-        return t[:, None], w * math.exp(-gw.log_dirichlet_constant)
-    if k == 3:
-        # y1 = u, y2 = v (1 - u); the Jacobian (1-u) joins the u-weight
-        u, wu = gauss_jacobi_01(level, g[0], g[1] + g[2] + 1.0)
-        v, wv = gauss_jacobi_01(level, g[1], g[2])
-        U, V = np.meshgrid(u, v, indexing="ij")
-        pts = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
-        w = np.outer(wu, wv).ravel() * math.exp(-gw.log_dirichlet_constant)
-        return pts, w
-    if k in (4, 5):
-        n = min(1 << level, 1 << 16)
-        sob = qmc.Sobol(d=k - 1, scramble=True, seed=0)
-        U = sob.random(n)
-        pts = np.empty((n, k - 1))
-        remaining = np.ones(n)
-        for i in range(k - 1):
-            z = special.betaincinv(g[i] + 1.0, float(_trailing_weight_sum(gw, i)), U[:, i])
-            pts[:, i] = z * remaining
-            remaining = remaining * (1.0 - z)
-        return pts, np.full(n, 1.0 / n)
-    raise ValidationError("k", f"quadrature supports 2 <= k <= 5, got {k}")
+    _degrees(k)  # the supported k, else a ValidationError naming k
+    g = [float(x) for x in gw.gamma]
+    pts, w, remaining = np.empty((1, 0)), np.ones(1), np.ones(1)
+    for i in range(k - 1):
+        z, wz = gauss_jacobi_01(level, g[i], sum(g[i + 1 :]) + (k - 2 - i))
+        pts = np.column_stack([np.repeat(pts, level, axis=0), np.outer(remaining, z).ravel()])
+        remaining = np.outer(remaining, 1.0 - z).ravel()
+        w = np.outer(w, wz).ravel()
+    return pts, w * math.exp(-gw.log_dirichlet_constant)
 
 
 def inner_product_quad(f: MultiIndexPolynomial, g: MultiIndexPolynomial, gw: GammaWeights) -> float:
-    """<f, g> under pi_gamma by the level-40 quadrature (independent of the moment route)."""
-    pts, w = simplex_rule(gw)
+    """<f, g> under pi_gamma by the Gauss rule exact at degree deg f + deg g (independent of the moment route)."""
+    pts, w = simplex_rule(gw, (f.degree + g.degree) // 2 + 1)
     return float(w @ (f.eval_many(pts) * g.eval_many(pts)))

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .scaling import ScaledFamilyParams, family_member_for_start, step_index
 from .urn import simulate_urn_ensemble
-from .wright_fisher import SdeConfig, WfParams, mean_ode, simulate_wf_ensemble
+from .wright_fisher import SdeConfig, WfParams, _check_x0, mean_ode, simulate_wf_ensemble
 
 __all__ = [
     "ChiSqReport",
@@ -220,7 +220,9 @@ def _marginal_specs(k: int, seed: int) -> list[tuple[str, np.ndarray]]:
 
 
 def _check_urn_steps(field: str, beta: float, t: float) -> None:
-    """Reject rescaled time t at beta if the urn needs more than ``_MAX_URN_STEPS`` steps to reach it."""
+    """Reject rescaled time t unless it is finite, >= 0 and within ``_MAX_URN_STEPS`` urn steps at beta."""
+    if not 0 <= t < math.inf:  # positive form, so that a NaN fails
+        raise ValidationError(field, f"must be finite and >= 0, got {t}")
     steps = t / (1.0 - beta) ** 2
     if steps > _MAX_URN_STEPS:
         raise ValidationError(field, f"beta={beta} at rescaled time {t} needs {steps:.4g} urn steps, over {_MAX_URN_STEPS}")
@@ -239,11 +241,14 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     times = tuple(sorted(config.times))
     if not betas or not times:
         raise ValidationError("betas", "need at least one beta and one checkpoint time")
+    if not all(0.0 <= beta < 1.0 for beta in betas):
+        raise ValidationError("betas", f"the scaling family needs every beta in [0, 1), got {betas}")
     if not config.n_replicas >= 2:
         raise ValidationError("replicas", f"KS distances and z-scores need >= 2 replicas, got {config.n_replicas}")
+    for t in times:
+        _check_urn_steps("times", betas[-1], t)
     t_max = times[-1]
-    _check_urn_steps("times", betas[-1], t_max)
-    x0 = np.array(config.x0, dtype=float) if config.x0 is not None else wf.p.copy()
+    x0 = _check_x0(wf, config.x0) if config.x0 is not None else wf.p.copy()
     specs = _marginal_specs(wf.k, config.seed)
     wf_samples = simulate_wf_ensemble(
         wf,
@@ -306,8 +311,6 @@ def stationary_urn_samples(
     Independent replicas, one sample each, for stationary goodness-of-fit
     against Dir(2 (b/alpha) p).
     """
-    if not t_long >= 0:
-        raise ValidationError("t-long", f"must be >= 0, got {t_long}")
     fp = ScaledFamilyParams(alpha=wf.alpha, b=wf.b * wf.p, beta=beta)
     params = family_member_for_start(fp, wf.p)
     _check_urn_steps("t-long", beta, t_long)

@@ -223,6 +223,14 @@ def _n_steps(t: float, dt: float, name: str) -> int:
     return int(math.ceil(t / dt))
 
 
+def _check_x0(params: WfParams, x0) -> np.ndarray:
+    """x0 as a point of the simplex with the k coordinates of ``params``."""
+    x0 = check_simplex(x0, "x0")
+    if x0.size != params.k:
+        raise ValidationError("x0", f"expected {params.k} coordinates, got {x0.size}")
+    return x0
+
+
 def _run_em(params: WfParams, x0: np.ndarray, n_steps: int, dt: float, keys, observe) -> None:
     """Euler-Maruyama paths from x0, one per stream key; k normals per step."""
     X = np.tile(x0, (len(keys), 1))
@@ -238,7 +246,7 @@ def simulate_wf(
     label: str = "wf",
 ) -> PathRecord:
     """Full path on the grid {0, dt, ..., ceil(t_max/dt)*dt}; deterministic in seed."""
-    x0 = check_simplex(x0, "x0")
+    x0 = _check_x0(params, x0)
     key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), label)
     n = _n_steps(t_max, config.dt, "t-max")
     X = np.empty((n + 1, params.k))
@@ -275,7 +283,7 @@ def simulate_wf_ensemble(
     step grid by rounding.  Row i equals ``simulate_wf`` on that stream,
     whatever the number of worker processes the paths are split over.
     """
-    x0 = check_simplex(x0, "x0")
+    x0 = _check_x0(params, x0)
     n = _n_steps(t_max, config.dt, "t-max")
     check_sizes(n, n_paths)
     checkpoints = list(checkpoints) if checkpoints is not None else [t_max]

@@ -6,6 +6,7 @@ import pytest
 from rpwf.boundary import (
     BoundaryType,
     IntervalProblem,
+    _panel_nodes,
     classify_boundary,
     expected_cost,
     expected_cost_scale_form,
@@ -242,6 +243,22 @@ def test_expected_cost_two_representations_agree():
         w1 = expected_cost(ip, z0, g)
         w2 = expected_cost_scale_form(ip, z0, g)
         assert w1 == pytest.approx(w2, abs=1e-8 * max(1.0, abs(w1)))
+
+
+@pytest.mark.parametrize(
+    "a0, a1, a, b, z0",
+    [(0.3, 0.7, 0.2, 0.8, 0.5), (0.1, 0.2, 0.05, 0.9, 0.3), (1.5, 0.4, 0.3, 0.6, 0.45), (200.0, 200.0, 0.25, 0.75, 0.6)],
+)
+def test_expected_cost_is_the_per_node_green_function_sum(a0, a1, a, b, z0):
+    # reference: green_function summed node by node; expected_cost shares the
+    # z0-side scale integral between nodes and must equal it bit for bit
+    ip = IntervalProblem(od=OneDimWf(a0=a0, a1=a1), a=a, b_pt=b)
+    g = lambda s: 1.0 + 0.5 * math.sin(3 * s)
+    total = 0.0
+    for lo, hi in ((a, z0), (z0, b)):
+        s, w = _panel_nodes(lo, hi)
+        total += float(w @ np.array([green_function(ip, z0, si) * g(si) for si in s]))
+    assert expected_cost(ip, z0, g) == total
 
 
 @pytest.mark.parametrize("a", [150.0, 200.0])

@@ -283,6 +283,37 @@ def test_converge_rejects_too_many_urn_steps_naming_times(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--betas", "1.0"], "--betas"),  # ZeroDivisionError in the urn step count, exit 1
+        (["--betas", "0.5,-0.5"], "--betas"),  # named --beta, which converge does not have
+        (["--times", "nan"], "--times"),  # named --t-max, which converge does not have
+        (["--times", "0.1,inf"], "--times"),
+        (["--times", "nan,0.1"], "--times"),  # NaN sorts anywhere; named --checkpoints
+        (["--x0", "0.5,0.5,0"], "--x0"),  # three coordinates for k = 2: a broadcast ValueError, exit 1
+    ],
+)
+def test_converge_names_the_bad_flag(tmp_path, capsys, extra, flag):
+    out = tmp_path / "conv.json"
+    args = {"--betas": "0.5", "--times": "0.1", "--replicas": "5"}
+    args.update(zip(extra[::2], extra[1::2]))
+    code = main(["converge", "--b", "1,1", "--out", str(out)] + [v for kv in args.items() for v in kv])
+    assert code == 2
+    assert f"error: {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("replicas", ["1", "3"])
+def test_simulate_wf_rejects_x0_of_another_k(tmp_path, capsys, replicas):
+    # k = 2 from --b with a three-coordinate x0 exited 1 with a broadcast ValueError
+    out = tmp_path / "wf.json"
+    code = main(["simulate-wf", "--b", "1,1", "--x0", "0.5,0.5,0", "--replicas", replicas, "--out", str(out)])
+    assert code == 2
+    assert "error: --x0:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_converge_worker_count_invariance(tmp_path, capsys):
     outs = []
     for w, name in ((1, "w1"), (3, "w3")):
