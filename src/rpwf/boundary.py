@@ -22,7 +22,6 @@ from enum import Enum
 from math import lgamma
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .wright_fisher import OneDimWf, WfParams
@@ -166,12 +165,14 @@ def scale_increment(od: OneDimWf, z1: float, z2: float) -> float:
 
 def _endpoint_tail(od: OneDimWf, endpoint: float, cut: float) -> float:
     """Integral of the scale density between an endpoint and an interior cut."""
+    from scipy.special import roots_jacobi  # loaded on first use, not on import
+
     if endpoint == 0.0:
-        x, w = special.roots_jacobi(60, 0.0, -2.0 * od.a0)
+        x, w = roots_jacobi(60, 0.0, -2.0 * od.a0)
         t = 0.5 * cut * (x + 1.0)
         scale = (0.5 * cut) ** (1.0 - 2.0 * od.a0)
         return scale * float(w @ (1.0 - t) ** (-2.0 * od.a1))
-    x, w = special.roots_jacobi(60, 0.0, -2.0 * od.a1)
+    x, w = roots_jacobi(60, 0.0, -2.0 * od.a1)
     s = 0.5 * (1.0 - cut) * (x + 1.0)  # s = 1 - t
     scale = (0.5 * (1.0 - cut)) ** (1.0 - 2.0 * od.a1)
     return scale * float(w @ (1.0 - s) ** (-2.0 * od.a0))
@@ -316,4 +317,6 @@ def return_ratio_density(od: OneDimWf, z0: float) -> float:
 
 def stationary_beta_cdf(od: OneDimWf):
     """CDF of the stationary Beta(2 a0, 2 a1) law, for goodness-of-fit tests."""
-    return lambda z: special.betainc(2.0 * od.a0, 2.0 * od.a1, np.clip(z, 0.0, 1.0))
+    from scipy.special import betainc  # loaded on first use, not on import
+
+    return lambda z: betainc(2.0 * od.a0, 2.0 * od.a1, np.clip(z, 0.0, 1.0))

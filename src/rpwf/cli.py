@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 parameter validation failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -149,13 +150,22 @@ def _resolve(opts: list[Opt], ns: argparse.Namespace) -> dict:
 
 def _wf_params(r: dict) -> WfParams:
     b_vec = np.asarray(r["b"], dtype=float)
+    if not np.all((b_vec > 0) & (b_vec < math.inf)):  # positive form, so that a NaN fails
+        raise ValidationError("b", f"entries must be finite and > 0, got {r['b']}")
     if b_vec.size == 1:
         if r.get("p") is None:
             raise ValidationError("p", "needed when --b is a single total")
         p = np.asarray(r["p"], dtype=float)
         return WfParams(b=float(b_vec[0]), alpha=r["alpha"], p=p)
-    p = np.asarray(r["p"], dtype=float) if r.get("p") is not None else b_vec / b_vec.sum()
-    return WfParams(b=float(b_vec.sum()), alpha=r["alpha"], p=p)
+    with np.errstate(over="ignore"):  # a total past the float range is inf, which WfParams rejects
+        total = float(b_vec.sum())
+    if r.get("p") is None:
+        p = b_vec / total
+    elif len(r["p"]) == b_vec.size:
+        p = np.asarray(r["p"], dtype=float)
+    else:
+        raise ValidationError("p", f"expected {b_vec.size} entries, one per entry of --b")
+    return WfParams(b=total, alpha=r["alpha"], p=p)
 
 
 def _reduced_point(vals: list[float], k: int, name: str) -> np.ndarray:
@@ -207,7 +217,19 @@ def _run_density(r: dict) -> list[dict]:
     params = _wf_params(r)
     y0 = _reduced_point(r["y0"], params.k, "y0")
     y = _reduced_point(r["y"], params.k, "y")
-    result = transition_density(y0, y, r["t"], params, r.get("max_degree"))
+    try:
+        # overflow and nan are reported below, as a bad point
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = transition_density(y0, y, r["t"], params, r.get("max_degree"))
+    except ValidationError as exc:
+        if exc.field not in ("k", "gamma"):
+            raise
+        # k and gamma = 2 (b/alpha) p - 1 come from the mutation kernel, --p or else --b
+        reason = exc.reason if exc.field == "k" else f"gamma = 2 (b/alpha) p - 1: {exc.reason}"
+        raise ValidationError("p" if r.get("p") is not None else "b", reason) from exc
+    if not (math.isfinite(result.value) and math.isfinite(result.tail_term)):
+        reason = f"the density at y0={y0.tolist()}, y={y.tolist()} is {result.value}, not a finite float"
+        raise ValidationError("y", reason)
     return _write(r, "density.json", rio.canonical_json(result.as_dict()))
 
 

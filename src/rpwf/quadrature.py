@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .polynomials import GammaWeights, MultiIndexPolynomial, _degrees
@@ -25,7 +24,9 @@ def gauss_jacobi_01(npts: int, exp_at_zero: float, exp_at_one: float) -> tuple[n
     """Nodes/weights for integrals of t^exp_at_zero (1-t)^exp_at_one f(t) over [0, 1]."""
     if exp_at_zero <= -1 or exp_at_one <= -1:
         raise ValidationError("exponent", "Jacobi weight exponents must exceed -1")
-    x, w = special.roots_jacobi(npts, float(exp_at_one), float(exp_at_zero))
+    from scipy.special import roots_jacobi  # loaded on first use, not on import
+
+    x, w = roots_jacobi(npts, float(exp_at_one), float(exp_at_zero))
     t = 0.5 * (x + 1.0)
     scale = 2.0 ** -(exp_at_zero + exp_at_one + 1.0)
     return t, w * scale

@@ -11,7 +11,8 @@ with nu_n = n (n + 2 b/alpha - 1)/2 and f_n ranging over any basis of the
 degree-n eigenspace; the kernel is basis-independent.  Evaluation uses the
 product-Jacobi basis in stick-breaking form: each basis value is a product
 of SciPy Jacobi values (``scipy.special.eval_jacobi`` at integer degree,
-a three-term recurrence) at the factor parameters and norms owned by
+a three-term recurrence; SciPy is imported by the first build, not by
+this module) at the factor parameters and norms owned by
 ``rpwf.polynomials``.  This stays numerically stable far beyond the degrees
 where monomial expansion collapses, and covers the recessive regime
 b/alpha <= 1/2, where gamma_i < 0.
@@ -21,12 +22,15 @@ repeat across multi-indices (factor i depends on n_i and the trailing
 degree only: at k = 5, degree 6, 91 of the 840 factors are distinct), so
 the build keeps a table of the distinct (i, n_i, a_i, b_i) rows and an
 inverse index; a point's basis row is one Jacobi call over the distinct
-rows, gathered back and multiplied out per multi-index as before.  The
-basis row of the start point y0 is memoised, keyed on the bytes of the
-checked y0, so calls with y0 held fixed (``density_fn``, a grid sweep)
-evaluate only the row of y.  The Dirichlet exponents and log-normaliser
-are cached on ``GammaWeights``.  Every value is computed by the same
-arithmetic as a plain per-multi-index evaluation, to the last bit.
+rows, gathered back and multiplied out per multi-index as before.  Two
+things are memoised on the evaluator: the checked basis row of the start
+point y0, keyed on the (shape, bytes) of ``np.asarray(y0, float)``, so
+calls with y0 held fixed (``density_fn``, a grid sweep) neither re-check
+nor re-evaluate it; and exp(-nu_n t) for the last t.  The k - 1 stick
+remainders of a point are Python floats, not array temporaries.  The
+Dirichlet exponents and log-normaliser are cached on ``GammaWeights``.
+Every value is computed by the same arithmetic as a plain
+per-multi-index evaluation, to the last bit.
 
 The series converges spectrally for t bounded away from 0; values at
 t < 0.05 are flagged unreliable rather than silently returned.
@@ -38,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .polynomials import (
@@ -64,17 +67,27 @@ __all__ = [
 ]
 
 SMALL_T_THRESHOLD = 0.05
+# The log-norms and the Dirichlet constant are lgamma differences of size
+# r ln r (r = b/alpha), so a value carries a relative error of about
+# eps r ln r: 3e-7 at r = 1e8 and 5e-5 at r = 1e10 against a 60-digit
+# evaluation of the same series.  Past 1e8 it exceeds the 1e-6 that the
+# tail warning allows the truncation.
+_MAX_RATE = 1e8
 
 
 def dirichlet_density(gw: GammaWeights, y) -> float:
-    """pi_gamma at the reduced point y; +inf at a boundary hit by a negative exponent."""
+    """pi_gamma at the reduced point y; +inf at a boundary hit by a negative exponent,
+    and where the density exceeds the float range."""
     y = check_reduced(y, "y")
-    if y.size != gw.nvars:
-        raise ValidationError("y", f"expected {gw.nvars} coordinates")
-    coords = np.concatenate([y, [1.0 - y.sum()]])
+    n = gw.nvars
+    if y.size != n:
+        raise ValidationError("y", f"expected {n} coordinates")
+    coords = np.empty(n + 1)
+    coords[:n] = y
+    coords[n] = 1.0 - y.sum()
     g = gw.float_gamma
-    zero = coords <= 0.0
-    if np.any(zero):
+    if coords.min() <= 0.0:
+        zero = coords <= 0.0
         if np.any(g[zero] < 0.0):
             return math.inf
         if np.any(g[zero] > 0.0):
@@ -82,7 +95,10 @@ def dirichlet_density(gw: GammaWeights, y) -> float:
         # exponent exactly zero at the boundary: factor is 1
         coords = np.where(zero, 1.0, coords)
         g = np.where(zero, 0.0, g)
-    return math.exp(float(g @ np.log(coords)) - gw.log_dirichlet_constant)
+    try:
+        return math.exp(float(g @ np.log(coords)) - gw.log_dirichlet_constant)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -113,10 +129,15 @@ class SpectralTransitionDensity:
     Every multi-index up to ``max_degree`` is listed once, ordered by total
     degree, with its inverse norm; its per-factor degrees and Jacobi
     parameters index a table of distinct factors, so a point's basis
-    values are one vectorised Jacobi call, a gather and a product.
+    values are one vectorised Jacobi call, a gather and a product.  y0's
+    checked basis row is kept per (shape, bytes) and exp(-nu_n t) per t,
+    one entry each.
     """
 
     def __init__(self, params: WfParams, max_degree: int | None = None):
+        if not params.rate <= _MAX_RATE:
+            reason = f"b/alpha = {params.rate:g} exceeds {_MAX_RATE:g}; past it values lose 1e-6 relative precision"
+            raise ValidationError("alpha", reason)
         self.params = params
         self.gw = GammaWeights.from_wf(params)
         k = params.k
@@ -141,38 +162,60 @@ class SpectralTransitionDensity:
         self._a, self._b = np.array(a, dtype=float), np.array(b, dtype=float)
         self._inv_norm = np.array([math.exp(-0.5 * jacobi_product_norm_sq_log(n, self.gw)) for n in indices])
         self._nu = np.array([eigenvalue_nu(n, params) for n in range(self.max_degree + 1)])
-        self._y0_row: tuple[bytes, np.ndarray] | None = None
+        from scipy.special import eval_jacobi  # loaded on first build, not on import
+
+        self._eval_jacobi = eval_jacobi
+        self._y0_row: tuple[tuple, np.ndarray] | None = None
+        self._decay_memo: tuple[float, np.ndarray] | None = None
 
     def _normalized_values(self, y: np.ndarray, name: str = "y") -> np.ndarray:
         """Unit-norm basis values at y, in multi-index order: factor i
-        is R_i^{n_i} p_{n_i}^{(a_i, b_i)}(2 y_i / R_i - 1), R_i = 1 - y_1 - ... - y_{i-1}."""
-        remaining = 1.0 - np.concatenate([[0.0], np.cumsum(y[:-1])])
-        if np.any(remaining <= 0.0):
-            raise ValidationError(name, "point must be interior for the spectral series")
-        x = 2.0 * y / remaining - 1.0
+        is R_i^{n_i} p_{n_i}^{(a_i, b_i)}(2 y_i / R_i - 1), R_i = 1 - y_1 - ... - y_{i-1}.
+
+        The k - 1 remainders and arguments are Python floats, in the order
+        of a cumulative sum and an elementwise divide."""
+        remaining, x, head = [], [], 0.0
+        for v in y.tolist():
+            r = 1.0 - head
+            if not r > 0.0:
+                raise ValidationError(name, "point must be interior for the spectral series")
+            remaining.append(r)
+            x.append(2.0 * v / r - 1.0)
+            head += v
         i = self._factor
-        factors = remaining[i] ** self._n * special.eval_jacobi(self._n, self._a, self._b, x[i])
+        factors = np.array(remaining)[i] ** self._n * self._eval_jacobi(self._n, self._a, self._b, np.array(x)[i])
         return self._inv_norm * factors[self._gather].prod(axis=0)
 
-    def _start_row(self, y0: np.ndarray) -> np.ndarray:
-        """Basis row of the checked y0, recomputed only when its bytes change."""
-        key = y0.tobytes()
+    def _start_row(self, y0) -> np.ndarray:
+        """Basis row of y0, checked and recomputed only when its shape or bytes change."""
+        y0 = np.asarray(y0, dtype=float)
+        key = (y0.shape, y0.tobytes())
         memo = self._y0_row
         if memo is None or memo[0] != key:
+            y0 = check_reduced(y0, "y0")
+            if y0.size != self.gw.nvars:
+                raise ValidationError("y0", f"expected {self.gw.nvars} coordinates")
             memo = (key, self._normalized_values(y0, "y0"))
             self._y0_row = memo
+        return memo[1]
+
+    def _decay(self, t: float) -> np.ndarray:
+        """exp(-nu_n t) per degree, recomputed only when t changes."""
+        memo = self._decay_memo
+        if memo is None or memo[0] != t:
+            with np.errstate(over="ignore"):  # -nu_n t below -DBL_MAX: the factor is 0
+                memo = (t, np.exp(-self._nu * t))
+            self._decay_memo = memo
         return memo[1]
 
     def evaluate(self, y0, y, t: float) -> TransitionDensity:
         if not 0 < t < math.inf:
             raise ValidationError("t", f"transition density requires 0 < t < inf, got {t}")
-        y0 = check_reduced(y0, "y0")
-        if y0.size != self.gw.nvars:
-            raise ValidationError("y0", f"expected {self.gw.nvars} coordinates")
+        start = self._start_row(y0)
         stat = dirichlet_density(self.gw, y)  # checks y
         y = np.asarray(y, dtype=float)
-        per_degree = np.add.reduceat(self._normalized_values(y) * self._start_row(y0), self._starts)
-        kernel_terms = per_degree * np.exp(-self._nu * t)
+        per_degree = np.add.reduceat(self._normalized_values(y) * start, self._starts)
+        kernel_terms = per_degree * self._decay(t)
         total = stat * kernel_terms.sum()
         tail = abs(stat * kernel_terms[-1]) if self.max_degree >= 1 else 0.0
         warn = bool(tail > 1e-6 * max(abs(total), 1e-300))

@@ -67,10 +67,11 @@ class WfParams:
 
     def __post_init__(self):
         (p,) = freeze_arrays(self, "p")
-        if not self.b > 0:
-            raise ValidationError("b", f"|b| must be > 0, got {self.b}")
-        if not self.alpha > 0:
-            raise ValidationError("alpha", f"must be > 0, got {self.alpha}")
+        # positive form, so that a NaN (every comparison false) fails
+        if not 0 < self.b < math.inf:
+            raise ValidationError("b", f"|b| must be finite and > 0, got {self.b}")
+        if not 0 < self.alpha < math.inf:
+            raise ValidationError("alpha", f"must be finite and > 0, got {self.alpha}")
         check_simplex(p, "p")
         if np.any(p <= 0):
             raise ValidationError("p", "mutation kernel must be strictly positive")

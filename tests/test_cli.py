@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rpwf.cli import main
+from rpwf.cli import _COMMANDS, main
 
 
 def run(args, capsys):
@@ -169,6 +174,53 @@ def test_density_rejects_non_finite_input(tmp_path, capsys, extra, flag):
     assert code == 2
     assert f"error: {flag}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, flag",
+    [
+        ("simulate-wf", ["--b", "1,1", "--alpha", "inf"], "--alpha"),  # exited 0
+        ("boundary", ["--b", "1,1", "--alpha", "inf"], "--alpha"),  # exited 0
+        ("density", ["--b", "1,inf"], "--b"),  # warned in the divide, then named --p
+        ("density", ["--b", "1e308,1e308"], "--b"),  # the total overflows
+        ("density", ["--b", "1,-1"], "--b"),  # named --p
+        # k = 6 named --k, a flag that no subcommand has
+        ("density", ["--b", "1,1,1,1,1,1", "--y0", "0.1,0.1,0.1,0.1,0.1", "--y", "0.2,0.1,0.1,0.1,0.1"], "--b"),
+        (
+            "density",
+            ["--b", "1", "--p", "0.2,0.2,0.2,0.2,0.1,0.1", "--y0", "0.1,0.1,0.1,0.1,0.1", "--y", "0.2,0.1,0.1,0.1,0.1"],
+            "--p",
+        ),
+        ("density", ["--b", "1,1,1", "--p", "0.5,0.5", "--y0", "0.5", "--y", "0.4"], "--p"),  # exited 0 at k = 2
+        ("density", ["--b", "1e-300,1"], "--b"),  # gamma_1 = 2 (b/alpha) p_1 - 1 rounds to -1: named --gamma
+        ("density", ["--alpha", "inf"], "--alpha"),  # named --gamma
+        ("density", ["--b", "1,1", "--alpha", "1e-300"], "--alpha"),  # exited 0 with "value": NaN
+        ("density", ["--b", "0.2,0.2", "--y", "0"], "--y"),  # the density is +inf on that face
+        # pi_gamma exceeds the float range near a corner: math.exp raised OverflowError, exit 1
+        ("density", ["--b", "0.25,0.25,0.25,0.25", "--y0", "0.2,0.2,0.2", "--y", "1e-300,1e-300,1e-300"], "--y"),
+        ("density", ["--y", "1e308,1e308"], "--y"),  # the simplex sum overflowed with a RuntimeWarning
+        ("density", ["--b", "1,1,1", "--y0", "0.3,0.3", "--y", "1e308,1e308"], "--y"),  # the reduced sum, likewise
+    ],
+)
+def test_model_inputs_name_a_flag_of_the_command(tmp_path, capsys, command, extra, flag):
+    out = tmp_path / "o.json"
+    code = main([command, "--out", str(out)] + extra)
+    assert code == 2
+    assert f"error: {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_density_at_a_huge_time_is_the_stationary_density(tmp_path, capsys):
+    # -nu t overflowed to -inf with a RuntimeWarning; exp of it is the right 0
+    out = tmp_path / "d.json"
+    code, _ = run(["density", "--b", "1,1", "--y0", "0.3", "--y", "0.6", "--t", "1e308", "--out", str(out)], capsys)
+    assert code == 0
+    from rpwf.polynomials import GammaWeights
+    from rpwf.spectral import dirichlet_density
+    from rpwf.wright_fisher import WfParams
+
+    stat = dirichlet_density(GammaWeights.from_wf(WfParams(b=2.0, alpha=1.0, p=np.array([0.5, 0.5]))), [0.6])
+    assert json.loads(out.read_text())["value"] == stat
 
 
 def test_density_accepts_full_coordinates(tmp_path, capsys):
@@ -379,3 +431,64 @@ def test_converge_smoke_budget(tmp_path, capsys):
     )
     assert code == 0
     assert time.perf_counter() - start < 60.0
+
+
+# the odd fuzz values: boundary (0, 1, 1e-300), nan, +-inf, negative and huge
+_ODD = st.sampled_from([0.0, 1.0, 1e-300, math.nan, math.inf, -math.inf, -0.5, 1e300, 1e308])
+
+
+def _simplex(k):
+    return st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k).map(lambda w: [v / sum(w) for v in w])
+
+
+def _spoiled(valid):
+    """A list of the wrong length, or a valid list with one entry replaced by an odd value."""
+    replaced = valid.flatmap(lambda v: st.tuples(st.just(v), st.integers(0, len(v) - 1), _ODD))
+    return st.lists(st.floats(0.0, 3.0) | _ODD, min_size=1, max_size=6) | replaced.map(
+        lambda c: c[0][: c[1]] + [c[2]] + c[0][c[1] + 1 :]
+    )
+
+
+@st.composite
+def density_argv(draw):
+    """Each flag of ``density`` absent, valid (most often) or odd."""
+
+    def flag(valid, odd):
+        return draw(st.one_of(st.none(), valid, valid, valid, valid, odd))
+
+    k = draw(st.integers(2, 6))
+    b = flag(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k), _spoiled(_simplex(k)))
+    k = 2 if b is None else k  # the default --b is 1,1
+    point = _simplex(k).flatmap(lambda x: st.sampled_from([x, x[:-1]]))  # full or reduced coordinates
+    values = {
+        "b": b,
+        "p": flag(_simplex(k), _spoiled(_simplex(k))),
+        "alpha": flag(st.floats(0.05, 3.0), _ODD),
+        "y0": flag(point, _spoiled(point)),
+        "y": flag(point, _spoiled(point)),
+        "t": flag(st.floats(0.01, 5.0), _ODD),
+        "max-degree": flag(st.integers(0, 6), _ODD | st.integers(-2, 45)),
+    }
+    argv = ["density"]
+    for name, value in values.items():
+        if value is not None:
+            # one token, --flag=value, so that argparse takes "-inf" as a value
+            argv.append(f"--{name}=" + (",".join(repr(v) for v in value) if isinstance(value, list) else str(value)))
+    return argv
+
+
+@given(density_argv())
+def test_density_fuzz_exits_0_with_finite_values_or_2_naming_its_flag(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("fuzz") / "d.json"
+    # capsys is per test, not per example: capture each call's stdout and stderr here
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(out)])
+    if code == 0:
+        data = json.loads(out.read_text())
+        assert math.isfinite(data["value"]) and math.isfinite(data["tail_term"]), argv
+        return
+    assert code == 2, (argv, err.getvalue())
+    flags = {f"--{opt.name}" for opt in _COMMANDS["density"][0]}
+    named = err.getvalue().split(":", 2)[1].strip()
+    assert named in flags, (argv, err.getvalue())

@@ -76,3 +76,27 @@ def test_package_import_leaves_scipy_stats_unloaded():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rpwf.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_package_import_and_simulation_leave_scipy_unloaded():
+    # scipy.special is imported where it is used (Gauss-Jacobi roots, Jacobi
+    # values, the Beta CDF), so the import and the simulation paths skip it
+    code = """
+import sys
+import numpy as np
+import rpwf, rpwf.cli
+loaded = ["scipy" in sys.modules]
+from rpwf import boundary, urn, wright_fisher as wf
+wf_params = wf.WfParams(b=1.0, alpha=1.0, p=np.array([0.5, 0.5]))
+urn.simulate_urn_ensemble(urn.UrnParams(1.0, 0.5, np.array([1.0, 1.0]), np.array([1.0, 1.0])), 5, 2, 1)
+wf.simulate_wf_ensemble(wf_params, np.array([0.5, 0.5]), 0.01, wf.SdeConfig(dt=1e-3), 2, 1)
+od = wf.OneDimWf(a0=0.3, a1=0.7)
+wf.marginal_first_passage(od, 0.5, 0.4, 0.6, 1e-3, 2, 1, t_cap=1.0)
+ip = boundary.IntervalProblem(od=od, a=0.25, b_pt=0.75)
+boundary.hitting_prob(ip, 0.5), boundary.mean_exit_time(ip, 0.5)
+loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rpwf.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[False, False]"

@@ -105,6 +105,26 @@ def test_evaluate_rejects_nan_points(field):
     assert exc.value.field == field
 
 
+def test_transition_density_at_a_huge_time_is_stationary():
+    # -nu t overflowed with a RuntimeWarning at t = 1e308; every mode but the constant one has decayed
+    stat = dirichlet_density(GammaWeights.from_wf(RATE1), [0.5])
+    assert transition_density([0.3], [0.5], 1e308, RATE1).value == stat
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-300])
+def test_evaluator_rejects_b_over_alpha_past_its_precision(alpha):
+    # at b/alpha = 2.5e11 (k = 2) the Jacobi binomials overflowed and evaluate returned nan
+    with pytest.raises(ValidationError) as exc:
+        SpectralTransitionDensity(WfParams(b=1.0, alpha=alpha, p=np.array([0.5, 0.5])))
+    assert exc.value.field == "alpha"
+
+
+def test_dirichlet_density_past_the_float_range_is_inf():
+    # exp of a log-density above 709.8 raised OverflowError
+    gw = GammaWeights((-0.9, -0.9, -0.9, 1.0))
+    assert dirichlet_density(gw, [1e-300, 1e-300, 1e-300]) == math.inf
+
+
 def test_transition_density_small_t_flag():
     assert transition_density([0.3], [0.5], 0.01, RATE1).small_t
     assert not transition_density([0.3], [0.5], 0.5, RATE1).small_t

@@ -90,6 +90,14 @@ def test_params_reject_non_finite_mutation_kernel(p):
     assert exc.value.field == "p"
 
 
+@pytest.mark.parametrize("field, value", [("b", math.inf), ("alpha", math.inf), ("b", math.nan), ("alpha", -1.0)])
+def test_params_reject_non_finite_scales(field, value):
+    # b = inf or alpha = inf passed, and rate b/alpha came out inf or 0
+    with pytest.raises(ValidationError) as exc:
+        WfParams(**{"b": 1.0, "alpha": 1.0, field: value}, p=np.array([0.5, 0.5]))
+    assert exc.value.field == field
+
+
 @pytest.mark.parametrize("y", [[math.nan], [0.2, math.nan], [math.inf, 0.0], [-math.inf, 0.5]])
 def test_check_reduced_rejects_non_finite_points(y):
     with pytest.raises(ValidationError) as exc:
