@@ -99,21 +99,20 @@ def _check_group(k: int, J) -> tuple[int, ...]:
     return J
 
 
-def _scale_panels(z1: float, z2: float) -> list[tuple[float, float]]:
-    """Dyadic panels of [z1, z2] refined toward 0 and 1."""
-    lo, hi = min(z1, z2), max(z1, z2)
-    cuts = [lo]
-    z = lo
-    while z < min(hi, 0.5):
-        z = min(2.0 * z, min(hi, 0.5))
-        cuts.append(z)
-    right = []
-    z = 1.0 - hi
-    top = min(1.0 - cuts[-1], 0.5)
+def _doublings(z: float, top: float) -> list[float]:
+    """2z, 4z, 8z, ... capped at top: the dyadic cuts from z up to top."""
+    out = []
     while z < top:
         z = min(2.0 * z, top)
-        right.append(1.0 - z)
-    cuts.extend(reversed(right))
+        out.append(z)
+    return out
+
+
+def _scale_panels(z1: float, z2: float) -> list[tuple[float, float]]:
+    """Dyadic panels of [z1, z2] refined toward 0 and 1, by the same doublings from each end."""
+    lo, hi = min(z1, z2), max(z1, z2)
+    cuts = [lo, *_doublings(lo, min(hi, 0.5))]
+    cuts.extend(1.0 - z for z in reversed(_doublings(1.0 - hi, min(1.0 - cuts[-1], 0.5))))
     if cuts[-1] < hi:
         cuts.append(hi)
     return [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
@@ -143,15 +142,13 @@ def scale_increment(od: OneDimWf, z1: float, z2: float) -> float:
         if lo == 0.0:
             if 2.0 * od.a0 >= 1.0:
                 return sign * math.inf
-            cut = min(hi, 0.25)
-            total += _endpoint_tail(od, 0.0, cut)
-            lo = cut
+            lo = min(hi, 0.25)
+            total += _endpoint_tail(od.a0, od.a1, lo)
         if hi == 1.0 and lo < 1.0:
             if 2.0 * od.a1 >= 1.0:
                 return sign * math.inf
-            cut = max(lo, 0.75)
-            total += _endpoint_tail(od, 1.0, cut)
-            hi = cut
+            hi = max(lo, 0.75)
+            total += _endpoint_tail(od.a1, od.a0, 1.0 - hi)
         for a, b in _scale_panels(lo, hi) if hi > lo else []:
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             t = mid + half * _GL_NODES
@@ -163,29 +160,25 @@ def scale_increment(od: OneDimWf, z1: float, z2: float) -> float:
     return sign * total
 
 
-def _endpoint_tail(od: OneDimWf, endpoint: float, cut: float) -> float:
-    """Integral of the scale density between an endpoint and an interior cut."""
+def _endpoint_tail(a_near: float, a_far: float, width: float) -> float:
+    """Integral of s^{-2 a_near} (1-s)^{-2 a_far} over [0, width]: the scale density between an endpoint and a cut.
+
+    The end at 0 is (a0, a1, cut) and the end at 1, by s = 1 - t, is (a1, a0, 1 - cut).
+    """
     from scipy.special import roots_jacobi  # loaded on first use, not on import
 
-    if endpoint == 0.0:
-        x, w = roots_jacobi(60, 0.0, -2.0 * od.a0)
-        t = 0.5 * cut * (x + 1.0)
-        scale = (0.5 * cut) ** (1.0 - 2.0 * od.a0)
-        return scale * float(w @ (1.0 - t) ** (-2.0 * od.a1))
-    x, w = roots_jacobi(60, 0.0, -2.0 * od.a1)
-    s = 0.5 * (1.0 - cut) * (x + 1.0)  # s = 1 - t
-    scale = (0.5 * (1.0 - cut)) ** (1.0 - 2.0 * od.a1)
-    return scale * float(w @ (1.0 - s) ** (-2.0 * od.a0))
+    x, w = roots_jacobi(60, 0.0, -2.0 * a_near)
+    s = 0.5 * width * (x + 1.0)
+    scale = (0.5 * width) ** (1.0 - 2.0 * a_near)
+    return scale * float(w @ (1.0 - s) ** (-2.0 * a_far))
 
 
-def scale_function(od: OneDimWf, z: float, z_ref: float = 0.5, S_ref: float = 0.0, slope_ref: float = 1.0) -> float:
-    """S(z) up to the affine frame (z_ref, S_ref, slope_ref); hitting
-    probabilities and Green functions do not depend on the frame."""
+def scale_function(od: OneDimWf, z: float) -> float:
+    """S(z) = integral of t^{-2 a0} (1-t)^{-2 a1} from 1/2 to z; hitting probabilities and
+    Green functions do not depend on this frame, as any other is affine in it."""
     if not 0.0 < z < 1.0:
         raise ValidationError("z", f"scale function is defined on (0, 1), got {z}")
-    if not 0.0 < z_ref < 1.0:
-        raise ValidationError("z_ref", "reference point must be interior")
-    return S_ref + slope_ref * scale_increment(od, z_ref, z)
+    return scale_increment(od, 0.5, z)
 
 
 def speed_density(od: OneDimWf, z: float) -> float:
@@ -280,19 +273,19 @@ def expected_cost_scale_form(ip: IntervalProblem, z0: float, g) -> float:
     """
     if not ip.a <= z0 <= ip.b_pt:
         raise ValidationError("z0", f"must lie in [{ip.a}, {ip.b_pt}], got {z0}")
-    den = scale_increment(ip.od, ip.a, ip.b_pt)
-    u = scale_increment(ip.od, ip.a, z0) / den
-    v = scale_increment(ip.od, z0, ip.b_pt) / den
-    upper = 0.0
-    if z0 < ip.b_pt:
-        s, w = _panel_nodes(z0, ip.b_pt)
-        vals = np.array([scale_increment(ip.od, si, ip.b_pt) * speed_density(ip.od, si) * g(si) for si in s])
-        upper = float(w @ vals)
-    lower = 0.0
-    if z0 > ip.a:
-        s, w = _panel_nodes(ip.a, z0)
-        vals = np.array([scale_increment(ip.od, ip.a, si) * speed_density(ip.od, si) * g(si) for si in s])
-        lower = float(w @ vals)
+    od, a, b = ip.od, ip.a, ip.b_pt
+    den = scale_increment(od, a, b)
+    u = scale_increment(od, a, z0) / den
+    v = scale_increment(od, z0, b) / den
+
+    def side(lo, hi, increment):  # integral over [lo, hi] of increment(t) m(t) g(t)
+        if hi <= lo:
+            return 0.0
+        s, w = _panel_nodes(lo, hi)
+        return float(w @ np.array([increment(si) * speed_density(od, si) * g(si) for si in s]))
+
+    upper = side(z0, b, lambda si: scale_increment(od, si, b))
+    lower = side(a, z0, lambda si: scale_increment(od, a, si))
     return 2.0 * (u * upper + v * lower)
 
 

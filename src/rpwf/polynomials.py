@@ -22,12 +22,13 @@ rational; float gammas degrade gracefully to float coefficients.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lgamma
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -436,23 +437,13 @@ def basis_monic(n: Sequence[int], gw: GammaWeights) -> MultiIndexPolynomial:
     shifted = total_deg + gw.total + gw.k - 1
     denom = _poch(shifted, total_deg)
     coeffs: dict[tuple[int, ...], object] = {}
-    for m in _sub_indices(n):
+    for m in itertools.product(*(range(v + 1) for v in n)):  # m <= n componentwise
         c = _poch(shifted, sum(m)) / denom
         sign = -1 if (total_deg - sum(m)) % 2 else 1
         for i in range(d):
             c = c * comb(n[i], m[i]) * _poch(gw.gamma[i] + 1, n[i]) / _poch(gw.gamma[i] + 1, m[i])
         coeffs[m] = sign * c
     return MultiIndexPolynomial(d, coeffs)
-
-
-def _sub_indices(n: tuple) -> Iterable[tuple]:
-    if len(n) == 1:
-        for v in range(n[0] + 1):
-            yield (v,)
-        return
-    for v in range(n[0] + 1):
-        for rest in _sub_indices(n[1:]):
-            yield (v,) + rest
 
 
 def basis_rodrigues(n: Sequence[int], gw: GammaWeights) -> MultiIndexPolynomial:

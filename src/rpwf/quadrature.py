@@ -20,33 +20,47 @@ from .polynomials import GammaWeights, MultiIndexPolynomial, _degrees
 __all__ = ["gauss_jacobi_01", "simplex_rule", "inner_product_quad"]
 
 
-def gauss_jacobi_01(npts: int, exp_at_zero: float, exp_at_one: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for integrals of t^exp_at_zero (1-t)^exp_at_one f(t) over [0, 1]."""
+def _jacobi_raw(npts: int, exp_at_zero: float, exp_at_one: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, 1] and SciPy's weights, which integrate over [-1, 1]."""
     if exp_at_zero <= -1 or exp_at_one <= -1:
         raise ValidationError("exponent", "Jacobi weight exponents must exceed -1")
     from scipy.special import roots_jacobi  # loaded on first use, not on import
 
-    x, w = roots_jacobi(npts, float(exp_at_one), float(exp_at_zero))
-    t = 0.5 * (x + 1.0)
-    scale = 2.0 ** -(exp_at_zero + exp_at_one + 1.0)
-    return t, w * scale
+    with np.errstate(over="ignore"):  # SciPy's mass 2^(a+b+1) B(a+1, b+1) overflows at large uneven a, b: inf weights
+        x, w = roots_jacobi(npts, float(exp_at_one), float(exp_at_zero))
+    return 0.5 * (x + 1.0), w
+
+
+def gauss_jacobi_01(npts: int, exp_at_zero: float, exp_at_one: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights for integrals of t^exp_at_zero (1-t)^exp_at_one f(t) over [0, 1]."""
+    t, w = _jacobi_raw(npts, exp_at_zero, exp_at_one)
+    return t, w * 2.0 ** -(exp_at_zero + exp_at_one + 1.0)
 
 
 def simplex_rule(gw: GammaWeights, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Points (level^(k-1), k-1) and pi_gamma-normalized weights for T^{k-1}.
 
     ``level`` is the Gauss order per axis; the first axis varies slowest.
+    At large b/alpha, where a factor's 2^-(e0 + e1 + 1) or the normalizer
+    1/C leaves the float range, each factor is normalized to unit mass
+    instead, as the Dirichlet law is the product of its Beta factors.
     """
     k = gw.k
     _degrees(k)  # the supported k, else a ValidationError naming k
     g = [float(x) for x in gw.gamma]
+    exps = [(g[i], sum(g[i + 1 :]) + (k - 2 - i)) for i in range(k - 1)]
+    log_norm = -gw.log_dirichlet_constant
+    scaled = log_norm < 709.0 and max(e0 + e1 for e0, e1 in exps) < 1021.0  # exp and 2^-(e0 + e1 + 1) are normal
     pts, w, remaining = np.empty((1, 0)), np.ones(1), np.ones(1)
-    for i in range(k - 1):
-        z, wz = gauss_jacobi_01(level, g[i], sum(g[i + 1 :]) + (k - 2 - i))
+    for e0, e1 in exps:
+        z, wz = _jacobi_raw(level, e0, e1)
+        if not np.isfinite(wz).all():
+            raise ValidationError("gamma", f"Gauss-Jacobi weights overflow at exponents ({e0}, {e1})")
+        wz = wz * 2.0 ** -(e0 + e1 + 1.0) if scaled else wz / wz.sum()
         pts = np.column_stack([np.repeat(pts, level, axis=0), np.outer(remaining, z).ravel()])
         remaining = np.outer(remaining, 1.0 - z).ravel()
         w = np.outer(w, wz).ravel()
-    return pts, w * math.exp(-gw.log_dirichlet_constant)
+    return pts, w * math.exp(log_norm) if scaled else w
 
 
 def inner_product_quad(f: MultiIndexPolynomial, g: MultiIndexPolynomial, gw: GammaWeights) -> float:

@@ -172,6 +172,12 @@ def check_sizes(n_steps: int, n_replicas: int) -> None:
         raise ValidationError("replicas", f"must be >= 1, got {n_replicas}")
 
 
+def _check_path(n_steps: int, width: int, name: str) -> None:
+    """Reject a recorded path of (n_steps + 1) x width values past 2^27 (1 GiB of doubles), naming the flag."""
+    if (n_steps + 1) * width > 1 << 27:
+        raise ValidationError(name, f"a path of {n_steps:.4g} steps records over {1 << 27} values")
+
+
 def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe, draw="random", shape=()):
     """Step one replica per stream key ``n_steps`` times; returns the last state.
 

@@ -70,6 +70,8 @@ class ScaledFamilyParams:
         freeze_arrays(self, "b")
         if not 0.0 <= self.beta < 1.0:
             raise ValidationError("beta", f"scaling family requires beta in [0, 1), got {self.beta}")
+        if not self.r_star < math.inf:  # positive form, so that a NaN fails
+            raise ValidationError("alpha", f"|b| + alpha/(1-beta) = {self.r_star} is past the float range")
 
     @property
     def b_scalar(self) -> float:
@@ -151,27 +153,18 @@ def rescale_time(traj: UrnTrajectory, t_max: float, dt_out: float) -> RescaledPa
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty groups of colors 1..k covering all of them."""
+    """Disjoint nonempty groups of colors 1..k covering all of them; k is the largest color."""
 
     groups: tuple[tuple[int, ...], ...]
     k: int
 
-    def __init__(self, groups: Sequence[Sequence[int]], k: int):
+    def __init__(self, groups: Sequence[Sequence[int]]):
         norm = tuple(tuple(sorted(int(c) for c in g)) for g in groups)
-        seen: set[int] = set()
-        for g in norm:
-            if not g:
-                raise ValidationError("partition", "groups must be nonempty")
-            for c in g:
-                if not 1 <= c <= k:
-                    raise ValidationError("partition", f"color {c} outside 1..{k}")
-                if c in seen:
-                    raise ValidationError("partition", f"color {c} appears twice")
-                seen.add(c)
-        if len(seen) != k:
-            raise ValidationError("partition", f"groups cover {len(seen)} of {k} colors")
+        colors = sorted(c for g in norm for c in g)
+        if not colors or not all(norm) or colors != list(range(1, len(colors) + 1)):
+            raise ValidationError("partition", f"need nonempty groups holding each color 1..k once, got {groups}")
         object.__setattr__(self, "groups", norm)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", len(colors))
 
     def matrix(self) -> np.ndarray:
         """(n_groups, k) aggregation matrix A with A[g, c-1] = 1 for c in group g."""

@@ -39,7 +39,7 @@ t < 0.05 are flagged unreliable rather than silently returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -113,14 +113,7 @@ class TransitionDensity:
     small_t: bool
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "tail_term": self.tail_term,
-            "n_terms": self.n_terms,
-            "max_degree": self.max_degree,
-            "tail_warning": self.tail_warning,
-            "small_t": self.small_t,
-        }
+        return asdict(self)
 
 
 class SpectralTransitionDensity:

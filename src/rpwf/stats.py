@@ -54,16 +54,15 @@ class ChiSqReport:
         return {"N": self.N, "counts": list(self.counts), "p": list(self.p), "statistic": self.statistic}
 
 
-def chi_squared_stat(O, p, N: int) -> float:
-    """chi^2 = N * sum((O_i/N - p_i)^2 / p_i) against the limit law p."""
+def chi_squared_stat(O, p) -> float:
+    """chi^2 = N * sum((O_i/N - p_i)^2 / p_i) against the limit law p, with N = sum(O)."""
     O = np.asarray(O, dtype=float)
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0):
         raise ValidationError("p", "expected probabilities must be strictly positive")
-    if N <= 0:
-        raise ValidationError("N", "sample size must be positive")
-    if abs(O.sum() - N) > 1e-9:
-        raise ValidationError("O", f"counts sum to {O.sum()}, expected N={N}")
+    N = O.sum()
+    if not N > 0:
+        raise ValidationError("O", f"counts must sum to a positive sample size, got {N}")
     return float(N * np.sum((O / N - p) ** 2 / p))
 
 
@@ -74,7 +73,7 @@ def chi_squared_report(O, p) -> ChiSqReport:
         N=N,
         counts=tuple(int(v) for v in O),
         p=tuple(float(v) for v in p),
-        statistic=chi_squared_stat(O, p, N),
+        statistic=chi_squared_stat(O, p),
     )
 
 

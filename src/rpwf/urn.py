@@ -37,13 +37,14 @@ split an ensemble over worker processes without changing its output.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError, freeze_arrays
-from .rng import StreamKey, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_streams
+from .rng import StreamKey, _check_path, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_streams
 
 __all__ = [
     "UrnParams",
@@ -74,16 +75,19 @@ class UrnParams:
 
     def __post_init__(self):
         b, B0 = freeze_arrays(self, "b", "B0")
-        if not self.alpha > 0:
-            raise ValidationError("alpha", f"must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:  # positive form, so that a NaN fails
+            raise ValidationError("alpha", f"must be finite and > 0, got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValidationError("beta", f"must lie in [0, 1], got {self.beta}")
         if b.ndim != 1 or b.size < 2 or b.shape != B0.shape:
             raise ValidationError("b", "b and B0 must be equal-length vectors, k >= 2")
-        if np.any(b < 0):
-            raise ValidationError("b", "fixed ball counts must be nonnegative")
-        if not b.sum() > 0:
-            raise ValidationError("b", "|b| must be positive")
+        # a total is finite only if every entry is: an inf or a NaN entry, or an overflow, makes it inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            b_total, r0 = float(b.sum()), float(b.sum() + B0.sum())
+        if np.any(b < 0) or not 0 < b_total < math.inf:
+            raise ValidationError("b", f"fixed ball counts must be >= 0 with a finite total > 0, got {b.tolist()}")
+        if not r0 < math.inf:
+            raise ValidationError("B0", f"the ball total |b| + |B0| must be finite, got {r0}")
         bad = np.nonzero(b + B0 <= 0)[0]
         if bad.size:
             i = int(bad[0])
@@ -267,6 +271,8 @@ def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observ
     b_cum = np.cumsum(params.b)[:, None]
     gain = (1.0 - beta) * params.b_total + alpha
     r = params.b_total + float(params.B0.sum())
+    if not r + n_steps * gain < math.inf:  # r*_n <= r*_0 + n gain
+        raise ValidationError("alpha", f"the ball total can pass the float range within {n_steps} steps")
     cum = np.repeat(np.cumsum((params.b + params.B0) / r)[:, None], len(keys), axis=1)
 
     def kernel(state, u):
@@ -283,14 +289,16 @@ def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observ
     run_streams(keys, n_steps, (cum, np.ones(cum.shape, dtype=bool)), kernel, observe)
 
 
-def simulate_urn(params: UrnParams, n_steps: int, seed: StreamKey | int, label: str = "urn") -> UrnTrajectory:
+def simulate_urn(params: UrnParams, n_steps: int, seed: StreamKey | int) -> UrnTrajectory:
     """Simulate one trajectory; deterministic in the stream key.
 
-    This is the ensemble kernel run with a single replica, so it equals
-    bit for bit the ensemble row that draws from the same stream key.
+    An int seed draws from ``StreamKey(seed, "urn")``.  This is the
+    ensemble kernel run with a single replica, so it equals bit for bit
+    the ensemble row that draws from the same stream key.
     """
     check_sizes(n_steps, 1)
-    key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), label)
+    _check_path(n_steps, params.k + 1, "steps")
+    key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), "urn")
     k = params.k
     cum = np.empty((n_steps + 1, k))
     draws = np.empty(n_steps, dtype=np.int64)

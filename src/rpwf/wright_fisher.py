@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, freeze_arrays
-from .rng import StreamKey, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_streams
+from .rng import StreamKey, _check_path, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_streams
 from .simplex import check_simplex, project_to_simplex
 
 __all__ = [
@@ -72,6 +72,8 @@ class WfParams:
             raise ValidationError("b", f"|b| must be finite and > 0, got {self.b}")
         if not 0 < self.alpha < math.inf:
             raise ValidationError("alpha", f"must be finite and > 0, got {self.alpha}")
+        if not self.rate < math.inf:
+            raise ValidationError("alpha", f"b/alpha = {self.b}/{self.alpha} is past the float range")
         check_simplex(p, "p")
         if np.any(p <= 0):
             raise ValidationError("p", "mutation kernel must be strictly positive")
@@ -192,27 +194,23 @@ def _sigma_z(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def em_update(x, z, params: WfParams, dt: float) -> np.ndarray:
-    """One deterministic Euler-Maruyama update given the normal draw z.
+    """One deterministic Euler-Maruyama update of an (M, k) batch given the normal draws z (M, k).
 
-    Works on a single point (k,) with z (k,), or a batch (M, k) with
-    z (M, k).  The noise Sigma(x) z costs O(k) per point; the (M, k, k)
-    matrices of ``sigma_batch`` are never built.  The result is projected
-    exactly onto the simplex.  A batch comes back as an (M, k) view of
-    (k, M) memory, the layout the arithmetic runs fastest on: given such
-    views for x and z, every pass reads and writes contiguous rows.
+    A single point is a batch of one.  The noise Sigma(x) z costs O(k) per
+    point; the (M, k, k) matrices of ``sigma_batch`` are never built.  The
+    result is projected exactly onto the simplex.  It comes back as an
+    (M, k) view of (k, M) memory, the layout the arithmetic runs fastest
+    on: given such views for x and z, every pass reads and writes
+    contiguous rows.
     """
     x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    noise = _sigma_z(xb, np.atleast_2d(z))
+    noise = _sigma_z(x, np.asarray(z, dtype=float))
     noise *= math.sqrt(dt)
-    v = drift(xb, params)  # laid out like xb
+    v = drift(x, params)  # laid out like x
     v *= dt
-    v += xb
+    v += x
     v += noise
-    out = project_to_simplex(v)
-    return out[0] if single else out
+    return project_to_simplex(v)
 
 
 def _n_steps(t: float, dt: float, name: str) -> int:
@@ -221,6 +219,8 @@ def _n_steps(t: float, dt: float, name: str) -> int:
         raise ValidationError("dt", f"must be finite and > 0, got {dt}")
     if not 0 <= t < math.inf:
         raise ValidationError(name, f"must be finite and >= 0, got {t}")
+    if not t / dt < math.inf:
+        raise ValidationError(name, f"{t} / dt = {t / dt} steps is past the float range")
     return int(math.ceil(t / dt))
 
 
@@ -244,12 +244,12 @@ def simulate_wf(
     t_max: float,
     config: SdeConfig = SdeConfig(),
     seed: StreamKey | int = 0,
-    label: str = "wf",
 ) -> PathRecord:
-    """Full path on the grid {0, dt, ..., ceil(t_max/dt)*dt}; deterministic in seed."""
+    """Full path on the grid {0, dt, ..., ceil(t_max/dt)*dt}; an int seed draws from ``StreamKey(seed, "wf")``."""
     x0 = _check_x0(params, x0)
-    key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), label)
+    key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), "wf")
     n = _n_steps(t_max, config.dt, "t-max")
+    _check_path(n, params.k, "t-max")
     X = np.empty((n + 1, params.k))
 
     def record(i, state):
@@ -295,10 +295,13 @@ def simulate_wf_ensemble(
 
 def mean_ode(params: WfParams, x0, t: float) -> np.ndarray:
     """Exact first moment E[X_t] = p + (x0 - p) e^{-(b/alpha) t}."""
-    if t < 0:
-        raise ValidationError("t", "t must be >= 0")
+    if not t >= 0:  # positive form, so that a NaN fails
+        raise ValidationError("t", f"must be >= 0, got {t}")
     x0 = np.asarray(x0, dtype=float)
     return params.p + (x0 - params.p) * math.exp(-params.rate * t)
+
+
+_MARGINAL = "wf1d"  # the stream label of every 1-d marginal path
 
 
 def _marginal_em(z: np.ndarray, zn: np.ndarray, od: OneDimWf, dt: float) -> np.ndarray:
@@ -321,11 +324,11 @@ def simulate_marginal_1d(
     t_max: float,
     config: SdeConfig = SdeConfig(),
     seed: StreamKey | int = 0,
-    label: str = "wf1d",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single 1-d path clamped to [0, 1]; returns (t, z)."""
-    key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), label)
+    """Single 1-d path clamped to [0, 1]; returns (t, z).  An int seed draws from ``StreamKey(seed, "wf1d")``."""
+    key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), _MARGINAL)
     n = _n_steps(t_max, config.dt, "t-max")
+    _check_path(n, 1, "t-max")
     z = np.empty(n + 1)
 
     def record(i, state):
@@ -335,16 +338,14 @@ def simulate_marginal_1d(
     return config.dt * np.arange(n + 1), z
 
 
-def marginal_ensemble_values(
-    od: OneDimWf, z0: float, t: float, dt: float, n_paths: int, seed: int, label: str = "wf1d"
-) -> np.ndarray:
-    """Values of n_paths independent 1-d paths at time t."""
+def marginal_ensemble_values(od: OneDimWf, z0: float, t: float, dt: float, n_paths: int, seed: int) -> np.ndarray:
+    """Values of n_paths independent 1-d paths at time t; path i draws from ``StreamKey(seed, "wf1d", i)``."""
     n = _n_steps(t, dt, "t")
     check_sizes(n, n_paths)
-    return _run_marginal(od, z0, n, dt, [StreamKey(seed, label, i) for i in range(n_paths)])
+    return _run_marginal(od, z0, n, dt, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)])
 
 
-def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed, label) -> tuple[np.ndarray, np.ndarray]:
+def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed) -> tuple[np.ndarray, np.ndarray]:
     """Time and value of each path's first step at or beyond a or b (nan if none); exited paths retire."""
     check_sizes(n_steps, n_paths)
     tau = np.full(n_paths, np.nan)
@@ -359,15 +360,15 @@ def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed, label) -> tuple[np.nda
             ids = ids[~out]
             return np.flatnonzero(~out)
 
-    _run_marginal(od, z0, n_steps, dt, [StreamKey(seed, label, i) for i in range(n_paths)], exits)
+    _run_marginal(od, z0, n_steps, dt, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)], exits)
     return tau, z_exit
 
 
 def marginal_touch_flags(
-    od: OneDimWf, z0: float, level: float, t_max: float, dt: float, n_paths: int, seed: int, label: str = "wf1d"
+    od: OneDimWf, z0: float, level: float, t_max: float, dt: float, n_paths: int, seed: int
 ) -> np.ndarray:
     """Per-path flag: did the path enter [0, level] by time t_max."""
-    tau, _ = _first_exit(od, z0, level, np.inf, _n_steps(t_max, dt, "t-max"), dt, n_paths, seed, label)
+    tau, _ = _first_exit(od, z0, level, np.inf, _n_steps(t_max, dt, "t-max"), dt, n_paths, seed)
     return ~np.isnan(tau)
 
 
@@ -380,7 +381,6 @@ def marginal_first_passage(
     n_paths: int,
     seed: int,
     t_cap: float = 200.0,
-    label: str = "wf1d",
 ) -> tuple[np.ndarray, np.ndarray]:
     """First exit of (a, b): returns (exit times, hit-upper flags).
 
@@ -389,5 +389,5 @@ def marginal_first_passage(
     """
     if not a < z0 < b:
         raise ValidationError("z0", f"need a < z0 < b, got a={a}, z0={z0}, b={b}")
-    tau, z_exit = _first_exit(od, z0, a, b, _n_steps(t_cap, dt, "t-cap"), dt, n_paths, seed, label)
+    tau, z_exit = _first_exit(od, z0, a, b, _n_steps(t_cap, dt, "t-cap"), dt, n_paths, seed)
     return tau, z_exit >= b

@@ -118,7 +118,7 @@ def test_criterion_02_urn_identities():
 def test_criterion_03_grouping_pathwise_identity():
     fp = ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 1.5, 0.5, 2.0]), beta=0.9)
     traj = simulate_urn(build_family_member(fp), 10_000, 13)
-    grouped = project_group(traj, Partition([[1, 3], [2, 4]], k=4))
+    grouped = project_group(traj, Partition([[1, 3], [2, 4]]))
     eps, delta = eps_delta(fp.alpha, fp.b_scalar, fp.beta)
     psi = grouped.psi
     onehot = np.zeros((traj.n_steps, 2))

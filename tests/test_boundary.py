@@ -1,7 +1,11 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rpwf.boundary import (
     BoundaryType,
@@ -156,6 +160,32 @@ def test_scale_increment_singular_tail_against_adaptive_quadrature():
     assert ours == pytest.approx(ref, rel=1e-10)
 
 
+# sha256 of scale_increment over every ordered (z1, z2) of _Z, ends included, for every (a0, a1) of _A,
+# computed before the tails at 0 and 1 became one routine (numpy 2.4, scipy 1.17)
+_A = (0.05, 0.3, 0.49, 0.7, 1.2)
+_Z = (0.0, 1e-3, 0.2, 0.5, 0.75, 0.999, 1.0)
+_SCALE_GRID_SHA = "13a8e24a692bf7f01af895fb540887f56f6cf2b593afbf0577930eb781133bf2"
+
+
+def test_scale_increment_keeps_its_bytes_on_a_grid_with_both_ends():
+    vals = [scale_increment(OneDimWf(a0, a1), z1, z2) for a0, a1 in itertools.product(_A, _A) for z1, z2 in itertools.product(_Z, _Z)]
+    assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == _SCALE_GRID_SHA
+
+
+_dyadic = st.integers(0, 1024).map(lambda i: i / 1024)  # 1 - z is exact
+
+
+@given(st.floats(0.0, 1.5), st.floats(0.0, 1.5), _dyadic, _dyadic)
+def test_scale_increment_is_symmetric_under_reflection(a0, a1, z1, z2):
+    # z -> 1 - z swaps the ends, and a0 with a1
+    want = scale_increment(OneDimWf(a0, a1), z1, z2)
+    got = scale_increment(OneDimWf(a1, a0), 1.0 - z2, 1.0 - z1)
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_speed_density_constant_when_exponents_vanish():
     od = OneDimWf(a0=0.5, a1=0.5)
     vals = [speed_density(od, z) for z in (0.1, 0.4, 0.9)]
@@ -187,12 +217,12 @@ def test_hitting_prob_symmetric_midpoint():
 
 
 def test_hitting_prob_invariant_under_scale_frame():
+    # scale_function's frame is S(1/2) = 0 with unit slope factor; every affine image c + m S gives the same ratio
     od = OneDimWf(a0=0.3, a1=0.6)
     a, b, z0 = 0.2, 0.8, 0.45
-    ratios = []
-    for z_ref, S_ref, slope in ((0.5, 0.0, 1.0), (0.3, 4.0, 2.5), (0.7, -1.0, 0.1)):
-        S = lambda z: scale_function(od, z, z_ref, S_ref, slope)
-        ratios.append((S(z0) - S(a)) / (S(b) - S(a)))
+    assert scale_function(od, 0.5) == 0.0
+    S_a, S_z0, S_b = (scale_function(od, z) for z in (a, z0, b))
+    ratios = [((c + m * S_z0) - (c + m * S_a)) / ((c + m * S_b) - (c + m * S_a)) for c, m in ((0.0, 1.0), (4.0, 2.5), (-1.0, 0.1))]
     assert np.allclose(ratios, ratios[0], rtol=1e-12)
     ip = IntervalProblem(od=od, a=a, b_pt=b)
     assert hitting_prob(ip, z0) == pytest.approx(ratios[0], rel=1e-12)

@@ -2,10 +2,11 @@ import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpwf.cli import _COMMANDS, main
@@ -200,6 +201,20 @@ def test_density_rejects_non_finite_input(tmp_path, capsys, extra, flag):
         ("density", ["--b", "0.25,0.25,0.25,0.25", "--y0", "0.2,0.2,0.2", "--y", "1e-300,1e-300,1e-300"], "--y"),
         ("density", ["--y", "1e308,1e308"], "--y"),  # the simplex sum overflowed with a RuntimeWarning
         ("density", ["--b", "1,1,1", "--y0", "0.3,0.3", "--y", "1e308,1e308"], "--y"),  # the reduced sum, likewise
+        ("simulate-urn", ["--alpha", "inf"], "--alpha"),  # exited 0 with NaN psi
+        ("simulate-urn", ["--b0", "nan,1"], "--b0"),  # likewise
+        ("simulate-urn", ["--b", "1,inf"], "--b"),  # "invalid value encountered in divide", exit 1
+        ("simulate-urn", ["--b", "1e308,1e308"], "--b"),  # the total overflows
+        ("simulate-urn", ["--alpha", "1e308", "--beta", "0.5", "--steps", "10"], "--alpha"),  # the ball total overflows
+        ("simulate-urn", ["--steps", "1000000000000"], "--steps"),  # MemoryError, exit 1
+        ("simulate-wf", ["--t-max", "1e300"], "--t-max"),  # "Maximum allowed dimension exceeded", exit 1
+        ("simulate-wf", ["--t-max", "1e300", "--dt", "1e-10"], "--t-max"),  # the step count is inf
+        ("boundary", ["--b", "1,1", "--alpha", "1e-320"], "--alpha"),  # b/alpha is inf: named --a0
+        # alpha/(1-beta) overflows: "invalid value encountered in divide", exit 1
+        ("converge", ["--alpha", "1e308", "--betas", "0.5", "--times", "0.1", "--replicas", "3", "--workers", "1"], "--alpha"),
+        ("stationary-test", ["--alpha", "1e308", "--beta", "0.5", "--t-long", "0.1", "--replicas", "3", "--workers", "1"], "--alpha"),
+        # b/alpha is inf: the report held NaN z-scores (found by the fuzz test below)
+        ("converge", ["--b", "1,1e308", "--alpha", "0.5", "--betas", "0", "--times", "0", "--replicas", "2"], "--alpha"),
     ],
 )
 def test_model_inputs_name_a_flag_of_the_command(tmp_path, capsys, command, extra, flag):
@@ -477,18 +492,137 @@ def density_argv(draw):
     return argv
 
 
-@given(density_argv())
-def test_density_fuzz_exits_0_with_finite_values_or_2_naming_its_flag(tmp_path_factory, argv):
-    out = tmp_path_factory.mktemp("fuzz") / "d.json"
-    # capsys is per test, not per example: capture each call's stdout and stderr here
+def _floats(v):
+    """Every float in a parsed JSON value."""
+    if isinstance(v, dict):
+        v = list(v.values())
+    if isinstance(v, list):
+        return [x for item in v for x in _floats(item)]
+    return [v] if isinstance(v, float) else []
+
+
+def _assert_finite(path):
+    """Every number in an output file is finite."""
+    text = path.read_text()
+    if text.startswith("{"):  # some commands write JSON whatever --out is named
+        numbers = _floats(json.loads(text))
+    else:
+        cells = [c for line in text.splitlines()[1:] for c in line.split(",")]
+        numbers = [float(c) for c in cells if c not in ("", "urn", "wf")]  # the first draw color is empty
+    assert all(math.isfinite(v) for v in numbers), (path.name, text[:300])
+
+
+def _fuzz(command, argv, out):
+    """Exit 0 with finite outputs, or exit 2 naming a flag of ``command``."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv + ["--out", str(out)])
+    # capsys is per test, not per example: capture each call's stdout and stderr here
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(err):
+        code = main(argv + ["--workers", "1", "--out", str(out)])
     if code == 0:
-        data = json.loads(out.read_text())
-        assert math.isfinite(data["value"]) and math.isfinite(data["tail_term"]), argv
+        for output in json.loads(stdout.getvalue())["outputs"]:
+            _assert_finite(out.parent / Path(output["path"]).name)
         return
     assert code == 2, (argv, err.getvalue())
-    flags = {f"--{opt.name}" for opt in _COMMANDS["density"][0]}
+    flags = {f"--{opt.name}" for opt in _COMMANDS[command][0]}
     named = err.getvalue().split(":", 2)[1].strip()
     assert named in flags, (argv, err.getvalue())
+
+
+@given(density_argv())
+def test_density_fuzz_exits_0_with_finite_values_or_2_naming_its_flag(tmp_path_factory, argv):
+    _fuzz("density", argv, tmp_path_factory.mktemp("fuzz") / "d.json")
+
+
+# the other six subcommands, flag by flag: (valid, odd) strategies given k, the number of colors.
+# Times carry no huge odd values and step sizes no tiny ones: those runs are valid, only endless.
+_ODD_TIME = st.sampled_from([0.0, 1e-300, math.nan, math.inf, -math.inf, -0.5])
+_ODD_STEP = st.sampled_from([0.0, math.nan, math.inf, -math.inf, -0.5, 1e300, 1e308])
+_ODD_COUNT = st.sampled_from([-1, 0, 1.5, math.nan]) | _ODD
+
+
+def _lists(elem, k):
+    return st.lists(elem, min_size=k, max_size=k)
+
+
+def _wf_flags(k):
+    return {
+        "alpha": (st.floats(0.05, 3.0), _ODD),
+        "b": (_lists(st.floats(0.1, 3.0), k), _spoiled(_simplex(k))),
+        "p": (_simplex(k), _spoiled(_simplex(k))),
+    }
+
+
+_FLAGS = {
+    "simulate-urn": lambda k: {
+        "alpha": (st.floats(0.05, 3.0), _ODD),
+        "beta": (st.floats(0.0, 1.0), _ODD),
+        "b": (_lists(st.floats(0.1, 3.0), k), _spoiled(_lists(st.floats(0.1, 3.0), k))),
+        "b0": (_lists(st.floats(0.0, 3.0), k), _spoiled(_lists(st.floats(0.0, 3.0), k))),
+        "steps": (st.integers(0, 50), _ODD_COUNT | st.just(10**12)),
+    },
+    "simulate-wf": lambda k: {
+        **_wf_flags(k),
+        "x0": (_simplex(k), _spoiled(_simplex(k))),
+        "t-max": (st.floats(0.0, 0.1), _ODD_TIME),
+        "dt": (st.floats(0.01, 0.1), _ODD_STEP),
+        "replicas": (st.integers(1, 3), _ODD_COUNT),
+    },
+    "boundary": lambda k: {
+        **_wf_flags(k),
+        "j": (st.lists(st.integers(1, k), min_size=1, max_size=k - 1, unique=True), st.lists(st.integers(-1, k + 1), max_size=k + 1)),
+    },
+    "hit-prob": lambda k: {
+        "a0": (st.floats(0.0, 3.0), _ODD),
+        "a1": (st.floats(0.0, 3.0), _ODD),
+        "a": (st.floats(0.05, 0.45), _ODD),
+        "b-pt": (st.floats(0.55, 0.95), _ODD),
+        "z0": (st.floats(0.05, 0.95), _ODD),
+    },
+    "converge": lambda k: {
+        **_wf_flags(k),
+        "x0": (_simplex(k), _spoiled(_simplex(k))),
+        "betas": (st.lists(st.floats(0.0, 0.8), min_size=1, max_size=2), _spoiled(st.lists(st.floats(0.0, 0.8), min_size=1, max_size=2))),
+        "times": (st.lists(st.floats(0.0, 0.3), min_size=1, max_size=2), _spoiled(st.lists(st.floats(0.0, 0.3), min_size=1, max_size=2))),
+        "replicas": (st.integers(2, 4), _ODD_COUNT),
+        "dt": (st.floats(0.02, 0.1), _ODD_STEP),
+    },
+    "stationary-test": lambda k: {
+        **_wf_flags(k),
+        "beta": (st.floats(0.0, 0.8), _ODD),
+        "t-long": (st.floats(0.0, 0.3), _ODD),
+        "replicas": (st.integers(2, 5), _ODD_COUNT),
+    },
+}
+
+
+_SIZES = {"steps", "t-max", "dt", "replicas", "betas", "times", "beta", "t-long"}
+
+
+@st.composite
+def command_argv(draw, command):
+    """Each flag of ``command`` absent, valid (most often) or odd, plus a seed and a format."""
+    k = draw(st.integers(2, 4))
+    flags = _FLAGS[command](k)
+    if k == 2 and "b" in flags and draw(st.booleans()):
+        del flags["b"]  # the default --b is 1,1
+    flags["seed"] = (st.integers(-5, 2**40), st.sampled_from(["nan", "1.5", "x"]))
+    flags["format"] = (st.sampled_from(["csv", "json"]), st.sampled_from(["xml", ""]))
+    argv = [command]
+    for name, (valid, odd) in flags.items():
+        # a size flag is always given: its default is a full-size run
+        value = draw(st.one_of(*(() if name in _SIZES else (st.none(),)), valid, valid, valid, valid, odd))
+        if value is not None:
+            # one token, --flag=value, so that argparse takes "-inf" as a value
+            argv.append(f"--{name}=" + (",".join(repr(v) for v in value) if isinstance(value, list) else str(value)))
+    return argv
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_fuzz_exits_0_with_finite_outputs_or_2_naming_its_flag(tmp_path, command):
+    @settings(max_examples=50)  # about 5 s for the six commands
+    @given(command_argv(command))
+    def fuzz(argv):
+        # every example rewrites the outputs it names in its manifest, and only those are read
+        _fuzz(command, argv, tmp_path / ("o.json" if "--format=json" in argv else "o.csv"))
+
+    fuzz()

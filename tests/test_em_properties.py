@@ -12,7 +12,7 @@ subnormal and tiny components and check that:
 * no RuntimeWarning (overflow, 0/0) is raised on the way;
 * the component-major arithmetic returns the bytes of the former (M, k)
   row-major arithmetic, kept verbatim below as the oracle, for C-ordered,
-  F-ordered, transposed-view and strided inputs and for a single point.
+  F-ordered, transposed-view and strided inputs and for a batch of one.
 """
 
 import math
@@ -78,7 +78,7 @@ def test_em_update_rows_stay_on_simplex(X, seed, scale, dt, rate):
     out = em_update(X, Z, params, dt)
     assert np.all(out >= 0.0)
     assert np.all(sequential_sum(out) == 1.0)
-    assert np.array_equal(em_update(X[0], Z[0], params, dt), out[0])  # a single point is a batch of one
+    assert np.array_equal(em_update(X[:1], Z[:1], params, dt), out[:1])  # a single point is a batch of one
 
 
 def previous_projection(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,19 +164,15 @@ def oracle_project(v):
 
 
 def oracle_em_update(x, z, params, dt):
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
+    xb = np.asarray(x, dtype=float)
+    zb = np.asarray(z, dtype=float)
     diag, col = oracle_sigma_factors(xb)
-    zb = np.atleast_2d(z)
     cz = col * zb
     run = np.zeros_like(cz)
     for i in range(1, xb.shape[1]):
         np.add(run[:, i - 1], cz[:, i - 1], out=run[:, i])
     noise = math.sqrt(dt) * (diag * zb - xb * run)
-    out = oracle_project(xb + -params.rate * (xb - params.p) * dt + noise)
-    return out[0] if single else out
+    return oracle_project(xb + -params.rate * (xb - params.p) * dt + noise)
 
 
 def same_bytes(got, want) -> bool:
@@ -220,7 +216,7 @@ def test_layouts_return_the_row_major_bytes(X, seed, scale, dt, rate):
         assert same_bytes(sigma_batch(x), want_sigma)
         assert np.array_equal(x, X) and np.array_equal(z, Z) and np.array_equal(v, V)  # inputs untouched
     for i in range(X.shape[0]):
-        assert same_bytes(em_update(X[i], Z[i], params, dt), oracle_em_update(X[i], Z[i], params, dt))
+        assert same_bytes(em_update(X[i : i + 1], Z[i : i + 1], params, dt), oracle_em_update(X[i : i + 1], Z[i : i + 1], params, dt))
         assert same_bytes(project_to_simplex(V[i]), oracle_project(V[i]))
     V3 = V.reshape(1, *V.shape)  # a batch with more than one leading axis
     assert same_bytes(project_to_simplex(V3), oracle_project(V3))

@@ -36,7 +36,7 @@ from rpwf.wright_fisher import (
     simulate_wf_ensemble,
 )
 
-LABEL = "wf1d"  # the marginal entry points' default label
+LABEL = "wf1d"  # the stream label of the marginal entry points
 
 seeds = st.integers(0, 2**32 - 1)
 dts = st.sampled_from([2.0**-3, 2.0**-5])

@@ -57,6 +57,21 @@ def test_k4_and_k5_rules_are_exact_up_to_degree_2_level_minus_1(k, rate):
             assert float(w @ np.prod(pts**e, axis=1)) == pytest.approx(dirichlet_moment(gw, e), rel=1e-12)
 
 
+@pytest.mark.parametrize("rate", [600.0, 1e4])
+def test_k2_rule_keeps_unit_mass_and_the_mean_at_large_rate(rate):
+    # at b/alpha = 600, 2^-(e0 + e1 + 1) underflowed to 0 and exp(-log C) overflowed: OverflowError
+    pts, w = simplex_rule(_gw(rate, (0.5, 0.5)), 40)
+    assert np.isfinite(w).all() and (w >= 0).all()
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert abs(float(w @ pts[:, 0]) - 0.5) <= 1e-12
+
+
+def test_rule_raises_naming_gamma_where_scipy_weights_overflow():
+    with pytest.raises(ValidationError) as exc:
+        simplex_rule(_gw(1e4, (0.2, 0.8)), 40)
+    assert exc.value.field == "gamma"
+
+
 def test_inner_product_quad_matches_moment_route_at_k5():
     gw = GammaWeights((F(1, 2), F(0), F(-1, 4), F(1), F(1, 3)))
     polys = [basis_jacobi(n, gw, normalized=False) for d in range(3) for n in multi_indices(gw.nvars, d)]

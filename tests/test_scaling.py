@@ -104,17 +104,22 @@ def test_rescale_time_requires_enough_steps():
 
 def test_partition_validation():
     with pytest.raises(ValidationError):
-        Partition([[1, 2], [2, 3]], k=3)
+        Partition([[1, 2], [2, 3]])
+    with pytest.raises(ValidationError):  # k is the largest color: 2 is missing
+        Partition([[1], [3]])
     with pytest.raises(ValidationError):
-        Partition([[1], [2]], k=3)
+        Partition([[1], []])
     with pytest.raises(ValidationError):
-        Partition([[1], []], k=1)
+        Partition([])
+    with pytest.raises(ValidationError):
+        Partition([[0, 1]])
+    assert Partition([[3, 1], [2]]).k == 3
 
 
 def test_project_group_identity_partition():
     fp = ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 2.0, 1.0]), beta=0.8)
     traj = simulate_urn(build_family_member(fp), 100, 7)
-    ident = Partition([[1], [2], [3]], k=3)
+    ident = Partition([[1], [2], [3]])
     grouped = project_group(traj, ident)
     assert np.array_equal(grouped.psi, traj.psi)
     assert np.array_equal(grouped.draws, traj.draws)
@@ -123,7 +128,7 @@ def test_project_group_identity_partition():
 def test_project_group_p_additivity():
     fp = ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 2.0, 3.0, 4.0]), beta=0.8)
     traj = simulate_urn(build_family_member(fp), 10, 7)
-    grouped = project_group(traj, Partition([[1, 2], [3, 4]], k=4))
+    grouped = project_group(traj, Partition([[1, 2], [3, 4]]))
     assert np.allclose(grouped.params.p, [0.3, 0.7])
 
 
@@ -136,7 +141,7 @@ def grouped_members(draw) -> tuple[ScaledFamilyParams, Partition]:
     cuts = sorted(draw(st.sets(st.integers(1, k - 1), min_size=n_groups - 1, max_size=n_groups - 1)))
     groups = [order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, k])]
     b = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=k, max_size=k)))
-    return ScaledFamilyParams(alpha=1.0, b=b, beta=draw(st.floats(0.5, 0.999))), Partition(groups, k=k)
+    return ScaledFamilyParams(alpha=1.0, b=b, beta=draw(st.floats(0.5, 0.999))), Partition(groups)
 
 
 @given(member=grouped_members(), n_steps=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
@@ -157,7 +162,7 @@ def test_grouped_path_satisfies_grouped_recursion(member, n_steps, seed):
 def test_grouping_commutes_with_rescaling():
     fp = ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 1.0, 2.0]), beta=0.9)
     traj = simulate_urn(build_family_member(fp), 300, 11)
-    part = Partition([[1, 2], [3]], k=3)
+    part = Partition([[1, 2], [3]])
     a = rescale_time(project_group(traj, part), t_max=2.0, dt_out=0.25)
     b = project_group(rescale_time(traj, t_max=2.0, dt_out=0.25), part)
     assert np.array_equal(a.X, b.X)

@@ -23,21 +23,20 @@ WF2 = WfParams(b=1.0, alpha=1.0, p=np.array([0.5, 0.5]))
 
 
 def test_chi_squared_perfect_fit():
-    assert chi_squared_stat([50, 50], [0.5, 0.5], 100) == 0.0
+    assert chi_squared_stat([50, 50], [0.5, 0.5]) == 0.0
 
 
 def test_chi_squared_arithmetic_example():
-    assert chi_squared_stat([60, 40], [0.5, 0.5], 100) == pytest.approx(4.0, abs=1e-12)
+    assert chi_squared_stat([60, 40], [0.5, 0.5]) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_chi_squared_permutation_invariance():
     rng = generator(3, "chi2")
     O = rng.integers(1, 100, size=4)
     p = rng.dirichlet(np.ones(4))
-    N = int(O.sum())
-    base = chi_squared_stat(O, p, N)
+    base = chi_squared_stat(O, p)
     perm = rng.permutation(4)
-    assert chi_squared_stat(O[perm], p[perm], N) == pytest.approx(base, rel=1e-12)
+    assert chi_squared_stat(O[perm], p[perm]) == pytest.approx(base, rel=1e-12)
 
 
 def test_chi_squared_algebraic_identity():
@@ -46,12 +45,17 @@ def test_chi_squared_algebraic_identity():
     p = rng.dirichlet(np.ones(3))
     N = int(O.sum())
     alt = float(np.sum((O - N * p) ** 2 / (N * p)))
-    assert chi_squared_stat(O, p, N) == pytest.approx(alt, abs=1e-12)
+    assert chi_squared_stat(O, p) == pytest.approx(alt, abs=1e-12)
 
 
 def test_chi_squared_rejects_zero_probability():
     with pytest.raises(ValidationError):
-        chi_squared_stat([1, 1], [1.0, 0.0], 2)
+        chi_squared_stat([1, 1], [1.0, 0.0])
+
+
+def test_chi_squared_rejects_an_empty_sample():
+    with pytest.raises(ValidationError, match="positive sample size"):
+        chi_squared_stat([0, 0], [0.5, 0.5])
 
 
 def test_chi_squared_report_counts():

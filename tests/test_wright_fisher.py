@@ -121,8 +121,15 @@ def test_drift_example_and_zero_sum():
     assert np.abs(drift(X, params4).sum(axis=1)).max() < 1e-14
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+def test_mean_ode_rejects_negative_and_nan_times(t):
+    # t = nan returned NaN
+    with pytest.raises(ValidationError):
+        mean_ode(P2, [0.3, 0.7], t)
+
+
 def test_em_update_zero_noise_at_fixed_point():
-    out = em_update(P2.p, np.zeros(2), P2, 1e-3)
+    out = em_update(P2.p[None, :], np.zeros((1, 2)), P2, 1e-3)[0]  # a single point is a batch of one
     assert np.allclose(out, P2.p, atol=1e-15)
     assert out.sum() == 1.0
 
@@ -249,7 +256,7 @@ def test_grouping_commutes_with_projection_for_the_wf_ensemble():
     p2 = WfParams(b=1.0, alpha=1.0, p=np.array([0.3, 0.7]))
     x4 = simulate_wf_ensemble(p4, [0.3, 0.3, 0.2, 0.2], 0.5, cfg, 2000, seed=5, label="k4", checkpoints=[0.25, 0.5])
     x2 = simulate_wf_ensemble(p2, [0.6, 0.4], 0.5, cfg, 2000, seed=5, label="k2", checkpoints=[0.25, 0.5])
-    grouped = x4 @ Partition([[1, 2], [3, 4]], 4).matrix().T
+    grouped = x4 @ Partition([[1, 2], [3, 4]]).matrix().T
     crit = ks_critical_value(2000, 1e-6, 2000)  # 0.085; distances were <= 0.04 over five seeds
     for j in range(2):
         assert ks_two_sample(grouped[j][:, 0], x2[j][:, 0]).D < crit
