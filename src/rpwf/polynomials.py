@@ -40,7 +40,6 @@ __all__ = [
     "MultiIndexPolynomial",
     "multi_indices",
     "degree_space_dimension",
-    "jacobi_coeffs_1d",
     "basis_jacobi",
     "basis_monic",
     "basis_rodrigues",
@@ -297,6 +296,11 @@ def _poch(x, m: int):
     return out
 
 
+def _binom(x, j: int):
+    """Generalized binomial coefficient C(x, j) = x (x-1) ... (x-j+1) / j! = (x-j+1)_j / j!."""
+    return _poch(x - j + 1, j) / math.factorial(j)
+
+
 @lru_cache(maxsize=None)
 def _moment_cached(gamma: tuple, exps: tuple):
     num = 1
@@ -326,32 +330,6 @@ def inner_product(f: MultiIndexPolynomial, g: MultiIndexPolynomial, gw: GammaWei
     return total
 
 
-@lru_cache(maxsize=None)
-def jacobi_coeffs_1d(n: int, a, b) -> tuple:
-    """Coefficients (in t^m) of the Jacobi polynomial p_n^{(a,b)} on [-1, 1].
-
-    Exact for rational parameters via the three-term recurrence.
-    """
-    one = Fraction(1) if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)) else 1.0
-    if n == 0:
-        return (one,)
-    p_prev = [one]  # p_0
-    p_cur = [(a - b) * one / 2, (a + b + 2) * one / 2]  # p_1
-    for m in range(2, n + 1):
-        c1 = 2 * m * (m + a + b) * (2 * m + a + b - 2)
-        c2 = (2 * m + a + b - 1) * (a * a - b * b)
-        c3 = (2 * m + a + b - 2) * (2 * m + a + b - 1) * (2 * m + a + b)
-        c4 = 2 * (m + a - 1) * (m + b - 1) * (2 * m + a + b)
-        nxt = [0] * (m + 1)
-        for j, coef in enumerate(p_cur):
-            nxt[j] = nxt[j] + c2 * coef
-            nxt[j + 1] = nxt[j + 1] + c3 * coef
-        for j, coef in enumerate(p_prev):
-            nxt[j] = nxt[j] - c4 * coef
-        p_prev, p_cur = p_cur, [v / c1 for v in nxt]
-    return tuple(p_cur)
-
-
 def _trailing_weight_sum(gw: GammaWeights, i: int):
     """C_i = sum_{l>i} (gamma_l + 1) over the remaining k-1-i coordinates plus the implicit one."""
     return sum(gw.gamma[i + 1 :]) + (gw.k - 1 - i)
@@ -370,24 +348,24 @@ def _jacobi_product_raw(n: tuple, gw: GammaWeights) -> MultiIndexPolynomial:
     Stick-breaking construction: with remaining mass R_i = 1 - y_1 - ... -
     y_{i-1}, the i-th factor is the homogenization R_i^{n_i} p_{n_i}^{(a_i,
     gamma_i)}(2 y_i / R_i - 1), where a_i absorbs the trailing weight mass
-    and twice the trailing degree.
+    and twice the trailing degree.  Each factor is Szego's explicit sum (4.3.2)
+    R^m p_m^{(a,b)}(2y/R - 1) = sum_j C(m+a, m-j) C(m+b, j) (y - R)^j y^(m-j).
     """
     d = gw.nvars
     poly = MultiIndexPolynomial.one(d)
     R = MultiIndexPolynomial.one(d)
     for i in range(d):
         a_i, b_i = _jacobi_factor_params(n, gw, i)
-        coeffs = jacobi_coeffs_1d(n[i], a_i, b_i)
-        two_y_minus_R = 2 * MultiIndexPolynomial.variable(d, i) - R
-        factor = MultiIndexPolynomial.zero(d)
-        num = MultiIndexPolynomial.one(d)  # (2y - R)^m, built incrementally
-        for m, cm in enumerate(coeffs):
-            if m > 0:
-                num = num * two_y_minus_R
-            if cm != 0:
-                factor = factor + cm * (num * (R ** (n[i] - m)))
+        m = n[i]
+        y = MultiIndexPolynomial.variable(d, i)
+        y_minus_R = y - R
+        factor = _binom(m + a_i, m) * y ** m
+        y_minus_R_pow = MultiIndexPolynomial.one(d)  # (y - R)^j
+        for j in range(1, m + 1):
+            y_minus_R_pow = y_minus_R_pow * y_minus_R
+            factor = factor + _binom(m + a_i, m - j) * _binom(m + b_i, j) * y_minus_R_pow * y ** (m - j)
         poly = poly * factor
-        R = R - MultiIndexPolynomial.variable(d, i)
+        R = R - y
     return poly
 
 
@@ -450,39 +428,27 @@ def basis_rodrigues(n: Sequence[int], gw: GammaWeights) -> MultiIndexPolynomial:
     """Rodrigues-formula element: weight-relative derivative of the shifted weight.
 
     U_n = w_gamma^{-1} * d^{|n|}/dy^n [ (1-sum y)^{gamma_k + |n|} prod
-    y_i^{gamma_i + n_i} ].  The division is structurally exact: every term
-    produced by the differentiation keeps nonnegative shifts, which is
-    asserted; a violation would be an implementation fault, not bad input.
+    y_i^{gamma_i + n_i} ], expanded by the Leibniz rule with falling
+    factorials x^(j) = x (x-1) ... (x-j+1) = (x-j+1)_j: U_n = sum_{m <= n} (-1)^{|n|-|m|}
+    (gamma_k + |n|)^(|n|-|m|) prod_i C(n_i, m_i) (gamma_i + n_i)^(m_i) y^{n-m} (1 - sum y)^{|m|}.
     """
     n = _check_supported(n, gw)
     d = gw.nvars
     total = sum(n)
-    # terms: (shift exponents a (length d), shift b) -> coefficient, meaning
-    # coeff * prod y_i^{gamma_i + a_i} * (1 - sum y)^{gamma_k + b}
-    terms: dict[tuple[tuple[int, ...], int], object] = {(tuple(n), total): Fraction(1)}
-    for var in range(d):
-        for _ in range(n[var]):
-            nxt: dict[tuple[tuple[int, ...], int], object] = {}
-            for (a, b), c in terms.items():
-                c1 = c * (gw.gamma[var] + a[var])
-                if c1 != 0:
-                    av = list(a)
-                    av[var] -= 1
-                    key = (tuple(av), b)
-                    nxt[key] = nxt.get(key, 0) + c1
-                c2 = c * (gw.gamma[d] + b)
-                if c2 != 0:
-                    key = (a, b - 1)
-                    nxt[key] = nxt.get(key, 0) - c2
-            terms = {k: v for k, v in nxt.items() if v != 0}
-    poly = MultiIndexPolynomial.zero(d)
     one_minus_sum = MultiIndexPolynomial.one(d)
     for i in range(d):
         one_minus_sum = one_minus_sum - MultiIndexPolynomial.variable(d, i)
-    for (a, b), c in terms.items():
-        if min(a) < 0 or b < 0:
-            raise AssertionError("Rodrigues division left a negative weight shift")
-        poly = poly + c * (MultiIndexPolynomial.monomial(d, a) * (one_minus_sum**b))
+    powers = [MultiIndexPolynomial.one(d)]  # (1 - sum y)^j for j = 0..|n|
+    for _ in range(total):
+        powers.append(powers[-1] * one_minus_sum)
+    poly = MultiIndexPolynomial.zero(d)
+    for m in itertools.product(*(range(v + 1) for v in n)):  # m <= n componentwise
+        rest = total - sum(m)
+        c = (-1) ** rest * _poch(gw.gamma[d] + sum(m) + 1, rest)
+        for i in range(d):
+            c = c * comb(n[i], m[i]) * _poch(gw.gamma[i] + n[i] - m[i] + 1, m[i])
+        y_shift = MultiIndexPolynomial.monomial(d, [v - u for v, u in zip(n, m)])
+        poly = poly + c * (y_shift * powers[sum(m)])
     return poly
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .scaling import ScaledFamilyParams, family_member_for_start, step_index
 from .urn import simulate_urn_ensemble
-from .wright_fisher import SdeConfig, WfParams, _check_x0, mean_ode, simulate_wf_ensemble
+from .wright_fisher import SdeConfig, WfParams, _check_x0, _n_steps, mean_ode, simulate_wf_ensemble
 
 __all__ = [
     "ChiSqReport",
@@ -49,9 +49,6 @@ class ChiSqReport:
     counts: tuple[int, ...]
     p: tuple[float, ...]
     statistic: float
-
-    def as_dict(self) -> dict:
-        return {"N": self.N, "counts": list(self.counts), "p": list(self.p), "statistic": self.statistic}
 
 
 def chi_squared_stat(O, p) -> float:
@@ -247,6 +244,7 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     for t in times:
         _check_urn_steps("times", betas[-1], t)
     t_max = times[-1]
+    _n_steps(t_max, config.dt, "dt")  # converge has no --t-max
     x0 = _check_x0(wf, config.x0) if config.x0 is not None else wf.p.copy()
     specs = _marginal_specs(wf.k, config.seed)
     wf_samples = simulate_wf_ensemble(

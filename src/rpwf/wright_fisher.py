@@ -87,9 +87,6 @@ class WfParams:
         """Mean-reversion rate b/alpha."""
         return self.b / self.alpha
 
-    def as_dict(self) -> dict:
-        return {"b": self.b, "alpha": self.alpha, "p": self.p.tolist()}
-
 
 @dataclass(frozen=True)
 class SdeConfig:
@@ -213,14 +210,19 @@ def em_update(x, z, params: WfParams, dt: float) -> np.ndarray:
     return project_to_simplex(v)
 
 
+# five times the most Euler-Maruyama steps anything here runs (2e7: marginal_first_passage's
+# default t_cap = 200 at dt = 1e-5); more are rejected before anything runs
+_MAX_STEPS = 100_000_000
+
+
 def _n_steps(t: float, dt: float, name: str) -> int:
     """Number of steps of size dt that cover [0, t]."""
     if not 0 < dt < math.inf:
         raise ValidationError("dt", f"must be finite and > 0, got {dt}")
     if not 0 <= t < math.inf:
         raise ValidationError(name, f"must be finite and >= 0, got {t}")
-    if not t / dt < math.inf:
-        raise ValidationError(name, f"{t} / dt = {t / dt} steps is past the float range")
+    if not t / dt <= _MAX_STEPS:
+        raise ValidationError(name, f"{t} / dt = {t / dt:.4g} steps is over {_MAX_STEPS}")
     return int(math.ceil(t / dt))
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -113,6 +114,22 @@ def test_simulate_wf_path_and_ensemble(tmp_path, capsys):
     assert abs(sum(data["mean"]) - 1.0) < 1e-12
 
 
+def test_simulate_wf_json_path_holds_the_csv_values(tmp_path, capsys):
+    argv = ["simulate-wf", "--b", "1,1", "--t-max", "0.1", "--dt", "0.01", "--seed", "3"]
+    code, _ = run(argv + ["--out", str(tmp_path / "path.csv")], capsys)
+    assert code == 0
+    code, out = run(argv + ["--format", "json", "--out", str(tmp_path / "path.json")], capsys)
+    assert code == 0
+    raw = (tmp_path / "path.json").read_bytes()
+    data = json.loads(raw)
+    rows = [line.split(",") for line in (tmp_path / "path.csv").read_text().strip().splitlines()[1:]]
+    assert data["t"] == [float(row[0]) for row in rows]
+    assert data["X"] == [[float(v) for v in row[1:]] for row in rows]
+    assert data["seed"] == {"seed": 3, "label": "cli-wf", "index": 0}
+    (entry,) = read_manifest(out)["outputs"]
+    assert entry["sha256"] == hashlib.sha256(raw).hexdigest()
+
+
 def test_manifest_does_not_depend_on_workers(tmp_path, capsys):
     out = tmp_path / "ens.json"
     argv = ["simulate-wf", "--b", "1,1", "--t-max", "0.1", "--dt", "0.01", "--replicas", "8", "--out", str(out)]
@@ -215,6 +232,9 @@ def test_density_rejects_non_finite_input(tmp_path, capsys, extra, flag):
         ("stationary-test", ["--alpha", "1e308", "--beta", "0.5", "--t-long", "0.1", "--replicas", "3", "--workers", "1"], "--alpha"),
         # b/alpha is inf: the report held NaN z-scores (found by the fuzz test below)
         ("converge", ["--b", "1,1e308", "--alpha", "0.5", "--betas", "0", "--times", "0", "--replicas", "2"], "--alpha"),
+        # 1e299 Euler-Maruyama steps: ran without end
+        ("converge", ["--dt", "1e-300", "--betas", "0.5", "--times", "0.1", "--replicas", "2"], "--dt"),
+        ("simulate-wf", ["--replicas", "2", "--t-max", "1e10"], "--t-max"),  # 1e13 steps: ran without end
     ],
 )
 def test_model_inputs_name_a_flag_of_the_command(tmp_path, capsys, command, extra, flag):
@@ -534,9 +554,11 @@ def test_density_fuzz_exits_0_with_finite_values_or_2_naming_its_flag(tmp_path_f
 
 
 # the other six subcommands, flag by flag: (valid, odd) strategies given k, the number of colors.
-# Times carry no huge odd values and step sizes no tiny ones: those runs are valid, only endless.
-_ODD_TIME = st.sampled_from([0.0, 1e-300, math.nan, math.inf, -math.inf, -0.5])
-_ODD_STEP = st.sampled_from([0.0, math.nan, math.inf, -math.inf, -0.5, 1e300, 1e308])
+# Huge times and tiny step sizes are valid runs over the Euler-Maruyama step cap. The tiny step is
+# the smallest subnormal: a drawn time t then takes 1 step or over 1e8 (hypothesis draws times
+# just above 1e-300 often enough that a step of 1e-300 could give up to 1e8 steps that run).
+_ODD_TIME = st.sampled_from([0.0, 1e-300, math.nan, math.inf, -math.inf, -0.5, 1e10, 1e300])
+_ODD_STEP = st.sampled_from([0.0, 5e-324, math.nan, math.inf, -math.inf, -0.5, 1e300, 1e308])
 _ODD_COUNT = st.sampled_from([-1, 0, 1.5, math.nan]) | _ODD
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -18,7 +19,6 @@ from rpwf.polynomials import (
     eigenvalue_lambda,
     eigenvalue_nu,
     inner_product,
-    jacobi_coeffs_1d,
     jacobi_product_norm_sq_log,
     multi_indices,
 )
@@ -52,11 +52,34 @@ def test_polynomial_eval_matches_eval_many():
     assert np.allclose(single, f.eval_many(pts), atol=1e-14)
 
 
-def test_jacobi_coeffs_match_scipy():
-    c = jacobi_coeffs_1d(5, F(3, 2), F(1, 4))
-    t = 0.37
-    val = sum(float(ci) * t**i for i, ci in enumerate(c))
-    assert val == pytest.approx(eval_jacobi(5, 1.5, 0.25, t), abs=1e-14)
+def test_raw_jacobi_at_k2_matches_scipy():
+    # at k = 2 the raw element is p_n^{(gamma_2, gamma_1)}(2y - 1); exact at y = 137/200, t = 0.37
+    f = basis_jacobi((5,), GammaWeights((F(1, 4), F(3, 2))), normalized=False)
+    val = sum(c * F(137, 200) ** e for (e,), c in f.coeffs.items())
+    assert float(val) == pytest.approx(eval_jacobi(5, 1.5, 0.25, 0.37), abs=1e-14)
+
+
+# sha256 over the sorted coefficient items of the raw product-Jacobi and Rodrigues elements, up to
+# the given degree; the digest was computed with the three-term Jacobi recurrence and the
+# term-by-term Rodrigues differentiation that the explicit sums replaced
+_PINNED_BASES = (
+    ((F(-1, 2), F(7, 3)), 24),
+    ((F(-3, 5), F(1, 3), F(-1, 7)), 6),
+    ((F(2), F(-9, 10), F(-1, 5), F(1, 4)), 4),
+    ((F(-1, 2), F(1, 3), F(-1, 5), F(2), F(5, 7)), 3),
+)
+_PINNED_DIGEST = "1f5d8d0f3e018ed5b76c702ff1af2228b95f982ba21fae6eeedd3e00d6cab398"
+
+
+def test_raw_jacobi_and_rodrigues_coefficients_keep_their_pinned_values():
+    h = hashlib.sha256()
+    for gamma, top in _PINNED_BASES:
+        gw = GammaWeights(gamma)
+        for deg in range(top + 1):
+            for n in multi_indices(gw.nvars, deg):
+                for f in (basis_jacobi(n, gw, normalized=False), basis_rodrigues(n, gw)):
+                    h.update(repr(sorted(f.coeffs.items())).encode())
+    assert h.hexdigest() == _PINNED_DIGEST
 
 
 def test_dirichlet_moment_uniform_triangle():
