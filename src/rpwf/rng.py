@@ -20,6 +20,12 @@ kernel advances M replicas with a noise row holding each one's next draw.
 Replica i reads only stream i, in order, and shares no arithmetic with the
 others, so a single path (an ensemble of one) equals ensemble row i bit for
 bit, and no output depends on the noise block size or on worker counts.
+A run given a per-replica scalar step (first exits are) hands its last
+``_SCALAR_TAIL`` replicas to it, where a vector step's fixed cost of some
+twenty numpy calls outweighs their arithmetic: each then finishes alone
+in plain floats, on the rest of its block column and then its own draws,
+so it still reads its stream in order, and the scalar step's operations
+are the kernel's in the same order, so the bits do not change.
 
 A noise block is stored replica-last, ``(steps,) + shape + (M,)``, and the
 kernel is handed each step's row as an ``(M,) + shape`` view of it: the
@@ -150,7 +156,13 @@ class _PresetState(ISeedSequence):
 
 
 def generators(keys: Sequence[StreamKey]) -> list[np.random.Generator]:
-    """``[key.generator() for key in keys]``: the same PCG64 states, seeded in one pass over the batch."""
+    """``[key.generator() for key in keys]``: the same PCG64 states, seeded in one pass over the batch.
+
+    A batch of one is handed to the reference, which is cheaper than the
+    pass's fixed cost of about a hundred numpy calls.
+    """
+    if len(keys) == 1:
+        return [keys[0].generator()]
     entropy = [_entropy(key) for key in keys]
     states = np.empty((len(keys), 4), np.uint64)
     for n in {len(e) for e in entropy}:  # a seed or an index >= 2**32 adds a word
@@ -162,6 +174,7 @@ def generators(keys: Sequence[StreamKey]) -> list[np.random.Generator]:
 _BLOCK_VALUES = 1 << 22  # noise values per block (32 MB of doubles)
 _BLOCK_STEPS = 2048  # and at most this many steps
 _FILL_GROUP = 64  # replicas drawn per tile while a block is filled
+_SCALAR_TAIL = 32  # live replicas at or below which a run given a scalar step finishes each alone
 
 
 def check_sizes(n_steps: int, n_replicas: int) -> None:
@@ -178,7 +191,7 @@ def _check_path(n_steps: int, width: int, name: str) -> None:
         raise ValidationError(name, f"a path of {n_steps:.4g} steps records over {1 << 27} values")
 
 
-def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe, draw="random", shape=()):
+def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe, draw="random", shape=(), scalar=None):
     """Step one replica per stream key ``n_steps`` times; returns the last state.
 
     Each step every replica draws a value of ``shape`` with its generator's
@@ -189,15 +202,25 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
     indices, among the current rows, of those that stay: the state's first
     axis is indexed with them and their streams are no longer drawn.  A
     noise block holds about ``_BLOCK_VALUES`` values.
+
+    ``scalar``, given scalar draws and a 1-d float state, is ``kernel``
+    then ``observe`` for one replica in plain floats: ``scalar(j, n, x,
+    noise)`` returns row j's value after step n from its value x before
+    it, or None to retire the row.  Once at most ``_SCALAR_TAIL`` replicas
+    are live, each finishes alone through it, reading first the rest of its
+    column of the current block, then its own generator's next draws, so
+    row i still reads stream i in order; ``observe`` is not called again.
     """
     check_sizes(n_steps, len(keys))
     gens = generators(keys)
     keep = observe(0, state)
     if keep is not None:
         state, gens = state[keep], [gens[i] for i in keep]
+    least = 0 if scalar is None else _SCALAR_TAIL  # the block loop runs while more replicas than this are live
+    ahead = np.empty((0, len(gens)))  # drawn noise rows the block loop left to the scalar tail
     buf = np.empty(0)
     n = 0
-    while n < n_steps and gens:
+    while n < n_steps and len(gens) > least:
         width = len(gens) * math.prod(shape)
         steps = min(n_steps - n, _BLOCK_STEPS, max(1, _BLOCK_VALUES // width))
         if buf.size < steps * width:  # reused by later blocks, which are rarely larger
@@ -207,21 +230,49 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
         for lo in range(0, len(gens), _FILL_GROUP):  # one draw call per replica, transposed a tile at a time
             group = gens[lo : lo + _FILL_GROUP]
             for t, g in enumerate(group):
-                tile[t] = getattr(g, draw)(size=tile.shape[1:])
+                getattr(g, draw)(out=tile[t])
             block[..., lo : lo + len(group)] = np.moveaxis(tile[: len(group)], 0, -1)
         cols = None  # block columns of the replicas still running, None while all are
-        for row in np.moveaxis(block, -1, 1):  # (M,) + shape views of replica-last rows
+        for r, row in enumerate(np.moveaxis(block, -1, 1)):  # (M,) + shape views of replica-last rows
             n += 1
             state = kernel(state, row if cols is None else row[cols])
             keep = observe(n, state)
             if keep is not None:
                 state = state[keep]
                 cols = keep if cols is None else cols[keep]
-                if not len(cols):
+                if len(cols) <= least:
+                    ahead = block[r + 1 :, cols]
                     break
         if cols is not None:
             gens = [gens[i] for i in cols]
+    if scalar is not None and gens and n < n_steps:
+        state = _scalar_tail(scalar, state, gens, ahead, n, n_steps, draw)
     return state
+
+
+def _scalar_tail(scalar, state: np.ndarray, gens, ahead: np.ndarray, n: int, n_steps: int, draw: str) -> np.ndarray:
+    """Steps n + 1..n_steps of each row alone through ``scalar``; returns the rows it kept, at their last values."""
+    keep = []
+    for j, gen in enumerate(gens):
+        x = float(state[j])
+        for m, noise in enumerate(_draws(gen, draw, ahead[:, j].tolist(), n_steps - n), n + 1):
+            x = scalar(j, m, x, noise)
+            if x is None:
+                break
+        else:
+            state[j] = x
+            keep.append(j)
+    return state[keep]
+
+
+def _draws(gen: np.random.Generator, draw: str, first: list, count: int):
+    """``count`` values of one stream: those of ``first``, then the generator's next draws."""
+    yield from first
+    count -= len(first)
+    while count > 0:
+        chunk = getattr(gen, draw)(size=min(count, _BLOCK_STEPS)).tolist()
+        yield from chunk
+        count -= len(chunk)
 
 
 def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int = 1) -> np.ndarray:

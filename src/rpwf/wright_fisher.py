@@ -23,6 +23,12 @@ Both run on ``rng.run_streams`` (kernels ``em_update`` and the 1-d update;
 observers keep checkpoints, full paths or first exits, retiring exited
 paths).  Path i draws from ``StreamKey(seed, label, i)``, at any worker
 count; a single path is an ensemble of one, equal bit for bit to row i.
+The 1-d step writes into reused scratch rows, and a step in which no path
+leaves (a, b) costs the exit test two reductions.  First exits finish
+their last ``rng._SCALAR_TAIL`` paths one at a time in plain floats,
+through a scalar copy of the 1-d step with the same operation order, so
+the exit times and values do not change; the single path and
+``marginal_ensemble_values`` stay on the vector step.
 """
 
 from __future__ import annotations
@@ -306,18 +312,66 @@ def mean_ode(params: WfParams, x0, t: float) -> np.ndarray:
 _MARGINAL = "wf1d"  # the stream label of every 1-d marginal path
 
 
-def _marginal_em(z: np.ndarray, zn: np.ndarray, od: OneDimWf, dt: float) -> np.ndarray:
-    d = (-od.a1 * z + od.a0 * (1.0 - z)) * dt
-    noise = np.sqrt(np.maximum(z * (1.0 - z), 0.0) * dt) * zn
-    return np.clip(z + d + noise, 0.0, 1.0)
+def _marginal_em(z: np.ndarray, zn: np.ndarray, od: OneDimWf, dt: float, work: np.ndarray | None = None) -> np.ndarray:
+    """One Euler-Maruyama step of 1-d values z with the normal draws zn; returns the new values.
+
+    The step is clip(z + d + noise, 0, 1) with d = (-a1 z + a0 (1 - z)) dt
+    and noise = sqrt(max(z (1 - z), 0) dt) zn.  Without ``work`` it
+    allocates a new result.  Given a (3, M') scratch array, M' >= len(z),
+    it writes the step over z and allocates nothing.
+    """
+    if work is None:
+        z = np.array(z, dtype=float)
+        work = np.empty((3, z.size))
+    d, u, w = work[:, : z.size]
+    np.multiply(-od.a1, z, out=d)
+    np.subtract(1.0, z, out=w)
+    np.multiply(od.a0, w, out=u)
+    d += u
+    d *= dt
+    np.multiply(z, w, out=w)
+    np.maximum(w, 0.0, out=w)
+    w *= dt
+    np.sqrt(w, out=w)
+    w *= zn
+    z += d
+    z += w
+    return z.clip(0.0, 1.0, out=z)
 
 
-def _run_marginal(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, observe=lambda n, z: None) -> np.ndarray:
-    """1-d marginal paths from z0, one per stream key; returns the last values."""
+def _exit_step(od: OneDimWf, dt: float, a: float, b: float, record):
+    """``run_streams``'s scalar step for first exits of (a, b): ``_marginal_em`` on one float.
+
+    ``step(j, n, z, zn)`` takes step n of row j in ``_marginal_em``'s
+    operation order, so it equals it bit for bit.  It returns the new value,
+    or calls ``record(j, n, z)`` and returns None once the value is at or
+    beyond a or b.
+    """
+    a0, a1, sqrt = od.a0, od.a1, math.sqrt
+
+    def step(j, n, z, zn):
+        w = z * (1.0 - z)
+        z = z + (-a1 * z + a0 * (1.0 - z)) * dt + sqrt((0.0 if w < 0.0 else w) * dt) * zn  # max(w, 0.0)
+        z = 0.0 if z < 0.0 else 1.0 if z > 1.0 else z  # np.clip's rule: -0.0 and nan pass
+        if z <= a or z >= b:
+            record(j, n, z)
+            return None
+        return z
+
+    return step
+
+
+def _run_marginal(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, observe=lambda n, z: None, scalar=None):
+    """1-d marginal paths from z0, one per stream key; returns the last values.
+
+    ``observe`` and ``scalar`` are handed to ``run_streams``.
+    """
     if not 0.0 <= z0 <= 1.0:
         raise ValidationError("z0", f"must lie in [0, 1], got {z0}")
     z = np.full(len(keys), float(z0))
-    return run_streams(keys, n_steps, z, lambda z, zn: _marginal_em(z, zn, od, dt), observe, "standard_normal")
+    work = np.empty((3, len(keys)))
+    kernel = lambda z, zn: _marginal_em(z, zn, od, dt, work)
+    return run_streams(keys, n_steps, z, kernel, observe, "standard_normal", scalar=scalar)
 
 
 def simulate_marginal_1d(
@@ -348,7 +402,10 @@ def marginal_ensemble_values(od: OneDimWf, z0: float, t: float, dt: float, n_pat
 
 
 def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Time and value of each path's first step at or beyond a or b (nan if none); exited paths retire."""
+    """Time and value of each path's first step at or beyond a or b (nan if none); exited paths retire.
+
+    The last ``rng._SCALAR_TAIL`` paths finish alone in plain floats.
+    """
     check_sizes(n_steps, n_paths)
     tau = np.full(n_paths, np.nan)
     z_exit = np.full(n_paths, np.nan)
@@ -356,13 +413,19 @@ def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed) -> tuple[np.ndarray, n
 
     def exits(n, z):  # retires the paths that left (a, b) at step n
         nonlocal ids
+        if np.minimum.reduce(z) > a and np.maximum.reduce(z) < b:  # none left: two reductions (a nan fails both)
+            return None
         out = (z <= a) | (z >= b)
         if out.any():
             tau[ids[out]], z_exit[ids[out]] = n * dt, z[out]
             ids = ids[~out]
             return np.flatnonzero(~out)
 
-    _run_marginal(od, z0, n_steps, dt, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)], exits)
+    def record(j, n, z):  # path ids[j] of the scalar tail left at step n
+        tau[ids[j]], z_exit[ids[j]] = n * dt, z
+
+    keys = [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)]
+    _run_marginal(od, z0, n_steps, dt, keys, exits, _exit_step(od, dt, a, b, record))
     return tau, z_exit
 
 

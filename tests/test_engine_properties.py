@@ -9,11 +9,17 @@ Wright-Fisher, 1-d marginal and urn simulators:
   few steps, so that blocks and path retirement end mid-run, changes no bit;
 * row i of an ensemble equals the single run on stream i at every step;
 * first exits and touch flags of the compacting ensemble equal those read
-  off the single path on the same stream.
+  off the single path on the same stream, wherever the hand-off to the
+  scalar tail falls: at n = 0, mid-block, on a block boundary or never;
+* the scalar tail's step equals the vector 1-d step bit for bit;
+* first exits and touch flags keep the sha256 pins of the bytes the
+  engine gave before it had a scalar tail.
 
 Time steps are powers of two so that the grid times t_j = j dt are exact.
 """
 
+import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -35,6 +41,7 @@ from rpwf.wright_fisher import (
     simulate_wf,
     simulate_wf_ensemble,
 )
+from rpwf.wright_fisher import _exit_step, _marginal_em
 
 LABEL = "wf1d"  # the stream label of the marginal entry points
 
@@ -122,6 +129,79 @@ def test_first_exit_and_touch_match_single_paths(od, ab, dt, n_steps, m, seed):
             assert np.isnan(tau[i]) and not hit[i]
         assert touched[i] == (z <= a).any()
         assert touched_at_start[i]
+
+
+@given(
+    od=one_dim,
+    ab=interval(),
+    dt=dts,
+    n_steps=st.integers(1, 40),
+    m=st.integers(1, 8),
+    seed=seeds,
+    steps=st.integers(1, 4),
+    values=st.integers(1, 30),
+    tail=st.sampled_from(["never", "one", "half", "all"]),
+)
+def test_first_exit_hand_off_matches_single_paths(od, ab, dt, n_steps, m, seed, steps, values, tail):
+    # small blocks put the hand-off mid-block or on a block boundary; "all" hands off at n = 0
+    a, z0, b = ab
+    t = n_steps * dt
+    with pytest.MonkeyPatch.context() as mp:
+        small_blocks(mp, steps, values)
+        mp.setattr(rng, "_SCALAR_TAIL", {"never": 0, "one": 1, "half": m // 2, "all": m}[tail])
+        tau, hit = marginal_first_passage(od, z0, a, b, dt, m, seed, t_cap=t)
+        touched = marginal_touch_flags(od, z0, a, t, dt, m, seed)
+    for i in range(m):
+        _, z = simulate_marginal_1d(od, z0, t, SdeConfig(dt=dt), StreamKey(seed, LABEL, i))
+        out = np.flatnonzero((z <= a) | (z >= b))
+        if out.size:
+            assert tau[i] == out[0] * dt and hit[i] == (z[out[0]] >= b)
+        else:
+            assert np.isnan(tau[i]) and not hit[i]
+        assert touched[i] == (z <= a).any()
+
+
+unit_values = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53]), st.floats(0.0, 1.0))
+
+
+@given(
+    od=one_dim,
+    dt=st.one_of(dts, st.floats(1e-8, 10.0)),
+    pairs=st.lists(st.tuples(unit_values, st.floats(-40.0, 40.0)), min_size=1, max_size=20),
+)
+def test_scalar_step_equals_vector_step(od, dt, pairs):
+    z, zn = np.array(pairs).T
+    want = _marginal_em(z, zn, od, dt)
+    in_place = z.copy()
+    assert _marginal_em(in_place, zn, od, dt, np.empty((3, z.size + 2))) is in_place
+    step = _exit_step(od, dt, -math.inf, math.inf, None)  # never exits
+    for j, (zj, nj) in enumerate(pairs):
+        assert step(j, 1, zj, nj).hex() == float(want[j]).hex() == float(in_place[j]).hex()
+
+
+# sha256 of the engine's bytes before the scalar tail, 200 paths at dt = 1e-3 over 2500 steps:
+# the tail takes over mid-way through the first 2048-step block, reads draws past it and
+# keeps censored paths (8-13 in first exits, 8-12 untouched)
+FIRST_EXIT_PINS = {
+    3: (
+        "28d1f99b3627f0fcb70034b4cd4d027d40a2b3917f74f14c2ed9dbc1ca4ab394",
+        "d0bcb4748880903a9f355b6e332b4f9fcf88497f9fb1b1fb8d88a90f2157dd92",
+    ),
+    2026: (
+        "0221190d8b10d862051c9e7ca3d32c0ce1dd8164b41424dde5b9a51056e54ad7",
+        "1decf1355c5b35e08da0e19d19d5cf1e3480c8276835e988a4131c0644dbd127",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIRST_EXIT_PINS))
+def test_first_exit_bytes_are_pinned(seed):
+    od = OneDimWf(a0=0.3, a1=0.7)
+    tau, hit = marginal_first_passage(od, 0.5, 0.1, 0.9, 1e-3, 200, seed, t_cap=2.5)
+    touched = marginal_touch_flags(od, 0.5, 0.3, 2.5, 1e-3, 200, seed)
+    assert 8 <= np.isnan(tau).sum() and 8 <= (~touched).sum()
+    got = hashlib.sha256(tau.tobytes() + hit.tobytes()).hexdigest(), hashlib.sha256(touched.tobytes()).hexdigest()
+    assert got == FIRST_EXIT_PINS[seed]
 
 
 @given(
