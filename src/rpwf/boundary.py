@@ -55,7 +55,7 @@ class BoundaryType(Enum):
 
 def classify_boundary(a_z: float) -> BoundaryType:
     """Feller type of the boundary whose coefficient is a_z."""
-    if a_z < 0:
+    if not a_z >= 0:  # positive form, so that a NaN fails
         raise ValidationError("a_z", f"must be >= 0, got {a_z}")
     if a_z == 0:
         return BoundaryType.EXIT
@@ -204,30 +204,43 @@ class IntervalProblem:
             raise ValidationError("b-pt", f"need a < b < 1, got a={self.a}, b={self.b_pt}")
 
 
+def _scale_ratios(ip: IntervalProblem, *points: tuple[str, float]) -> tuple[float, float]:
+    """Scale ratios (S(z)-S(a))/(S(b)-S(a)) and (S(b)-S(z))/(S(b)-S(a)) of the first point z.
+
+    Every (name, value) point must lie in [a, b]; the first that does not
+    is named in the ``ValidationError``.  Each ratio is its own quotient:
+    one as 1 minus the other is lost to rounding when that one is near 1.
+    """
+    for name, z in points:
+        if not ip.a <= z <= ip.b_pt:
+            raise ValidationError(name, f"must lie in [{ip.a}, {ip.b_pt}], got {z}")
+    od, a, b, z = ip.od, ip.a, ip.b_pt, points[0][1]
+    den = scale_increment(od, a, b)
+    return scale_increment(od, a, z) / den, scale_increment(od, z, b) / den
+
+
+def _green(ip: IntervalProblem, ratios: tuple[float, float], x: float, s: float) -> float:
+    """Green function G(x, s) given x's ``_scale_ratios`` (u, v):
+
+    2 u (S(b)-S(s)) m(s) for x <= s and 2 v (S(s)-S(a)) m(s) otherwise.
+    The ratio is at most 1 and the small speed density offsets the scale
+    increment, so nothing overflows at large a0, a1.
+    """
+    if x <= s:
+        return 2.0 * ratios[0] * (scale_increment(ip.od, s, ip.b_pt) * speed_density(ip.od, s))
+    return 2.0 * ratios[1] * (scale_increment(ip.od, ip.a, s) * speed_density(ip.od, s))
+
+
 def hitting_prob(ip: IntervalProblem, z0: float) -> float:
     """P(reach b before a | Z_0 = z0) = (S(z0) - S(a)) / (S(b) - S(a))."""
-    if not ip.a <= z0 <= ip.b_pt:
-        raise ValidationError("z0", f"must lie in [{ip.a}, {ip.b_pt}], got {z0}")
-    num = scale_increment(ip.od, ip.a, z0)
-    den = scale_increment(ip.od, ip.a, ip.b_pt)
-    return min(max(num / den, 0.0), 1.0)
+    u, _ = _scale_ratios(ip, ("z0", z0))
+    return min(max(u, 0.0), 1.0)
 
 
 def green_function(ip: IntervalProblem, x: float, s: float) -> float:
     """Green function of Z on [a, b]: expected occupation density of s for a
     start at x, killed at the first exit."""
-    for name, v in (("x", x), ("s", s)):
-        if not ip.a <= v <= ip.b_pt:
-            raise ValidationError(name, f"must lie in [{ip.a}, {ip.b_pt}], got {v}")
-    den = scale_increment(ip.od, ip.a, ip.b_pt)
-    if x <= s:
-        lhs = scale_increment(ip.od, ip.a, x)
-        rhs = scale_increment(ip.od, s, ip.b_pt)
-    else:
-        lhs = scale_increment(ip.od, x, ip.b_pt)
-        rhs = scale_increment(ip.od, ip.a, s)
-    # lhs / den <= 1 and the small speed density offsets rhs: no overflow at large a0, a1
-    return 2.0 * (lhs / den) * (rhs * speed_density(ip.od, s))
+    return _green(ip, _scale_ratios(ip, ("x", x), ("s", s)), x, s)
 
 
 def _panel_nodes(a: float, b: float):
@@ -244,21 +257,13 @@ def _panel_nodes(a: float, b: float):
 def expected_cost(ip: IntervalProblem, z0: float, g) -> float:
     """E[ integral of g(Z_t) dt up to the first exit from (a, b) ], via the
     Green function; g is sampled on a Gauss grid split at z0."""
-    if not ip.a <= z0 <= ip.b_pt:
-        raise ValidationError("z0", f"must lie in [{ip.a}, {ip.b_pt}], got {z0}")
-    od, a, b = ip.od, ip.a, ip.b_pt
-    den = scale_increment(od, a, b)
-    # green_function(ip, z0, s) node by node, with its z0-side ratio lhs / den
-    # computed once per side of z0 (keyed on z0 <= s, green_function's branch)
-    ratio = {True: scale_increment(od, a, z0) / den, False: scale_increment(od, z0, b) / den}
+    ratios = _scale_ratios(ip, ("z0", z0))  # z0's, shared by every node
     total = 0.0
-    for lo, hi in ((a, z0), (z0, b)):
+    for lo, hi in ((ip.a, z0), (z0, ip.b_pt)):
         if hi <= lo:
             continue
         s, w = _panel_nodes(lo, hi)
-        rhs = [scale_increment(od, si, b) if z0 <= si else scale_increment(od, a, si) for si in s]
-        vals = [2.0 * ratio[z0 <= si] * (r * speed_density(od, si)) * g(si) for si, r in zip(s, rhs)]
-        total += float(w @ np.array(vals))
+        total += float(w @ np.array([_green(ip, ratios, z0, si) * g(si) for si in s]))
     return total
 
 
@@ -268,15 +273,10 @@ def expected_cost_scale_form(ip: IntervalProblem, z0: float, g) -> float:
     w(z0) = 2 [ u(z0) int_z0^b (S(b)-S(t)) m(t) g(t) dt
               + v(z0) int_a^z0 (S(t)-S(a)) m(t) g(t) dt ],
 
-    with u = (S(z0)-S(a))/(S(b)-S(a)) and v = (S(b)-S(z0))/(S(b)-S(a)) each
-    its own scale ratio: v as 1 - u is lost to rounding when u is near 1.
+    with u and v the scale ratios (S(z0)-S(a))/(S(b)-S(a)) and (S(b)-S(z0))/(S(b)-S(a)).
     """
-    if not ip.a <= z0 <= ip.b_pt:
-        raise ValidationError("z0", f"must lie in [{ip.a}, {ip.b_pt}], got {z0}")
+    u, v = _scale_ratios(ip, ("z0", z0))
     od, a, b = ip.od, ip.a, ip.b_pt
-    den = scale_increment(od, a, b)
-    u = scale_increment(od, a, z0) / den
-    v = scale_increment(od, z0, b) / den
 
     def side(lo, hi, increment):  # integral over [lo, hi] of increment(t) m(t) g(t)
         if hi <= lo:

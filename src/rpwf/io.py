@@ -52,13 +52,17 @@ def write_bytes(path: str | Path, data: bytes) -> dict:
     return {"path": str(path), "sha256": sha256_bytes(data), "bytes": len(data)}
 
 
-def urn_trajectory_csv(traj: UrnTrajectory) -> bytes:
-    k = traj.params.k
-    lines = ["n,color," + ",".join(f"psi_{i+1}" for i in range(k))]
-    for n in range(traj.psi.shape[0]):
-        color = "" if n == 0 else str(int(traj.draws[n - 1]))
-        lines.append(f"{n},{color}," + ",".join(fmt(v) for v in traj.psi[n]))
+def _csv(lead: str, column: str, k: int, leads, rows: list) -> bytes:
+    """CSV of the header ``lead,column_1..column_k`` and, per row of floats, its lead fields then the floats as ``fmt`` prints them."""
+    line = ",".join(["%.17g"] * len(rows[0] if rows else ()))
+    lines = [lead + "," + ",".join(f"{column}_{i+1}" for i in range(k))]
+    lines += [f"{head}{line % tuple(row)}" for head, row in zip(leads, rows)]
     return ("\n".join(lines) + "\n").encode()
+
+
+def urn_trajectory_csv(traj: UrnTrajectory) -> bytes:
+    colors = ["", *traj.draws.tolist()]  # no draw before step 1
+    return _csv("n,color", "psi", traj.params.k, [f"{n},{c}," for n, c in enumerate(colors)], traj.psi.tolist())
 
 
 def urn_trajectory_json(traj: UrnTrajectory) -> bytes:
@@ -73,11 +77,7 @@ def urn_trajectory_json(traj: UrnTrajectory) -> bytes:
 
 
 def _t_x_csv(t: np.ndarray, X: np.ndarray) -> bytes:
-    k = X.shape[1]
-    lines = ["t," + ",".join(f"X_{i+1}" for i in range(k))]
-    for ti, row in zip(t, X):
-        lines.append(fmt(ti) + "," + ",".join(fmt(v) for v in row))
-    return ("\n".join(lines) + "\n").encode()
+    return _csv("t", "X", X.shape[1], [""] * len(t), np.column_stack((t, X)).tolist())
 
 
 def path_csv(path: PathRecord) -> bytes:
@@ -115,12 +115,8 @@ def ensemble_summary_json(t: float, values: np.ndarray, seed: dict) -> bytes:
 
 def samples_csv(urn_values: np.ndarray, wf_values: np.ndarray) -> bytes:
     """Two ensembles side by side: source, replica, X_1..X_k."""
-    k = urn_values.shape[1]
-    lines = ["source,replica," + ",".join(f"X_{i+1}" for i in range(k))]
-    for name, arr in (("urn", urn_values), ("wf", wf_values)):
-        for i, row in enumerate(arr):
-            lines.append(f"{name},{i}," + ",".join(fmt(v) for v in row))
-    return ("\n".join(lines) + "\n").encode()
+    leads = [f"{name},{i}," for name, arr in (("urn", urn_values), ("wf", wf_values)) for i in range(len(arr))]
+    return _csv("source,replica", "X", urn_values.shape[1], leads, urn_values.tolist() + wf_values.tolist())
 
 
 def build_manifest(command: str, params: dict, seed: int, outputs: list[dict]) -> dict:

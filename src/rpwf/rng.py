@@ -22,8 +22,9 @@ others, so a single path (an ensemble of one) equals ensemble row i bit for
 bit, and no output depends on the noise block size or on worker counts.
 A run given a per-replica scalar step (first exits are) hands its last
 ``_SCALAR_TAIL`` replicas to it, where a vector step's fixed cost of some
-twenty numpy calls outweighs their arithmetic: each then finishes alone
-in plain floats, on the rest of its block column and then its own draws,
+twenty numpy calls outweighs their arithmetic.  The hand-off falls at the
+end of a noise block, once the block has used every value it drew: each
+replica then finishes alone in plain floats on its generator's next draws,
 so it still reads its stream in order, and the scalar step's operations
 are the kernel's in the same order, so the bits do not change.
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -206,18 +208,17 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
     ``scalar``, given scalar draws and a 1-d float state, is ``kernel``
     then ``observe`` for one replica in plain floats: ``scalar(j, n, x,
     noise)`` returns row j's value after step n from its value x before
-    it, or None to retire the row.  Once at most ``_SCALAR_TAIL`` replicas
-    are live, each finishes alone through it, reading first the rest of its
-    column of the current block, then its own generator's next draws, so
-    row i still reads stream i in order; ``observe`` is not called again.
+    it, or None to retire the row.  At the end of a block at which at most
+    ``_SCALAR_TAIL`` replicas are live (or at n = 0, if no more start), each
+    finishes alone through it on its own generator's next draws, so row i
+    still reads stream i in order; ``observe`` is not called again.
     """
     check_sizes(n_steps, len(keys))
     gens = generators(keys)
     keep = observe(0, state)
     if keep is not None:
         state, gens = state[keep], [gens[i] for i in keep]
-    least = 0 if scalar is None else _SCALAR_TAIL  # the block loop runs while more replicas than this are live
-    ahead = np.empty((0, len(gens)))  # drawn noise rows the block loop left to the scalar tail
+    least = 0 if scalar is None else _SCALAR_TAIL  # a block starts while more replicas than this are live
     buf = np.empty(0)
     n = 0
     while n < n_steps and len(gens) > least:
@@ -233,29 +234,29 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
                 getattr(g, draw)(out=tile[t])
             block[..., lo : lo + len(group)] = np.moveaxis(tile[: len(group)], 0, -1)
         cols = None  # block columns of the replicas still running, None while all are
-        for r, row in enumerate(np.moveaxis(block, -1, 1)):  # (M,) + shape views of replica-last rows
+        for row in np.moveaxis(block, -1, 1):  # (M,) + shape views of replica-last rows
             n += 1
             state = kernel(state, row if cols is None else row[cols])
             keep = observe(n, state)
             if keep is not None:
                 state = state[keep]
                 cols = keep if cols is None else cols[keep]
-                if len(cols) <= least:
-                    ahead = block[r + 1 :, cols]
+                if not len(cols):  # every replica retired
                     break
         if cols is not None:
             gens = [gens[i] for i in cols]
     if scalar is not None and gens and n < n_steps:
-        state = _scalar_tail(scalar, state, gens, ahead, n, n_steps, draw)
+        state = _scalar_tail(scalar, state, gens, n, n_steps, draw)
     return state
 
 
-def _scalar_tail(scalar, state: np.ndarray, gens, ahead: np.ndarray, n: int, n_steps: int, draw: str) -> np.ndarray:
-    """Steps n + 1..n_steps of each row alone through ``scalar``; returns the rows it kept, at their last values."""
+def _scalar_tail(scalar, state: np.ndarray, gens, n: int, n_steps: int, draw: str) -> np.ndarray:
+    """Steps n + 1..n_steps of each row alone through ``scalar``, on its generator's next draws; returns the rows it kept."""
     keep = []
     for j, gen in enumerate(gens):
         x = float(state[j])
-        for m, noise in enumerate(_draws(gen, draw, ahead[:, j].tolist(), n_steps - n), n + 1):
+        chunks = (getattr(gen, draw)(size=min(n_steps - lo, _BLOCK_STEPS)).tolist() for lo in range(n, n_steps, _BLOCK_STEPS))
+        for m, noise in enumerate(itertools.chain.from_iterable(chunks), n + 1):
             x = scalar(j, m, x, noise)
             if x is None:
                 break
@@ -263,16 +264,6 @@ def _scalar_tail(scalar, state: np.ndarray, gens, ahead: np.ndarray, n: int, n_s
             state[j] = x
             keep.append(j)
     return state[keep]
-
-
-def _draws(gen: np.random.Generator, draw: str, first: list, count: int):
-    """``count`` values of one stream: those of ``first``, then the generator's next draws."""
-    yield from first
-    count -= len(first)
-    while count > 0:
-        chunk = getattr(gen, draw)(size=min(count, _BLOCK_STEPS)).tolist()
-        yield from chunk
-        count -= len(chunk)
 
 
 def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int = 1) -> np.ndarray:

@@ -137,8 +137,8 @@ def rescale_time(traj: UrnTrajectory, t_max: float, dt_out: float) -> RescaledPa
     beta = traj.params.beta
     if beta >= 1.0:
         raise ValidationError("beta", "time rescaling requires beta < 1")
-    if dt_out <= 0 or t_max < 0:
-        raise ValidationError("t-max", "need t_max >= 0 and dt_out > 0")
+    if not (0 <= t_max < math.inf and 0 < dt_out < math.inf):  # positive form, so that a NaN fails
+        raise ValidationError("t-max", f"need finite t_max >= 0 and dt_out > 0, got {t_max} and {dt_out}")
     required = native_step_count(beta, t_max)
     if traj.n_steps < required:
         raise ValidationError(

@@ -80,8 +80,3 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     np.subtract(1.0, head, out=R[-1])
     return R.T.reshape(shape)
 
-
-def random_simplex_points(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform (flat Dirichlet) sample of n points on the k-simplex."""
-    g = rng.standard_exponential((n, k))
-    return g / g.sum(axis=1, keepdims=True)

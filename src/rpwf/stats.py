@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .scaling import ScaledFamilyParams, family_member_for_start, step_index
-from .urn import simulate_urn_ensemble
+from .urn import _check_colors, simulate_urn_ensemble
 from .wright_fisher import SdeConfig, WfParams, _check_x0, _n_steps, mean_ode, simulate_wf_ensemble
 
 __all__ = [
@@ -55,8 +55,8 @@ def chi_squared_stat(O, p) -> float:
     """chi^2 = N * sum((O_i/N - p_i)^2 / p_i) against the limit law p, with N = sum(O)."""
     O = np.asarray(O, dtype=float)
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise ValidationError("p", "expected probabilities must be strictly positive")
+    if not np.all((0 < p) & (p < math.inf)):  # positive form, so that a NaN fails
+        raise ValidationError("p", "expected probabilities must be finite and strictly positive")
     N = O.sum()
     if not N > 0:
         raise ValidationError("O", f"counts must sum to a positive sample size, got {N}")
@@ -82,6 +82,7 @@ def empirical_mean(draws) -> np.ndarray:
     draws = np.asarray(draws)
     if draws.ndim != 1 or draws.size == 0:
         raise ValidationError("draws", "need a nonempty 1-d array of colors")
+    draws = _check_colors(draws, math.inf)
     onehot = np.zeros((draws.size, int(draws.max())))
     onehot[np.arange(draws.size), draws - 1] = 1.0
     return np.cumsum(onehot, axis=0) / np.arange(1, draws.size + 1)[:, None]
@@ -179,9 +180,6 @@ class ConvergenceReport:
     # both ensembles at every checkpoint, always kept (``as_dict`` leaves them out):
     # samples[(i_beta, i_time)] = (urn (M, k), wf (M, k))
     samples: dict = field(compare=False)
-
-    def mean_distance(self, i_beta: int) -> float:
-        return float(np.mean(np.asarray(self.distances)[i_beta]))
 
     def as_dict(self) -> dict:
         return {

@@ -200,6 +200,15 @@ def step(params: UrnParams, state: UrnState, rng: np.random.Generator):
     return new, DrawOutcome(color=idx + 1)
 
 
+def _check_colors(draws, k: float) -> np.ndarray:
+    """``draws`` as int64 colors; each must be an integer in [1, k], else a ValidationError names draws."""
+    d = np.asarray(draws)
+    # positive form, so that a NaN (every comparison false) fails
+    if not np.all((1 <= d) & (d <= k) & (d < math.inf) & (np.floor(d) == d)):
+        raise ValidationError("draws", f"colors must be integers in [1, {k}]")
+    return d.astype(np.int64)
+
+
 def closed_form_B(params: UrnParams, draws: np.ndarray, n: int) -> np.ndarray:
     """Evaluate B_n = beta^n B_0 + alpha * sum_h beta^(n-h) xi_h directly.
 
@@ -208,7 +217,7 @@ def closed_form_B(params: UrnParams, draws: np.ndarray, n: int) -> np.ndarray:
     from the step recursion, making this an independent floating-point path.
     ``draws`` holds the int colors 1..k of ``UrnTrajectory.draws``.
     """
-    draws = np.asarray(draws, dtype=np.int64) - 1
+    draws = _check_colors(draws, params.k) - 1
     if n > draws.size:
         raise ValidationError("n", f"need {n} draws, trajectory has {draws.size}")
     if n < 0:

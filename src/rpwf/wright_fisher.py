@@ -25,9 +25,10 @@ paths).  Path i draws from ``StreamKey(seed, label, i)``, at any worker
 count; a single path is an ensemble of one, equal bit for bit to row i.
 The 1-d step writes into reused scratch rows, and a step in which no path
 leaves (a, b) costs the exit test two reductions.  First exits finish
-their last ``rng._SCALAR_TAIL`` paths one at a time in plain floats,
-through a scalar copy of the 1-d step with the same operation order, so
-the exit times and values do not change; the single path and
+their last ``rng._SCALAR_TAIL`` paths one at a time in plain floats, from
+the end of the noise block at which no more are live, on each path's own
+next draws, through a scalar copy of the 1-d step with the same operation
+order, so the exit times and values do not change; the single path and
 ``marginal_ensemble_values`` stay on the vector step.
 """
 
@@ -312,17 +313,13 @@ def mean_ode(params: WfParams, x0, t: float) -> np.ndarray:
 _MARGINAL = "wf1d"  # the stream label of every 1-d marginal path
 
 
-def _marginal_em(z: np.ndarray, zn: np.ndarray, od: OneDimWf, dt: float, work: np.ndarray | None = None) -> np.ndarray:
-    """One Euler-Maruyama step of 1-d values z with the normal draws zn; returns the new values.
+def _marginal_em(z: np.ndarray, zn: np.ndarray, od: OneDimWf, dt: float, work: np.ndarray) -> np.ndarray:
+    """One Euler-Maruyama step of 1-d values z with the normal draws zn, written over z; returns z.
 
     The step is clip(z + d + noise, 0, 1) with d = (-a1 z + a0 (1 - z)) dt
-    and noise = sqrt(max(z (1 - z), 0) dt) zn.  Without ``work`` it
-    allocates a new result.  Given a (3, M') scratch array, M' >= len(z),
-    it writes the step over z and allocates nothing.
+    and noise = sqrt(max(z (1 - z), 0) dt) zn.  ``work`` is a (3, M')
+    scratch array, M' >= len(z), so the step allocates nothing.
     """
-    if work is None:
-        z = np.array(z, dtype=float)
-        work = np.empty((3, z.size))
     d, u, w = work[:, : z.size]
     np.multiply(-od.a1, z, out=d)
     np.subtract(1.0, z, out=w)

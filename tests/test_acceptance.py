@@ -33,7 +33,6 @@ from rpwf.polynomials import (
 from rpwf.quadrature import inner_product_quad, simplex_rule
 from rpwf.rng import StreamKey, generator
 from rpwf.scaling import Partition, ScaledFamilyParams, build_family_member, eps_delta, project_group
-from rpwf.simplex import random_simplex_points
 from rpwf.spectral import SpectralTransitionDensity, dirichlet_density, forward_equation_residual
 from rpwf.stats import ConvergenceConfig, convergence_experiment, ks_one_sample, stationary_urn_samples
 from rpwf.urn import (
@@ -52,6 +51,8 @@ from rpwf.wright_fisher import (
     marginal_touch_flags,
     sigma_batch,
 )
+
+from helpers import random_simplex_points
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

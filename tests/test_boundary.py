@@ -38,8 +38,9 @@ def test_classify_boundary_table():
     assert classify_boundary(0.49999) is BoundaryType.REGULAR
     assert classify_boundary(0.5) is BoundaryType.ENTRANCE
     assert classify_boundary(3.0) is BoundaryType.ENTRANCE
-    with pytest.raises(ValidationError):
-        classify_boundary(-0.1)
+    for bad in (-0.1, math.nan):  # a NaN fails every comparison: it used to fall through to ENTRANCE
+        with pytest.raises(ValidationError):
+            classify_boundary(bad)
 
 
 def test_classification_mirror_symmetry():
@@ -306,9 +307,12 @@ def test_scale_integral_keeps_its_bytes_below_overflow():
     assert mean_exit_time(ip, 0.5) == 4.6320038471753387e48
 
 
-@pytest.mark.parametrize("a0, a1, field", [(215.0, 215.0, "a0"), (220.0, 220.0, "a0"), (250.0, 250.0, "a0"), (3.0, 300.0, "a1")])
+@pytest.mark.parametrize(
+    "a0, a1, field", [(215.0, 215.0, "a0"), (220.0, 220.0, "a0"), (250.0, 250.0, "a0"), (3.0, 300.0, "a1"), (240.0, 300.0, "a1")]
+)
 def test_scale_integral_overflow_raises_naming_the_coefficient(a0, a1, field):
-    # t^{-2 a0} (1-t)^{-2 a1} overflows a float on (1/4, 3/4) from a0 = a1 = 215 on; the results were nan
+    # t^{-2 a0} (1-t)^{-2 a1} overflows a float on (1/4, 3/4) from a0 = a1 = 215 on; the results were nan.
+    # At (240, 300) the integral over (1/4, 1/2) overflows too, naming a0: every function names (1/4, 3/4)'s a1
     ip = IntervalProblem(od=OneDimWf(a0=a0, a1=a1), a=0.25, b_pt=0.75)
     for result in (
         lambda: hitting_prob(ip, 0.5),
@@ -364,13 +368,14 @@ def test_expected_cost_nonconstant_rate_matches_monte_carlo():
     z = np.full(n_paths, z0)
     cost = np.zeros(n_paths)
     alive = np.ones(n_paths, dtype=bool)
+    work = np.empty((3, n_paths))
     for _ in range(500):  # blocks of 1000 steps until every path has exited
         if not alive.any():
             break
         zn = np.stack([gen.standard_normal(1000) for gen in gens], axis=0)
         for s in range(1000):
             cost[alive] += g(z[alive]) * dt
-            z[alive] = _marginal_em(z[alive], zn[alive, s], od, dt)
+            z[alive] = _marginal_em(z[alive], zn[alive, s], od, dt, work)
             alive &= (z > ip.a) & (z < ip.b_pt)
             if not alive.any():
                 break
@@ -402,3 +407,42 @@ def test_return_ratio_density_integrates_to_one():
     t, w = gauss_jacobi_01(80, 2 * od.a0 - 1, 2 * od.a1 - 1)
     total = float(w @ np.array([return_ratio_density(od, ti) / (ti ** (2 * od.a0 - 1) * (1 - ti) ** (2 * od.a1 - 1)) for ti in t]))
     assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def _outcome(f) -> str:
+    """The result's bits as hex, or the field a ValidationError names."""
+    try:
+        return f().hex()
+    except ValidationError as err:
+        return f"ValidationError:{err.field}"
+
+
+_PIN_A = (0.0, 0.3, 0.7, 20.0, 150.0)
+_PIN_CASES = [
+    *((a0, a1, a, b, z0) for a0, a1 in itertools.product(_PIN_A, _PIN_A) for a, b, z0 in ((0.2, 0.8, 0.5), (0.05, 0.3, 0.1))),
+    (200.0, 150.0, 0.25, 0.75, 0.7),
+    (200.0, 3.0, 0.25, 0.75, 0.7),
+]
+
+
+def _interval_outcomes() -> list[str]:
+    g = lambda s: 1.0 + 0.5 * math.sin(3 * s)
+    out = []
+    for a0, a1, a, b, z0 in _PIN_CASES:
+        ip = IntervalProblem(od=OneDimWf(a0=a0, a1=a1), a=a, b_pt=b)
+        out += [
+            _outcome(lambda: hitting_prob(ip, z0)),
+            _outcome(lambda: mean_exit_time(ip, z0)),
+            _outcome(lambda: green_function(ip, z0, 0.5 * (a + z0))),  # x > s
+            _outcome(lambda: green_function(ip, z0, 0.5 * (z0 + b))),  # x <= s
+            _outcome(lambda: expected_cost_scale_form(ip, z0, g)),
+        ]
+    return out
+
+
+# sha256 of _interval_outcomes, taken when each of the four functions computed its own scale ratios
+_INTERVAL_SHA = "38cbe96d42303ca9daca903ace9f6ecd7077f94f50183a089c2f617342455d29"
+
+
+def test_interval_problems_keep_their_bits():
+    assert hashlib.sha256("\n".join(_interval_outcomes()).encode()).hexdigest() == _INTERVAL_SHA

@@ -14,9 +14,9 @@ from rpwf.io import (
     urn_trajectory_json,
 )
 from rpwf.rng import generator
-from rpwf.scaling import ScaledFamilyParams, build_family_member, rescale_time
-from rpwf.urn import simulate_urn
-from rpwf.wright_fisher import SdeConfig, WfParams, simulate_wf
+from rpwf.scaling import RescaledPath, ScaledFamilyParams, build_family_member, rescale_time
+from rpwf.urn import UrnTrajectory, simulate_urn
+from rpwf.wright_fisher import PathRecord, SdeConfig, WfParams, simulate_wf
 
 
 def test_fmt_round_trips_doubles():
@@ -84,3 +84,38 @@ def test_canonical_json_is_deterministic():
     b = canonical_json({"a": [1.5, 2.5], "b": 1})
     assert a == b
     assert sha256_bytes(a) == sha256_bytes(b)
+
+
+def _with_extremes(a: np.ndarray) -> np.ndarray:
+    """A float copy of a with -0.0 and the smallest subnormal among its values."""
+    a = np.array(a, dtype=float)
+    a.flat[1], a.flat[-2] = -0.0, 5e-324
+    return a
+
+
+def _pinned_csvs() -> list[bytes]:
+    p = build_family_member(ScaledFamilyParams(1.0, np.array([1.0, 2.0, 0.5]), 0.9))
+    traj = simulate_urn(p, 60, 11)
+    wf = WfParams(b=1.0, alpha=1.0, p=np.array([0.2, 0.3, 0.5]))
+    path = simulate_wf(wf, wf.p, 0.2, SdeConfig(dt=0.01), 5)
+    rp = rescale_time(simulate_urn(p, 900, 3), t_max=8.0, dt_out=0.5)
+    return [
+        urn_trajectory_csv(UrnTrajectory(traj.params, traj.draws, _with_extremes(traj.psi), traj.seed)),
+        path_csv(PathRecord(_with_extremes(path.t), _with_extremes(path.X), path.seed)),
+        rescaled_path_csv(RescaledPath(_with_extremes(rp.t_grid), _with_extremes(rp.X), rp.beta)),
+        samples_csv(_with_extremes(generator(1, "s").random((6, 3))), generator(2, "s").random((5, 3)) * 1e-300),
+    ]
+
+
+# sha256 of urn_trajectory_csv, path_csv, rescaled_path_csv and samples_csv at fixed seeds, each
+# with a -0.0 and a 5e-324 among its values, taken when every writer formatted its own rows
+_CSV_SHA = [
+    "bcf39677dd02ee565eb536e17f28fff5306b1ef046f18c5b038daa3dfc5313b6",
+    "12c6ce531635491dd9e0a479fa232bb0f3ad0434feb4bde2c74d6faa68941d57",
+    "644ddf6e095bd935b01338e33a8e8139d952c6378f9701e0e8c87f0b9080c7cf",
+    "f496aaf22b89efbc9fc22bcc65fc6f39a752efc2c552b1e64504e2c6c6b509a9",
+]
+
+
+def test_csv_writers_keep_their_bytes():
+    assert [sha256_bytes(data) for data in _pinned_csvs()] == _CSV_SHA

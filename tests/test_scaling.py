@@ -102,6 +102,15 @@ def test_rescale_time_requires_enough_steps():
     assert "20000" in str(exc.value)
 
 
+@pytest.mark.parametrize("t_max, dt_out", [(np.nan, 0.5), (1.0, np.nan), (np.inf, 0.5), (1.0, np.inf), (-1.0, 0.5), (1.0, 0.0)])
+def test_rescale_time_rejects_a_grid_that_is_not_finite_and_positive(t_max, dt_out):
+    # a NaN t_max or dt_out used to reach numpy and raise its ValueError
+    traj = simulate_urn(build_family_member(ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 1.0]), beta=0.9)), 120, 3)
+    with pytest.raises(ValidationError) as exc:
+        rescale_time(traj, t_max=t_max, dt_out=dt_out)
+    assert exc.value.field == "t-max"
+
+
 def test_partition_validation():
     with pytest.raises(ValidationError):
         Partition([[1, 2], [2, 3]])

@@ -53,6 +53,14 @@ def test_chi_squared_rejects_zero_probability():
         chi_squared_stat([1, 1], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("p", [[np.nan, 0.5], [0.5, np.inf], [-0.5, 1.5]])
+def test_chi_squared_rejects_a_probability_that_is_not_finite_and_positive(p):
+    # a NaN in p used to slip through the check and return nan
+    with pytest.raises(ValidationError) as exc:
+        chi_squared_stat([1, 1], p)
+    assert exc.value.field == "p"
+
+
 def test_chi_squared_rejects_an_empty_sample():
     with pytest.raises(ValidationError, match="positive sample size"):
         chi_squared_stat([0, 0], [0.5, 0.5])
@@ -71,7 +79,12 @@ def test_empirical_mean_constant_draws():
     assert np.allclose(means2[-1], [0.75, 0.25])
 
 
-@pytest.mark.parametrize("draws", [np.eye(3)[[0, 1, 1]], np.array([], dtype=int)])
+# colors must be integers from 1: color 0 used to count as the last color, and a
+# non-integer raised a bare IndexError
+@pytest.mark.parametrize(
+    "draws",
+    [np.eye(3)[[0, 1, 1]], np.array([], dtype=int), *map(np.array, ([0, 1], [1, -2], [1, 2.5], [1, np.nan], [1, np.inf]))],
+)
 def test_empirical_mean_rejects_anything_but_colors(draws):
     with pytest.raises(ValidationError) as exc:
         empirical_mean(draws)
@@ -182,7 +195,8 @@ def test_convergence_experiment_reports_infeasible_steps_before_running():
 def test_convergence_distances_shrink_with_beta():
     config = ConvergenceConfig(wf=WF2, betas=(0.5, 0.97), times=(1.0,), n_replicas=1200, dt=1e-3, seed=17)
     report = convergence_experiment(config)
-    assert report.mean_distance(1) < report.mean_distance(0)
+    d = np.asarray(report.distances)
+    assert d[1].mean() < d[0].mean()
     assert report.trend_ok
 
 

@@ -119,6 +119,14 @@ def test_closed_form_B_empty_sum_is_B0():
     assert np.array_equal(closed_form_B(p, np.array([], dtype=np.int64), 0), [2.0, 7.0])
 
 
+@pytest.mark.parametrize("draws", [[0], [1, 3], [1.5], [np.nan], [-1, 1]])
+def test_closed_form_B_rejects_colors_outside_one_to_k(draws):
+    # at k = 2, color 0 used to count as color 2, and 3 raised a bare IndexError
+    with pytest.raises(ValidationError) as exc:
+        closed_form_B(make_params(B0=(2.0, 7.0)), draws, 1)
+    assert exc.value.field == "draws"
+
+
 def test_closed_form_B_beta_one_counts_draws():
     p = make_params(beta=1.0, b=(1.0, 1.0), B0=(0.5, 0.5))
     traj = simulate_urn(p, 500, 5)

@@ -6,7 +6,7 @@ import pytest
 
 from rpwf.errors import ValidationError
 from rpwf.rng import StreamKey, generator
-from rpwf.simplex import check_reduced, random_simplex_points
+from rpwf.simplex import check_reduced
 from rpwf.scaling import Partition
 from rpwf.stats import ks_critical_value, ks_two_sample
 from rpwf.wright_fisher import (
@@ -26,6 +26,8 @@ from rpwf.wright_fisher import (
     simulate_wf,
     simulate_wf_ensemble,
 )
+
+from helpers import random_simplex_points
 
 P2 = WfParams(b=1.0, alpha=1.0, p=np.array([0.5, 0.5]))
 
@@ -216,7 +218,7 @@ def test_marginal_zero_noise_fixed_point():
     od = OneDimWf(a0=0.3, a1=0.3)
     z = np.array([0.5])
     for _ in range(10):
-        z = _marginal_em(z, np.zeros(1), od, 1e-2)
+        z = _marginal_em(z, np.zeros(1), od, 1e-2, np.empty((3, 1)))
     assert z[0] == pytest.approx(0.5, abs=1e-15)
 
 
