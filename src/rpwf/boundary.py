@@ -66,15 +66,13 @@ def classify_boundary(a_z: float) -> BoundaryType:
 
 def group_to_1d(params: WfParams, J) -> OneDimWf:
     """Marginal SDE coefficients of the aggregated group J (1-based colors)."""
-    J = _check_group(params.k, J)
-    a0 = params.rate * float(sum(params.p[c - 1] for c in J))
+    a0 = params.rate * _group_mass(params, J)
     return OneDimWf(a0=a0, a1=params.rate - a0)
 
 
 def is_recessive(params: WfParams, J) -> bool:
     """True iff sum_{l in J} p_l < alpha / (2 b): the group frequency touches 0."""
-    J = _check_group(params.k, J)
-    return float(sum(params.p[c - 1] for c in J)) < params.alpha / (2.0 * params.b)
+    return _group_mass(params, J) < params.alpha / (2.0 * params.b)
 
 
 def is_dominant(params: WfParams, i: int) -> bool:
@@ -88,15 +86,16 @@ def dominant_colors(params: WfParams) -> list[int]:
     return [i for i in range(1, params.k + 1) if is_dominant(params, i)]
 
 
-def _check_group(k: int, J) -> tuple[int, ...]:
-    J = tuple(sorted(set(int(c) for c in J)))
+def _group_mass(params: WfParams, J) -> float:
+    """sum_{l in J} p_l of a nonempty proper group J of the colors 1..k, each counted once."""
+    J = sorted(set(int(c) for c in J))
     if not J:
         raise ValidationError("j", "group must be nonempty")
-    if any(c < 1 or c > k for c in J):
-        raise ValidationError("j", f"colors must lie in 1..{k}")
-    if len(J) == k:
+    if any(c < 1 or c > params.k for c in J):
+        raise ValidationError("j", f"colors must lie in 1..{params.k}")
+    if len(J) == params.k:
         raise ValidationError("j", "group must be a proper subset of the colors")
-    return J
+    return float(sum(params.p[c - 1] for c in J))
 
 
 def _doublings(z: float, top: float) -> list[float]:
@@ -302,8 +301,9 @@ def return_ratio_density(od: OneDimWf, z0: float) -> float:
     """
     if not 0.0 < z0 < 1.0:
         raise ValidationError("z0", f"must lie in (0, 1), got {z0}")
-    if od.a0 <= 0 or od.a1 <= 0:
-        raise ValidationError("a0", "return-ratio density requires a0, a1 > 0")
+    for name in ("a0", "a1"):
+        if not getattr(od, name) > 0:
+            raise ValidationError(name, f"return-ratio density requires a0, a1 > 0, got {name}={getattr(od, name)}")
     logc = lgamma(2.0 * (od.a0 + od.a1)) - lgamma(2.0 * od.a0) - lgamma(2.0 * od.a1)
     return math.exp(logc + (2.0 * od.a0 - 1.0) * math.log(z0) + (2.0 * od.a1 - 1.0) * math.log(1.0 - z0))
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import io as rio
 from .boundary import (
     IntervalProblem,
+    _group_mass,
     classify_boundary,
     dominant_colors,
     group_to_1d,
@@ -76,7 +77,7 @@ class Opt:
 
 
 _COMMON = [
-    Opt("seed", int, None, "master seed (env RPWF_SEED when absent)"),
+    Opt("seed", int, DEFAULT_SEED, "master seed (env RPWF_SEED when absent)"),
     Opt("config", str, None, "flat key = value config file"),
     Opt("out", str, None, "output path (default derived from the command)"),
     Opt("format", str, "csv", "csv or json"),
@@ -114,7 +115,11 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve(opts: list[Opt], ns: argparse.Namespace) -> dict:
-    """Apply precedence CLI > config > defaults, converting every value once."""
+    """Apply precedence CLI > config > defaults, converting every value once.
+
+    ``RPWF_SEED`` ranks between the config file and the seed's default,
+    ``DEFAULT_SEED``.  An option with no value at any level resolves to None.
+    """
     cli = {k: v for k, v in vars(ns).items() if v is not None and k not in ("command",)}
     cfg = _load_config(cli["config"]) if cli.get("config") else {}
     resolved: dict[str, object] = {}
@@ -139,9 +144,6 @@ def _resolve(opts: list[Opt], ns: argparse.Namespace) -> dict:
             raise
         except (TypeError, ValueError) as exc:
             raise ValidationError(opt.name, f"bad value {value!r}") from exc
-    if resolved.get("seed") is None:
-        resolved["seed"] = DEFAULT_SEED
-        raw["seed"] = str(DEFAULT_SEED)
     if resolved.get("format") not in (None, "csv", "json"):
         raise ValidationError("format", f"expected csv or json, got {resolved['format']!r}")
     resolved["_raw"] = raw
@@ -239,7 +241,7 @@ def _run_boundary(r: dict) -> list[dict]:
     od = group_to_1d(params, J)
     report = {
         "j": [int(c) for c in J],
-        "p_group": float(sum(params.p[c - 1] for c in J)),
+        "p_group": _group_mass(params, J),
         "a0": od.a0,
         "a1": od.a1,
         "boundary_at_0": classify_boundary(od.a0).value,
@@ -392,17 +394,12 @@ def main(argv: list[str] | None = None) -> int:
         resolved = _resolve(opts, ns)
         raw = resolved.pop("_raw")
         outputs = runner(resolved)
+        data = rio.canonical_json(rio.build_manifest(ns.command, raw, resolved["seed"], outputs))
+        rio.write_bytes(outputs[0]["path"] + ".manifest.json", data)
     except ValidationError as exc:
         print(f"error: --{exc.field.lower()}: {exc.reason}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    manifest = rio.build_manifest(ns.command, raw, resolved["seed"], outputs)
-    data = rio.canonical_json(manifest)
-    try:
-        rio.write_bytes(outputs[0]["path"] + ".manifest.json", data)
-    except OSError as exc:
+    except OSError as exc:  # writing an output or the manifest
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     sys.stdout.write(data.decode())

@@ -163,9 +163,17 @@ class MultiIndexPolynomial:
         self.nvars = int(nvars)
         self.coeffs: dict[tuple[int, ...], object] = {}
         if coeffs:
-            for e, c in coeffs.items():
-                if c != 0:
-                    self.coeffs[tuple(int(v) for v in e)] = c
+            self._accumulate((tuple(int(v) for v in e), c) for e, c in coeffs.items())
+
+    def _accumulate(self, terms) -> "MultiIndexPolynomial":
+        """Add each (exponent tuple, coefficient) term in place, dropping a monomial whose sum is 0."""
+        for e, c in terms:
+            s = self.coeffs.get(e, 0) + c
+            if s == 0:
+                self.coeffs.pop(e, None)
+            else:
+                self.coeffs[e] = s
+        return self
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiIndexPolynomial":
@@ -193,51 +201,38 @@ class MultiIndexPolynomial:
         return not self.coeffs
 
     def __add__(self, other):
+        """Sum with a polynomial or a scalar (a constant polynomial)."""
         if not isinstance(other, MultiIndexPolynomial):
             other = MultiIndexPolynomial(self.nvars, {(0,) * self.nvars: other})
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MultiIndexPolynomial(self.nvars, out)
+        return MultiIndexPolynomial(self.nvars, self.coeffs)._accumulate(other.coeffs.items())
 
     def __neg__(self):
-        return MultiIndexPolynomial(self.nvars, {e: -c for e, c in self.coeffs.items()})
+        return self * -1
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiIndexPolynomial) else -MultiIndexPolynomial(self.nvars, {(0,) * self.nvars: other}))
+        """Difference with a polynomial or a scalar: self + (-1) other."""
+        return self + other * -1
 
     def __mul__(self, other):
+        """Product with a polynomial, or every coefficient times a scalar (zeros dropped)."""
         if isinstance(other, MultiIndexPolynomial):
-            out: dict[tuple[int, ...], object] = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(e, 0) + c1 * c2
-                    if s == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
-            return MultiIndexPolynomial(self.nvars, out)
-        if other == 0:
-            return MultiIndexPolynomial.zero(self.nvars)
+            terms = (
+                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                for e1, c1 in self.coeffs.items()
+                for e2, c2 in other.coeffs.items()
+            )
+            return MultiIndexPolynomial(self.nvars)._accumulate(terms)
         return MultiIndexPolynomial(self.nvars, {e: c * other for e, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self * (self * (... * 1)), n factors; n >= 0."""
         if n < 0:
             raise ValueError("negative power")
         out = MultiIndexPolynomial.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            out = self * out
         return out
 
     def diff(self, var: int) -> "MultiIndexPolynomial":

@@ -43,10 +43,11 @@ __all__ = [
 
 def eps_delta(alpha: float, b_scalar: float, beta: float) -> tuple[float, float]:
     """Per-step reversion and noise coefficients of a balanced family member."""
-    if not alpha > 0:
-        raise ValidationError("alpha", f"must be > 0, got {alpha}")
-    if not b_scalar > 0:
-        raise ValidationError("b", f"|b| must be > 0, got {b_scalar}")
+    # positive form, so that a NaN fails
+    if not 0 < alpha < math.inf:
+        raise ValidationError("alpha", f"must be finite and > 0, got {alpha}")
+    if not 0 < b_scalar < math.inf:
+        raise ValidationError("b", f"|b| must be finite and > 0, got {b_scalar}")
     if not 0.0 <= beta < 1.0:
         raise ValidationError("beta", f"scaling family requires 0 <= beta < 1, got {beta}")
     denom = alpha + b_scalar * (1.0 - beta)
@@ -191,14 +192,12 @@ def project_group(obj: UrnTrajectory | RescaledPath, partition: Partition):
     grouped predictive means, and it satisfies the grouped one-step
     recursion pathwise on the same draw stream.
     """
-    if isinstance(obj, RescaledPath):
-        if partition.k != obj.X.shape[1]:
-            raise ValidationError("partition", "partition size does not match path dimension")
-        A = partition.matrix()
-        return RescaledPath(t_grid=obj.t_grid, X=obj.X @ A.T, beta=obj.beta)
-    if partition.k != obj.params.k:
-        raise ValidationError("partition", "partition size does not match urn dimension")
+    values = obj.X if isinstance(obj, RescaledPath) else obj.psi
+    if partition.k != values.shape[1]:
+        raise ValidationError("partition", f"partition size {partition.k} does not match dimension {values.shape[1]}")
     A = partition.matrix()
+    if isinstance(obj, RescaledPath):
+        return RescaledPath(t_grid=obj.t_grid, X=values @ A.T, beta=obj.beta)
     grouped = UrnParams(
         alpha=obj.params.alpha,
         beta=obj.params.beta,
@@ -209,6 +208,6 @@ def project_group(obj: UrnTrajectory | RescaledPath, partition: Partition):
     return UrnTrajectory(
         params=grouped,
         draws=gof[obj.draws - 1] + 1,
-        psi=obj.psi @ A.T,
+        psi=values @ A.T,
         seed=obj.seed,
     )

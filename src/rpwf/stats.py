@@ -94,10 +94,21 @@ def ks_critical_value(n: int, alpha: float, m: int | None = None) -> float:
     One-sample: c(alpha)/sqrt(n); two-sample (m given): c(alpha) *
     sqrt((n+m)/(n m)), with c(alpha) = sqrt(-ln(alpha/2)/2).
     """
+    if not n >= 1:  # positive form, so that a NaN fails
+        raise ValidationError("n", f"need a sample size >= 1, got {n}")
+    if m is not None and not m >= 1:
+        raise ValidationError("m", f"need a sample size >= 1, got {m}")
+    if not 0 < alpha < 1:
+        raise ValidationError("alpha", f"level must lie in (0, 1), got {alpha}")
     c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
     if m is None:
         return c / math.sqrt(n)
     return c * math.sqrt((n + m) / (n * m))
+
+
+def _critical_values(n: int, m: int | None = None) -> dict:
+    """``ks_critical_value`` at every level of ``_KS_LEVELS``."""
+    return {a: ks_critical_value(n, a, m) for a in _KS_LEVELS}
 
 
 @dataclass(frozen=True)
@@ -129,7 +140,7 @@ def ks_one_sample(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KsReport:
     hi = np.arange(1, n + 1) / n - F
     lo = F - np.arange(0, n) / n
     D = float(max(hi.max(), lo.max(), 0.0))
-    return KsReport(D=D, n_samples=n, m_samples=None, critical={a: ks_critical_value(n, a) for a in _KS_LEVELS})
+    return KsReport(D=D, n_samples=n, m_samples=None, critical=_critical_values(n))
 
 
 def ks_two_sample(s1, s2) -> KsReport:
@@ -142,12 +153,7 @@ def ks_two_sample(s1, s2) -> KsReport:
     F1 = np.searchsorted(x1, allx, side="right") / x1.size
     F2 = np.searchsorted(x2, allx, side="right") / x2.size
     D = float(np.abs(F1 - F2).max())
-    return KsReport(
-        D=D,
-        n_samples=x1.size,
-        m_samples=x2.size,
-        critical={a: ks_critical_value(x1.size, a, x2.size) for a in _KS_LEVELS},
-    )
+    return KsReport(D=D, n_samples=x1.size, m_samples=x2.size, critical=_critical_values(x1.size, x2.size))
 
 
 @dataclass(frozen=True)
@@ -196,11 +202,7 @@ class ConvergenceReport:
 
 def _marginal_specs(k: int, seed: int) -> list[tuple[str, np.ndarray]]:
     """Singleton marginals plus one seed-derived bipartition for k > 2."""
-    specs = []
-    for i in range(k):
-        sel = np.zeros(k)
-        sel[i] = 1.0
-        specs.append((f"X{i+1}", sel))
+    specs = [(f"X{i+1}", sel) for i, sel in enumerate(np.eye(k))]
     if k > 2:
         rng = np.random.Generator(np.random.PCG64(seed))
         while True:
@@ -222,6 +224,21 @@ def _check_urn_steps(field: str, beta: float, t: float) -> None:
         raise ValidationError(field, f"beta={beta} at rescaled time {t} needs {steps:.4g} urn steps, over {_MAX_URN_STEPS}")
 
 
+def _exhibit_urn(wf: WfParams, beta: float, x0, times, field: str, n_replicas: int, seed: int, workers: int):
+    """``(len(times), n_replicas, k)`` predictive means of the "converge-urn" ensemble at the rescaled times.
+
+    The urn is the balanced family member of ``wf`` at beta started at x0.
+    A bad beta is rejected first, then every time that fails
+    ``_check_urn_steps`` (named ``field``), before anything runs.
+    """
+    fp = ScaledFamilyParams(alpha=wf.alpha, b=wf.b * wf.p, beta=beta)
+    params = family_member_for_start(fp, x0)
+    for t in times:
+        _check_urn_steps(field, beta, t)
+    idx = [step_index(beta, t) for t in times]
+    return simulate_urn_ensemble(params, max(idx), n_replicas, seed, "converge-urn", idx, workers)
+
+
 def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     """Two-sample KS distances between urn ensembles and the EM diffusion.
 
@@ -239,7 +256,7 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
         raise ValidationError("betas", f"the scaling family needs every beta in [0, 1), got {betas}")
     if not config.n_replicas >= 2:
         raise ValidationError("replicas", f"KS distances and z-scores need >= 2 replicas, got {config.n_replicas}")
-    for t in times:
+    for t in times:  # at the largest beta, the most urn steps, before the Euler-Maruyama ensemble runs
         _check_urn_steps("times", betas[-1], t)
     t_max = times[-1]
     _n_steps(t_max, config.dt, "dt")  # converge has no --t-max
@@ -260,12 +277,7 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     moment_z = []
     samples = {}
     for i_beta, beta in enumerate(betas):
-        fp = ScaledFamilyParams(alpha=wf.alpha, b=wf.b * wf.p, beta=beta)
-        urn_params = family_member_for_start(fp, x0)
-        idx = [step_index(beta, t) for t in times]
-        psi = simulate_urn_ensemble(
-            urn_params, max(idx), config.n_replicas, config.seed, "converge-urn", idx, config.workers
-        )
+        psi = _exhibit_urn(wf, beta, x0, times, "times", config.n_replicas, config.seed, config.workers)
         per_beta = []
         per_beta_z = []
         for j, t in enumerate(times):
@@ -284,13 +296,12 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
         moment_z.append(per_beta_z)
     dist_arr = np.asarray(distances)
     trend_ok = bool(dist_arr[-1].mean() <= dist_arr[0].mean())
-    crit = {a: ks_critical_value(config.n_replicas, a, config.n_replicas) for a in _KS_LEVELS}
     return ConvergenceReport(
         betas=betas,
         times=times,
         marginals=tuple(name for name, _ in specs),
         distances=tuple(dist_arr.tolist()),
-        critical=crit,
+        critical=_critical_values(config.n_replicas, config.n_replicas),
         moment_z=tuple(np.asarray(moment_z).tolist()),
         n_replicas=config.n_replicas,
         trend_ok=trend_ok,
@@ -304,10 +315,8 @@ def stationary_urn_samples(
     """Long-run predictive-mean samples of the balanced urn at rescaled time t_long.
 
     Independent replicas, one sample each, for stationary goodness-of-fit
-    against Dir(2 (b/alpha) p).
+    against Dir(2 (b/alpha) p): the exhibit urn of ``convergence_experiment``
+    (same family member, same "converge-urn" streams) started at p.  A bad
+    beta is rejected before t_long is checked.
     """
-    fp = ScaledFamilyParams(alpha=wf.alpha, b=wf.b * wf.p, beta=beta)
-    params = family_member_for_start(fp, wf.p)
-    _check_urn_steps("t-long", beta, t_long)
-    n = step_index(beta, t_long)
-    return simulate_urn_ensemble(params, n, n_replicas, seed, label="converge-urn", checkpoints=[n], workers=workers)[0]
+    return _exhibit_urn(wf, beta, wf.p, [t_long], "t-long", n_replicas, seed, workers)[0]

@@ -178,8 +178,14 @@ def sigma_batch(X: np.ndarray) -> np.ndarray:
 
 
 def drift(x, params: WfParams) -> np.ndarray:
-    """Mean-reverting drift -(b/alpha)(x - p); components sum to zero."""
+    """Mean-reverting drift -(b/alpha)(x - p) of a point or an (M, k) batch; components sum to zero.
+
+    Only the length of the last axis is checked: this runs in every
+    Euler-Maruyama step.
+    """
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (params.k,):
+        raise ValidationError("x", f"expected {params.k} coordinates, got shape {x.shape}")
     return -params.rate * (x - params.p)
 
 
@@ -307,6 +313,8 @@ def mean_ode(params: WfParams, x0, t: float) -> np.ndarray:
     if not t >= 0:  # positive form, so that a NaN fails
         raise ValidationError("t", f"must be >= 0, got {t}")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape[-1:] != (params.k,):
+        raise ValidationError("x0", f"expected {params.k} coordinates, got shape {x0.shape}")
     return params.p + (x0 - params.p) * math.exp(-params.rate * t)
 
 

@@ -446,3 +446,43 @@ _INTERVAL_SHA = "38cbe96d42303ca9daca903ace9f6ecd7077f94f50183a089c2f617342455d2
 
 def test_interval_problems_keep_their_bits():
     assert hashlib.sha256("\n".join(_interval_outcomes()).encode()).hexdigest() == _INTERVAL_SHA
+
+
+_WF3 = WfParams(b=1.0, alpha=1.0, p=np.array([0.2, 0.3, 0.5]))
+_OD = OneDimWf(0.3, 0.3)
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: is_dominant(_WF3, 0), "i"),
+        (lambda: is_dominant(_WF3, 4), "i"),
+        (lambda: group_to_1d(_WF3, [1, 4]), "j"),
+        (lambda: is_recessive(_WF3, [0]), "j"),
+        (lambda: scale_increment(_OD, -0.1, 0.5), "z1"),
+        (lambda: scale_increment(_OD, 0.5, 1.5), "z2"),
+        (lambda: scale_function(_OD, 0.0), "z"),
+        (lambda: scale_function(_OD, 1.0), "z"),
+        (lambda: speed_density(_OD, 0.0), "z"),
+        (lambda: speed_density(_OD, 1.0), "z"),
+        (lambda: return_ratio_density(_OD, 0.0), "z0"),
+        (lambda: return_ratio_density(_OD, 1.0), "z0"),
+    ],
+)
+def test_boundary_rejections_name_their_field(call, field):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("a0, a1, field", [(0.5, 0.0, "a1"), (0.0, 0.5, "a0"), (0.0, 0.0, "a0")])
+def test_return_ratio_density_names_the_zero_coefficient(a0, a1, field):
+    # a zero a1 used to be reported as a0
+    with pytest.raises(ValidationError) as exc:
+        return_ratio_density(OneDimWf(a0, a1), 0.3)
+    assert exc.value.field == field
+
+
+def test_group_mass_counts_a_repeated_color_once():
+    assert group_to_1d(_WF3, [3, 1, 3]) == group_to_1d(_WF3, [1, 3])
+    assert is_recessive(_WF3, [1, 1]) == is_recessive(_WF3, [1])

@@ -52,6 +52,42 @@ def test_io_failure_exit_code(tmp_path, capsys):
     blocker.write_text("x")
     code = main(["simulate-urn", "--steps", "5", "--out", str(blocker / "sub" / "y.csv")])
     assert code == 3
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert list(tmp_path.iterdir()) == [blocker]  # no output and no manifest
+
+
+def test_manifest_write_failure_exits_3(tmp_path, capsys, monkeypatch):
+    from rpwf import io as rio
+
+    write_bytes = rio.write_bytes
+
+    def failing_manifest(path, data):
+        if str(path).endswith(".manifest.json"):
+            raise PermissionError(f"cannot write {path}")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(rio, "write_bytes", failing_manifest)
+    code, out = run(["simulate-urn", "--steps", "5", "--out", str(tmp_path / "y.csv")], capsys)
+    assert code == 3
+    assert out == ""
+    assert not (tmp_path / "y.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate-urn", "--no-such-flag", "1"], None),
+        (["simulate-urn", "--config", "missing.toml"], "--config"),
+        (["simulate-urn", "--config", "bad.toml"], "--config"),
+    ],
+)
+def test_unknown_flag_and_bad_config_exit_2(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.toml").write_text("steps = 5\nno equals sign here\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag is None or f"error: {flag}:" in err
+    assert not list(tmp_path.glob("*.manifest.json"))
 
 
 def test_env_seed_used_when_flag_absent(tmp_path, capsys, monkeypatch):
@@ -274,6 +310,15 @@ def test_boundary_reports_dominant_color(tmp_path, capsys):
     assert data["dominant_colors"] == [1]
     assert data["boundary_at_0"] == "entrance"
     assert data["recessive"] is False
+
+
+def test_boundary_p_group_counts_a_repeated_color_once(tmp_path, capsys):
+    # --j 1,1 reported p_group = 2 p_1 next to a0 = (b/alpha) p_1
+    out = tmp_path / "b.json"
+    code, _ = run(["boundary", "--b", "1,2,3", "--j", "1,1", "--out", str(out)], capsys)
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert data["p_group"] == pytest.approx(1 / 6) and data["a0"] == pytest.approx(1.0)
 
 
 def test_hit_prob_output(tmp_path, capsys):
@@ -648,3 +693,37 @@ def test_fuzz_exits_0_with_finite_outputs_or_2_naming_its_flag(tmp_path, command
         _fuzz(command, argv, tmp_path / ("o.json" if "--format=json" in argv else "o.csv"))
 
     fuzz()
+
+
+# sha256 of (exit code, stdout, stderr) of boundary, stationary-test and converge runs in an empty
+# directory; stdout is the manifest, which holds the sha256 of every output.  Taken when main had
+# one OSError handler per write, the seed default was set after the option loop and the CLI
+# summed the group's p itself.
+_CLI_SHA = {
+    "boundary-k2": "5fbcb866a2e7bd418e3e76b1841187de5904c6a30f4a464639b543c47c274aea",
+    "boundary-k3": "f8c48a3b9ba391bdc8c0df7655a00ac773e1692f0885a040dc06b27fc5c42495",
+    "stationary-test": "ed81b6935f74a77c9f02425daf1ce4d5a5db529e2809c970a649b851b255964e",
+    "converge": "d3a2a71a6ed509d9f54467c28106ccd0247b7a0972121da6b25c9b38bdc09836",
+}
+_CLI_RUNS = {
+    "boundary-k2": ["boundary", "--b", "0.9,0.1", "--j", "1", "--out", "b2.json"],
+    "boundary-k3": ["boundary", "--b", "0.2,0.3,0.5", "--alpha", "2", "--j", "3,1", "--seed", "4", "--out", "b3.json"],
+    "stationary-test": [
+        "stationary-test", "--b", "1,2", "--beta", "0.9", "--t-long", "1.0", "--replicas", "60", "--out", "s.json",
+    ],
+    "converge": [
+        "converge", "--b", "1,1,2", "--betas", "0.6,0.9", "--times", "0.1,0.3", "--replicas", "40",
+        "--dt", "0.01", "--seed", "3", "--workers", "1", "--out", "c.json",
+    ],
+}
+
+
+def test_cli_outputs_keep_their_pinned_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RPWF_SEED", raising=False)
+    got = {}
+    for name, argv in _CLI_RUNS.items():
+        code = main(argv)
+        captured = capsys.readouterr()
+        got[name] = hashlib.sha256(f"{code}\n{captured.out}\n{captured.err}".encode()).hexdigest()
+    assert got == _CLI_SHA

@@ -82,6 +82,30 @@ def test_raw_jacobi_and_rodrigues_coefficients_keep_their_pinned_values():
     assert h.hexdigest() == _PINNED_DIGEST
 
 
+# sha256 over the sorted coefficient items of +, -, unary -, scalar * and ** on basis elements
+# with rational and with float gamma; the digest was computed when each operator kept its own
+# coefficient loop and ** was a binary exponentiation
+_OPERATOR_DIGEST = "3ec9a72a5fc514cf20d19e44f8a015d260cd4f06fbfeb40d988e62c39f2d1978"
+
+
+def _operator_results(gamma):
+    gw = GammaWeights(gamma)
+    f = basis_jacobi((1, 1), gw, normalized=False)
+    g = basis_rodrigues((2, 0), gw)
+    h = basis_monic((0, 2), gw)
+    yield from (f + g, g + h + 1, f - g, h - F(1, 3), h - 0.25, f - f, -g, -(f - h))
+    yield from (3 * f, g * F(-2, 7), h * 0.125, 0 * g, f * 0.0, f * g, g * h)
+    yield from (f**0, f**1, g**2, h**3, (f - g) ** 3, basis_jacobi((1, 2), gw) ** 3)
+
+
+def test_polynomial_operators_keep_their_pinned_coefficients():
+    h = hashlib.sha256()
+    for gamma in ((F(-1, 2), F(1, 3), F(2, 5)), (-0.5, 1 / 3, 0.4)):
+        for poly in _operator_results(gamma):
+            h.update(repr(sorted(poly.coeffs.items())).encode())
+    assert h.hexdigest() == _OPERATOR_DIGEST
+
+
 def test_dirichlet_moment_uniform_triangle():
     gw = GammaWeights((F(0), F(0), F(0)))
     assert dirichlet_moment(gw, (1, 0)) == F(1, 3)
@@ -295,3 +319,32 @@ def test_gamma_weights_from_wf_and_validation():
     assert np.allclose([float(v) for v in gw.gamma], [0.0, 0.0])
     with pytest.raises(ValidationError):
         GammaWeights((-1.0, 0.0))
+
+
+_WF2 = WfParams(b=1.0, alpha=1.0, p=np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: GammaWeights((F(1, 2),)), "gamma"),
+        (lambda: basis_jacobi((1,), GW3), "n"),
+        (lambda: basis_monic((1, -1), GW3), "n"),
+        (lambda: basis_rodrigues((1, 0, 0), GW3), "n"),
+        (lambda: dirichlet_moment(GW3, (1,)), "exps"),
+        (lambda: apply_generator(MultiIndexPolynomial.one(1), GW3), "f"),
+        (lambda: eigenvalue_nu(-1, _WF2), "n"),
+    ],
+)
+def test_polynomial_rejections_name_their_field(call, field):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.field == field
+
+
+def test_polynomial_power_is_repeated_multiplication():
+    f = MultiIndexPolynomial.variable(2, 0) - F(1, 3) * MultiIndexPolynomial.variable(2, 1) + 2
+    assert f**0 == MultiIndexPolynomial.one(2)
+    assert f**4 == f * f * f * f
+    with pytest.raises(ValueError):
+        f ** -1

@@ -12,7 +12,7 @@ import pytest
 import rpwf
 from rpwf.errors import ValidationError
 from rpwf.polynomials import GammaWeights, basis_jacobi, dirichlet_moment, inner_product, multi_indices
-from rpwf.quadrature import inner_product_quad, simplex_rule
+from rpwf.quadrature import gauss_jacobi_01, inner_product_quad, simplex_rule
 from rpwf.wright_fisher import WfParams
 
 
@@ -115,3 +115,10 @@ print(loaded)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rpwf.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[False, False]"
+
+
+@pytest.mark.parametrize("e0, e1", [(-1.0, 0.0), (0.5, -1.5)])
+def test_gauss_jacobi_01_rejects_an_exponent_at_or_below_minus_one(e0, e1):
+    with pytest.raises(ValidationError) as exc:
+        gauss_jacobi_01(8, e0, e1)
+    assert exc.value.field == "exponent"

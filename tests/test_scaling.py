@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +18,7 @@ from rpwf.scaling import (
     project_group,
     rescale_time,
 )
-from rpwf.urn import new_urn, predictive_mean, simulate_urn, step, total_balls
+from rpwf.urn import UrnParams, new_urn, predictive_mean, simulate_urn, step, total_balls
 
 
 def test_eps_delta_exact_rationals():
@@ -176,3 +179,63 @@ def test_grouping_commutes_with_rescaling():
     b = project_group(rescale_time(traj, t_max=2.0, dt_out=0.25), part)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.t_grid, b.t_grid)
+
+
+# sha256 of project_group on an UrnTrajectory (b, B0, draws, psi) and on a RescaledPath
+# (t_grid, X), taken when each input type checked the partition and built its matrix itself
+_PROJECT_GROUP_SHA = (
+    "b70964406dc40ccff7bd48d2d7f751a81b871e8f8edff8453762bfa75ed01bea",
+    "ac553920005c3316070b6f13d132812a0f0263194c7872f78c99a47da2a8867e",
+)
+
+
+def test_project_group_keeps_its_pinned_bytes():
+    fp = ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 2.0, 3.0, 0.5]), beta=0.8)
+    traj = simulate_urn(build_family_member(fp), 200, 5)
+    part = Partition([[1, 3], [2], [4]])
+    grouped = project_group(traj, part)
+    path = project_group(rescale_time(traj, t_max=4.0, dt_out=0.25), part)
+    arrays = ((grouped.params.b, grouped.params.B0, grouped.draws, grouped.psi), (path.t_grid, path.X))
+    got = tuple(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in group)).hexdigest() for group in arrays)
+    assert got == _PROJECT_GROUP_SHA
+
+
+@pytest.mark.parametrize(
+    "alpha, b, field",
+    [
+        (0.0, 1.0, "alpha"),
+        (-1.0, 1.0, "alpha"),
+        (math.inf, 1.0, "alpha"),
+        (math.nan, 1.0, "alpha"),
+        (1.0, 0.0, "b"),
+        (1.0, -2.0, "b"),
+        (1.0, math.inf, "b"),
+        (1.0, math.nan, "b"),
+    ],
+)
+def test_eps_delta_rejects_a_scale_that_is_not_finite_and_positive(alpha, b, field):
+    # an infinite alpha returned (0.0, nan) and an infinite |b| returned (nan, 0.0)
+    with pytest.raises(ValidationError) as exc:
+        eps_delta(alpha, b, 0.5)
+    assert exc.value.field == field
+
+
+def test_scaled_family_and_rescaling_reject_beta_one():
+    with pytest.raises(ValidationError) as exc:
+        ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 1.0]), beta=1.0)
+    assert exc.value.field == "beta"
+    traj = simulate_urn(UrnParams(alpha=1.0, beta=1.0, b=np.array([1.0, 1.0]), B0=np.array([1.0, 1.0])), 10, 1)
+    with pytest.raises(ValidationError) as exc:
+        rescale_time(traj, t_max=1.0, dt_out=0.1)
+    assert exc.value.field == "beta"
+
+
+@pytest.mark.parametrize("rescaled", [False, True])
+def test_project_group_rejects_a_partition_of_another_size(rescaled):
+    fp = ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 2.0, 3.0]), beta=0.8)
+    obj = simulate_urn(build_family_member(fp), 50, 3)
+    if rescaled:
+        obj = rescale_time(obj, t_max=1.0, dt_out=0.25)
+    with pytest.raises(ValidationError) as exc:
+        project_group(obj, Partition([[1, 2], [3, 4]]))
+    assert exc.value.field == "partition"

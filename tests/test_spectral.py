@@ -330,3 +330,22 @@ def test_stationary_marginal_equals_beta_distribution():
     dens = np.array([dirichlet_density(gw, [z]) for z in grid])
     num = np.array([(cdf(z + 1e-6) - cdf(z - 1e-6)) / 2e-6 for z in grid])
     assert np.allclose(dens, num, rtol=1e-5)
+
+
+_P3 = WfParams(b=1.0, alpha=1.0, p=np.array([0.2, 0.3, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: SpectralTransitionDensity(_P3, -1), "max-degree"),
+        (lambda: SpectralTransitionDensity(_P3, 11), "max-degree"),
+        (lambda: transition_density([0.2, 0.3], [1.0, 0.0], 0.5, _P3), "y"),
+        (lambda: transition_density([1.0, 0.0], [0.2, 0.3], 0.5, _P3), "y0"),
+        (lambda: forward_equation_residual(lambda y, t: 1.0, np.array([[0.2, 0.3, 0.1]]), 0.5, _P3), "y_grid"),
+    ],
+)
+def test_spectral_rejections_name_their_field(call, field):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.field == field

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -20,6 +24,7 @@ from rpwf.urn import simulate_urn
 from rpwf.wright_fisher import WfParams
 
 WF2 = WfParams(b=1.0, alpha=1.0, p=np.array([0.5, 0.5]))
+WF3 = WfParams(b=2.0, alpha=1.5, p=np.array([0.2, 0.3, 0.5]))
 
 
 def test_chi_squared_perfect_fit():
@@ -230,3 +235,63 @@ def test_marginal_specs_bipartition_for_k3():
     assert len(specs) == 4
     sel = specs[-1][1]
     assert 0 < sel.sum() < 3
+
+
+# sha256 of the convergence report (as_dict) and every sample array at k = 2 and k = 3, and of
+# stationary_urn_samples, taken when each exhibit built its own family member and urn ensemble
+_EXHIBIT_SHA = {
+    "converge-k2": "79e378d1f174f98ce969d55bcbd1837c573ff51ad13e5b3e916920c04caf996a",
+    "converge-k3": "185ee543d295e263488504886315bd72485010822907fffd365da740e2ea9d98",
+    "stationary": "39419dda18efebf72726bafc36863fdbada8c9475bcfe2789d17830c07d81a51",
+}
+
+
+def _exhibit_digests() -> dict:
+    out = {}
+    for name, wf, x0 in (("converge-k2", WF2, None), ("converge-k3", WF3, (0.5, 0.3, 0.2))):
+        config = ConvergenceConfig(wf=wf, betas=(0.9, 0.6), times=(0.3, 0.1), n_replicas=40, x0=x0, dt=1e-2, seed=8)
+        report = convergence_experiment(config)
+        h = hashlib.sha256(json.dumps(report.as_dict(), sort_keys=True).encode())
+        for key in sorted(report.samples):
+            for values in report.samples[key]:
+                h.update(values.tobytes())
+        out[name] = h.hexdigest()
+    out["stationary"] = hashlib.sha256(stationary_urn_samples(WF3, 0.9, 1.0, 40, 9).tobytes()).hexdigest()
+    return out
+
+
+def test_exhibits_keep_their_pinned_bytes():
+    assert _exhibit_digests() == _EXHIBIT_SHA
+
+
+@pytest.mark.parametrize(
+    "n, alpha, m, field",
+    [
+        (0, 0.05, None, "n"),
+        (math.nan, 0.05, None, "n"),
+        (10, 0.05, 0, "m"),
+        (10, 0.0, None, "alpha"),
+        (10, 1.0, 10, "alpha"),
+        (10, 3.0, None, "alpha"),
+        (10, math.nan, None, "alpha"),
+    ],
+)
+def test_ks_critical_value_rejects_bad_sizes_and_levels(n, alpha, m, field):
+    # n = 0 raised ZeroDivisionError, alpha = 0 or 3 a math domain error, alpha = nan returned nan
+    with pytest.raises(ValidationError) as exc:
+        ks_critical_value(n, alpha, m)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("call", [lambda: ks_one_sample([], lambda x: x), lambda: ks_two_sample([0.5], [])])
+def test_ks_rejects_empty_samples(call):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.field == "samples"
+
+
+@pytest.mark.parametrize("betas, times", [((), (0.5,)), ((0.5,), ())])
+def test_convergence_experiment_rejects_no_betas_or_no_times(betas, times):
+    with pytest.raises(ValidationError) as exc:
+        convergence_experiment(ConvergenceConfig(wf=WF2, betas=betas, times=times, n_replicas=10))
+    assert exc.value.field == "betas"

@@ -7,6 +7,7 @@ from rpwf.urn import (
     DrawOutcome,
     UrnParams,
     UrnState,
+    UrnTrajectory,
     closed_form_B,
     increment_decomposition,
     new_urn,
@@ -274,3 +275,23 @@ def test_ensemble_rejects_fewer_than_one_replica(n_replicas):
     with pytest.raises(ValidationError) as exc:
         simulate_urn_ensemble(make_params(), 10, n_replicas, seed=1)
     assert exc.value.field == "replicas"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: closed_form_B(make_params(), np.array([1, 2]), 3),
+        lambda: closed_form_B(make_params(), np.array([1, 2]), -1),
+        lambda: total_balls(make_params(), -1),
+    ],
+)
+def test_closed_forms_reject_a_step_outside_the_draws(call):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.field == "n"
+
+
+def test_trajectory_rejects_psi_of_the_wrong_shape():
+    with pytest.raises(ValidationError) as exc:
+        UrnTrajectory(params=make_params(), draws=np.array([1, 2]), psi=np.full((2, 2), 0.5), seed=StreamKey(0, "urn"))
+    assert exc.value.field == "psi"

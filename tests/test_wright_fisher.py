@@ -6,7 +6,7 @@ import pytest
 
 from rpwf.errors import ValidationError
 from rpwf.rng import StreamKey, generator
-from rpwf.simplex import check_reduced
+from rpwf.simplex import check_reduced, check_simplex
 from rpwf.scaling import Partition
 from rpwf.stats import ks_critical_value, ks_two_sample
 from rpwf.wright_fisher import (
@@ -313,6 +313,32 @@ _BAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_simulators_reject_bad_inputs_by_name(case):
     field, call = _BAD_INPUTS[case]
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("x", [[0.5], [0.2, 0.3, 0.5], 0.5])
+def test_drift_and_mean_ode_reject_a_point_of_another_k(x):
+    # at k = 2, [0.5] was broadcast to a 2-vector; 3 coordinates raised numpy's broadcast ValueError
+    with pytest.raises(ValidationError) as exc:
+        drift(x, P2)
+    assert exc.value.field == "x"
+    with pytest.raises(ValidationError) as exc:
+        mean_ode(P2, x, 1.0)
+    assert exc.value.field == "x0"
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: WfParams(b=1.0, alpha=1.0, p=np.array([1.0, 0.0])), "p"),
+        (lambda: marginal_first_passage(OneDimWf(0.5, 0.5), 0.9, 0.2, 0.8, 1e-3, 10, 1), "z0"),
+        (lambda: marginal_first_passage(OneDimWf(0.5, 0.5), 0.2, 0.2, 0.8, 1e-3, 10, 1), "z0"),
+        (lambda: check_simplex([1.0], "x0"), "x0"),
+    ],
+)
+def test_model_rejections_name_their_field(call, field):
     with pytest.raises(ValidationError) as exc:
         call()
     assert exc.value.field == field
