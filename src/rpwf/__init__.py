@@ -40,7 +40,6 @@ from .scaling import (
 )
 from .spectral import dirichlet_density, forward_equation_residual, transition_density
 from .stats import (
-    ChiSqReport,
     ConvergenceConfig,
     ConvergenceReport,
     KsReport,

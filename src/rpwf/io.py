@@ -13,27 +13,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .scaling import RescaledPath
 from .urn import UrnTrajectory
 from .wright_fisher import PathRecord
 
 __all__ = [
-    "fmt",
     "canonical_json",
     "sha256_bytes",
     "write_bytes",
     "urn_trajectory_csv",
     "urn_trajectory_json",
     "path_csv",
-    "rescaled_path_csv",
     "ensemble_summary_json",
     "samples_csv",
     "build_manifest",
 ]
-
-
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def canonical_json(obj) -> bytes:
@@ -53,7 +46,7 @@ def write_bytes(path: str | Path, data: bytes) -> dict:
 
 
 def _csv(lead: str, column: str, k: int, leads, rows: list) -> bytes:
-    """CSV of the header ``lead,column_1..column_k`` and, per row of floats, its lead fields then the floats as ``fmt`` prints them."""
+    """CSV of the header ``lead,column_1..column_k`` and, per row of floats, its lead fields then the floats printed with ``%.17g``."""
     line = ",".join(["%.17g"] * len(rows[0] if rows else ()))
     lines = [lead + "," + ",".join(f"{column}_{i+1}" for i in range(k))]
     lines += [f"{head}{line % tuple(row)}" for head, row in zip(leads, rows)]
@@ -76,12 +69,8 @@ def urn_trajectory_json(traj: UrnTrajectory) -> bytes:
     )
 
 
-def _t_x_csv(t: np.ndarray, X: np.ndarray) -> bytes:
-    return _csv("t", "X", X.shape[1], [""] * len(t), np.column_stack((t, X)).tolist())
-
-
 def path_csv(path: PathRecord) -> bytes:
-    return _t_x_csv(path.t, path.X)
+    return _csv("t", "X", path.X.shape[1], [""] * len(path.t), np.column_stack((path.t, path.X)).tolist())
 
 
 def path_json(path: PathRecord) -> bytes:
@@ -92,10 +81,6 @@ def path_json(path: PathRecord) -> bytes:
             "X": [[float(v) for v in row] for row in path.X],
         }
     )
-
-
-def rescaled_path_csv(path: RescaledPath) -> bytes:
-    return _t_x_csv(path.t_grid, path.X)
 
 
 def ensemble_summary_json(t: float, values: np.ndarray, seed: dict) -> bytes:

@@ -39,7 +39,6 @@ __all__ = [
     "GammaWeights",
     "MultiIndexPolynomial",
     "multi_indices",
-    "degree_space_dimension",
     "basis_jacobi",
     "basis_monic",
     "basis_rodrigues",
@@ -122,11 +121,6 @@ def multi_indices(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def degree_space_dimension(k: int, n: int) -> int:
-    """dim V_n = C(n + k - 2, n) for the simplex in k full coordinates."""
-    return comb(n + k - 2, n)
-
-
 def _degrees(k: int) -> tuple[int, int]:
     if k not in _DEGREES:
         raise ValidationError("k", f"polynomial and spectral layers support 2 <= k <= 5, got k={k}")
@@ -176,10 +170,6 @@ class MultiIndexPolynomial:
         return self
 
     @classmethod
-    def zero(cls, nvars: int) -> "MultiIndexPolynomial":
-        return cls(nvars)
-
-    @classmethod
     def one(cls, nvars: int) -> "MultiIndexPolynomial":
         return cls(nvars, {(0,) * nvars: Fraction(1)})
 
@@ -206,12 +196,18 @@ class MultiIndexPolynomial:
             other = MultiIndexPolynomial(self.nvars, {(0,) * self.nvars: other})
         return MultiIndexPolynomial(self.nvars, self.coeffs)._accumulate(other.coeffs.items())
 
+    __radd__ = __add__
+
     def __neg__(self):
         return self * -1
 
     def __sub__(self, other):
         """Difference with a polynomial or a scalar: self + (-1) other."""
         return self + other * -1
+
+    def __rsub__(self, other):
+        """A scalar minus the polynomial: (-1) self + other."""
+        return self * -1 + other
 
     def __mul__(self, other):
         """Product with a polynomial, or every coefficient times a scalar (zeros dropped)."""
@@ -436,7 +432,7 @@ def basis_rodrigues(n: Sequence[int], gw: GammaWeights) -> MultiIndexPolynomial:
     powers = [MultiIndexPolynomial.one(d)]  # (1 - sum y)^j for j = 0..|n|
     for _ in range(total):
         powers.append(powers[-1] * one_minus_sum)
-    poly = MultiIndexPolynomial.zero(d)
+    poly = MultiIndexPolynomial(d)
     for m in itertools.product(*(range(v + 1) for v in n)):  # m <= n componentwise
         rest = total - sum(m)
         c = (-1) ** rest * _poch(gw.gamma[d] + sum(m) + 1, rest)
@@ -453,7 +449,7 @@ def apply_generator(f: MultiIndexPolynomial, gw: GammaWeights) -> MultiIndexPoly
     if f.nvars != d:
         raise ValidationError("f", f"polynomial has {f.nvars} variables, expected {d}")
     s = gw.total + gw.k
-    out = MultiIndexPolynomial.zero(d)
+    out = MultiIndexPolynomial(d)
     for i in range(d):
         fi = f.diff(i)
         if not fi.is_zero():

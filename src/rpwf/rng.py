@@ -212,8 +212,10 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
     ``_SCALAR_TAIL`` replicas are live (or at n = 0, if no more start), each
     finishes alone through it on its own generator's next draws, so row i
     still reads stream i in order; ``observe`` is not called again.
+
+    Sizes are not checked here: every front-end has checked them, with
+    ``check_sizes`` or, for a single path, ``_n_steps``.
     """
-    check_sizes(n_steps, len(keys))
     gens = generators(keys)
     keep = observe(0, state)
     if keep is not None:

@@ -99,10 +99,13 @@ def build_family_member(fp: ScaledFamilyParams) -> UrnParams:
 def family_member_for_start(fp: ScaledFamilyParams, x0) -> UrnParams:
     """Balanced member whose psi_0 equals the interior simplex point x0.
 
-    Solves B0 = r* x0 - b; valid whenever every component r* x0_i is
-    positive, i.e. for strictly interior x0.
+    Solves B0 = r* x0 - b, which needs every b_i + B0_i = r* x0_i > 0: an
+    x0 with a coordinate that is not > 0 (a face of the simplex, or NaN)
+    is rejected naming x0.
     """
     x0 = np.asarray(x0, dtype=float)
+    if not (x0 > 0).all():  # positive form, so that a NaN fails
+        raise ValidationError("x0", f"the start must be inside the simplex, every coordinate > 0, got {x0.tolist()}")
     B0 = fp.r_star * x0 - fp.b
     return UrnParams(alpha=fp.alpha, beta=fp.beta, b=fp.b, B0=B0)
 
@@ -175,14 +178,6 @@ class Partition:
                 A[g, c - 1] = 1.0
         return A
 
-    def group_of(self) -> np.ndarray:
-        """Map 0-based color index -> 0-based group index."""
-        out = np.empty(self.k, dtype=np.int64)
-        for g, cols in enumerate(self.groups):
-            for c in cols:
-                out[c - 1] = g
-        return out
-
 
 def project_group(obj: UrnTrajectory | RescaledPath, partition: Partition):
     """Aggregate colors over the partition.
@@ -204,10 +199,9 @@ def project_group(obj: UrnTrajectory | RescaledPath, partition: Partition):
         b=A @ obj.params.b,
         B0=A @ obj.params.B0,
     )
-    gof = partition.group_of()
     return UrnTrajectory(
         params=grouped,
-        draws=gof[obj.draws - 1] + 1,
+        draws=A.argmax(axis=0)[obj.draws - 1] + 1,  # column c - 1 of A holds its one 1 in color c's group
         psi=values @ A.T,
         seed=obj.seed,
     )

@@ -25,8 +25,8 @@ inverse index; a point's basis row is one Jacobi call over the distinct
 rows, gathered back and multiplied out per multi-index as before.  Two
 things are memoised on the evaluator: the checked basis row of the start
 point y0, keyed on the (shape, bytes) of ``np.asarray(y0, float)``, so
-calls with y0 held fixed (``density_fn``, a grid sweep) neither re-check
-nor re-evaluate it; and exp(-nu_n t) for the last t.  The k - 1 stick
+calls with y0 held fixed (a grid sweep) neither re-check nor re-evaluate
+it; and exp(-nu_n t) for the last t.  The k - 1 stick
 remainders of a point are Python floats, not array temporaries.  The
 Dirichlet exponents and log-normaliser are cached on ``GammaWeights``.
 Every value is computed by the same arithmetic as a plain
@@ -223,11 +223,6 @@ class SpectralTransitionDensity:
 
     def __call__(self, y0, y, t: float) -> float:
         return self.evaluate(y0, y, t).value
-
-    def density_fn(self, y0):
-        """p(y, t) as a plain callable with y0 frozen."""
-        y0 = np.asarray(y0, dtype=float)
-        return lambda y, t: self.evaluate(y0, y, t).value
 
 
 def transition_density(y0, y, t: float, params: WfParams, max_degree: int | None = None) -> TransitionDensity:

@@ -21,16 +21,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .scaling import ScaledFamilyParams, family_member_for_start, step_index
-from .urn import _check_colors, simulate_urn_ensemble
+from .urn import UrnParams, _check_colors, simulate_urn_ensemble
 from .wright_fisher import SdeConfig, WfParams, _check_x0, _n_steps, mean_ode, simulate_wf_ensemble
 
 __all__ = [
-    "ChiSqReport",
     "KsReport",
     "ConvergenceConfig",
     "ConvergenceReport",
     "chi_squared_stat",
-    "chi_squared_report",
     "empirical_mean",
     "ks_critical_value",
     "ks_one_sample",
@@ -43,14 +41,6 @@ _KS_LEVELS = (0.01, 0.05)
 _MAX_URN_STEPS = 20_000_000  # the most urn steps either exhibit runs; more are rejected before anything runs
 
 
-@dataclass(frozen=True)
-class ChiSqReport:
-    N: int
-    counts: tuple[int, ...]
-    p: tuple[float, ...]
-    statistic: float
-
-
 def chi_squared_stat(O, p) -> float:
     """chi^2 = N * sum((O_i/N - p_i)^2 / p_i) against the limit law p, with N = sum(O)."""
     O = np.asarray(O, dtype=float)
@@ -61,17 +51,6 @@ def chi_squared_stat(O, p) -> float:
     if not N > 0:
         raise ValidationError("O", f"counts must sum to a positive sample size, got {N}")
     return float(N * np.sum((O / N - p) ** 2 / p))
-
-
-def chi_squared_report(O, p) -> ChiSqReport:
-    O = np.asarray(O)
-    N = int(round(float(O.sum())))
-    return ChiSqReport(
-        N=N,
-        counts=tuple(int(v) for v in O),
-        p=tuple(float(v) for v in p),
-        statistic=chi_squared_stat(O, p),
-    )
 
 
 def empirical_mean(draws) -> np.ndarray:
@@ -224,19 +203,17 @@ def _check_urn_steps(field: str, beta: float, t: float) -> None:
         raise ValidationError(field, f"beta={beta} at rescaled time {t} needs {steps:.4g} urn steps, over {_MAX_URN_STEPS}")
 
 
-def _exhibit_urn(wf: WfParams, beta: float, x0, times, field: str, n_replicas: int, seed: int, workers: int):
-    """``(len(times), n_replicas, k)`` predictive means of the "converge-urn" ensemble at the rescaled times.
+def _exhibit_urn(wf: WfParams, beta: float, x0, times, field: str) -> tuple[UrnParams, list[int]]:
+    """The exhibit urn at beta and the urn step holding each rescaled time; it runs nothing.
 
-    The urn is the balanced family member of ``wf`` at beta started at x0.
-    A bad beta is rejected first, then every time that fails
-    ``_check_urn_steps`` (named ``field``), before anything runs.
+    The urn is the balanced family member of ``wf`` at beta started at the
+    interior point x0.  A bad beta is rejected first, then an x0 off the
+    interior, then every time that fails ``_check_urn_steps`` (named ``field``).
     """
-    fp = ScaledFamilyParams(alpha=wf.alpha, b=wf.b * wf.p, beta=beta)
-    params = family_member_for_start(fp, x0)
+    params = family_member_for_start(ScaledFamilyParams(alpha=wf.alpha, b=wf.b * wf.p, beta=beta), x0)
     for t in times:
         _check_urn_steps(field, beta, t)
-    idx = [step_index(beta, t) for t in times]
-    return simulate_urn_ensemble(params, max(idx), n_replicas, seed, "converge-urn", idx, workers)
+    return params, [step_index(beta, t) for t in times]
 
 
 def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
@@ -245,7 +222,8 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     For every beta, a balanced urn family member started at x0 runs to the
     largest checkpoint in rescaled time; for every checkpoint t, the
     replica values psi_{floor(t/(1-beta)^2)} are compared per marginal
-    against an independent Euler-Maruyama ensemble at t.
+    against an independent Euler-Maruyama ensemble at t.  Every input is
+    checked, and the urn of every beta built, before either ensemble runs.
     """
     wf = config.wf
     betas = tuple(sorted(config.betas))
@@ -256,11 +234,10 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
         raise ValidationError("betas", f"the scaling family needs every beta in [0, 1), got {betas}")
     if not config.n_replicas >= 2:
         raise ValidationError("replicas", f"KS distances and z-scores need >= 2 replicas, got {config.n_replicas}")
-    for t in times:  # at the largest beta, the most urn steps, before the Euler-Maruyama ensemble runs
-        _check_urn_steps("times", betas[-1], t)
+    x0 = _check_x0(wf, config.x0) if config.x0 is not None else wf.p.copy()
+    urns = [_exhibit_urn(wf, beta, x0, times, "times") for beta in betas]  # times first, so a NaN is not named dt
     t_max = times[-1]
     _n_steps(t_max, config.dt, "dt")  # converge has no --t-max
-    x0 = _check_x0(wf, config.x0) if config.x0 is not None else wf.p.copy()
     specs = _marginal_specs(wf.k, config.seed)
     wf_samples = simulate_wf_ensemble(
         wf,
@@ -276,8 +253,8 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
     distances = []
     moment_z = []
     samples = {}
-    for i_beta, beta in enumerate(betas):
-        psi = _exhibit_urn(wf, beta, x0, times, "times", config.n_replicas, config.seed, config.workers)
+    for i_beta, (params, idx) in enumerate(urns):
+        psi = simulate_urn_ensemble(params, max(idx), config.n_replicas, config.seed, "converge-urn", idx, config.workers)
         per_beta = []
         per_beta_z = []
         for j, t in enumerate(times):
@@ -319,4 +296,5 @@ def stationary_urn_samples(
     (same family member, same "converge-urn" streams) started at p.  A bad
     beta is rejected before t_long is checked.
     """
-    return _exhibit_urn(wf, beta, wf.p, [t_long], "t-long", n_replicas, seed, workers)[0]
+    params, idx = _exhibit_urn(wf, beta, wf.p, [t_long], "t-long")
+    return simulate_urn_ensemble(params, idx[0], n_replicas, seed, "converge-urn", idx, workers)[0]

@@ -424,6 +424,7 @@ def test_converge_rejects_too_many_urn_steps_naming_times(tmp_path, capsys):
         (["--times", "0.1,inf"], "--times"),
         (["--times", "nan,0.1"], "--times"),  # NaN sorts anywhere; named --checkpoints
         (["--x0", "0.5,0.5,0"], "--x0"),  # three coordinates for k = 2: a broadcast ValueError, exit 1
+        (["--x0", "1,0"], "--x0"),  # on a face: the Euler-Maruyama ensemble ran, then --b0 was named
     ],
 )
 def test_converge_names_the_bad_flag(tmp_path, capsys, extra, flag):

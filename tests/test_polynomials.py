@@ -14,7 +14,6 @@ from rpwf.polynomials import (
     basis_jacobi,
     basis_monic,
     basis_rodrigues,
-    degree_space_dimension,
     dirichlet_moment,
     eigenvalue_lambda,
     eigenvalue_nu,
@@ -104,6 +103,15 @@ def test_polynomial_operators_keep_their_pinned_coefficients():
         for poly in _operator_results(gamma):
             h.update(repr(sorted(poly.coeffs.items())).encode())
     assert h.hexdigest() == _OPERATOR_DIGEST
+
+
+@pytest.mark.parametrize("gamma", [(F(-1, 2), F(1, 3), F(2, 5)), (-0.5, 1 / 3, 0.4)])
+def test_a_scalar_adds_and_subtracts_from_the_left(gamma):
+    # 1 - f and 2 + f raised TypeError: there was no __radd__ or __rsub__
+    f = basis_jacobi((1, 1), GammaWeights(gamma), normalized=False)
+    for c in (1, 2, F(2, 3), 0.75):
+        assert (c - f).coeffs == (f * -1 + c).coeffs
+        assert (c + f).coeffs == (f + c).coeffs
 
 
 def test_dirichlet_moment_uniform_triangle():
@@ -301,7 +309,7 @@ def test_lambda_is_twice_nu():
 def test_dimension_of_degree_spaces():
     for k in (2, 3, 4, 5):
         for n in range(5):
-            assert degree_space_dimension(k, n) == len(multi_indices(k - 1, n))
+            assert math.comb(n + k - 2, n) == len(multi_indices(k - 1, n))
 
 
 def test_supported_range_rejected_with_bounds():

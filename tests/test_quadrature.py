@@ -1,10 +1,14 @@
 """The stick-breaking Gauss-Jacobi simplex rule and the package's import footprint."""
 
+import ast
 import hashlib
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ import rpwf
 from rpwf.errors import ValidationError
 from rpwf.polynomials import GammaWeights, basis_jacobi, dirichlet_moment, inner_product, multi_indices
 from rpwf.quadrature import gauss_jacobi_01, inner_product_quad, simplex_rule
+from rpwf.rng import generator
 from rpwf.wright_fisher import WfParams
 
 
@@ -66,6 +71,24 @@ def test_k2_rule_keeps_unit_mass_and_the_mean_at_large_rate(rate):
     assert abs(float(w @ pts[:, 0]) - 0.5) <= 1e-12
 
 
+def test_rule_keeps_unit_mass_from_small_to_large_rates():
+    # the scaled weights served every b/alpha below about 500, and their mass error
+    # grew with it: past 1e-14 from b/alpha near 6.6, 1.4e-12 at worst over this sweep
+    rng = generator(5, "mass")
+    built = 0
+    for rate in np.geomspace(3.0, 1e4, 25):
+        for k, level in ((2, 20), (3, 8), (4, 4), (5, 3)):
+            for _ in range(4):
+                try:
+                    _, w = simplex_rule(_gw(rate, rng.dirichlet(np.full(k, 4.0))), level)
+                except ValidationError as exc:  # SciPy's weights overflow at large, uneven exponents
+                    assert exc.field == "gamma" and rate > 900
+                    continue
+                built += 1
+                assert abs(w.sum() - 1.0) <= 1e-14
+    assert built >= 300
+
+
 def test_rule_raises_naming_gamma_where_scipy_weights_overflow():
     with pytest.raises(ValidationError) as exc:
         simplex_rule(_gw(1e4, (0.2, 0.8)), 40)
@@ -115,6 +138,20 @@ print(loaded)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rpwf.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[False, False]"
+
+
+def test_every_exported_name_resolves_and_the_root_imports_only_exported_names():
+    # a deleted name must leave its module's __all__ and the package root with it
+    def exported(module):  # what `from module import *` takes: __all__, else every public global
+        return set(getattr(module, "__all__", None) or (n for n in vars(module) if not n.startswith("_")))
+
+    for info in pkgutil.iter_modules(rpwf.__path__):
+        module = importlib.import_module(f"rpwf.{info.name}")
+        assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == [], info.name
+    for node in ast.parse(Path(rpwf.__file__).read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert names <= exported(importlib.import_module(f"rpwf.{node.module}")), node.module
 
 
 @pytest.mark.parametrize("e0, e1", [(-1.0, 0.0), (0.5, -1.5)])

@@ -72,6 +72,15 @@ def test_family_member_for_interior_start():
     assert total_balls(params, 5) == pytest.approx(fp.r_star, abs=1e-12)
 
 
+@pytest.mark.parametrize("x0", [[1.0, 0.0], [0.0, 1.0], [np.nan, 1.0], [1.2, -0.2]])
+def test_family_member_for_start_rejects_a_start_off_the_interior(x0):
+    # a zero coordinate gave b_i + B0_i = 0, rejected by the urn naming B0
+    fp = ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 1.0]), beta=0.9)
+    with pytest.raises(ValidationError) as exc:
+        family_member_for_start(fp, x0)
+    assert exc.value.field == "x0"
+
+
 def test_balanced_dynamics_identity_with_constant_coefficients():
     fp = ScaledFamilyParams(alpha=0.7, b=np.array([0.5, 1.5, 1.0]), beta=0.95)
     params = build_family_member(fp)

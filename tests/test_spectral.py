@@ -260,7 +260,7 @@ def test_forward_equation_residual_spectral_series():
     params = WfParams(b=1.0, alpha=1.0, p=np.array([0.6, 0.4]))
     S = SpectralTransitionDensity(params, 20)
     grid = np.linspace(0.15, 0.85, 15)[:, None]
-    res = forward_equation_residual(S.density_fn([0.3]), grid, 1.0, params)
+    res = forward_equation_residual(lambda y, t: S([0.3], y, t), grid, 1.0, params)
     assert np.abs(res).max() < 1e-4
 
 

@@ -11,7 +11,6 @@ from rpwf.rng import generator
 from rpwf.scaling import ScaledFamilyParams, build_family_member
 from rpwf.stats import (
     ConvergenceConfig,
-    chi_squared_report,
     chi_squared_stat,
     convergence_experiment,
     empirical_mean,
@@ -69,12 +68,6 @@ def test_chi_squared_rejects_a_probability_that_is_not_finite_and_positive(p):
 def test_chi_squared_rejects_an_empty_sample():
     with pytest.raises(ValidationError, match="positive sample size"):
         chi_squared_stat([0, 0], [0.5, 0.5])
-
-
-def test_chi_squared_report_counts():
-    rep = chi_squared_report([30, 70], [0.4, 0.6])
-    assert rep.N == 100
-    assert rep.statistic > 0
 
 
 def test_empirical_mean_constant_draws():
@@ -186,6 +179,19 @@ def test_convergence_experiment_rejects_one_replica_before_running(monkeypatch):
     with pytest.raises(ValidationError) as exc:
         convergence_experiment(ConvergenceConfig(wf=WF2, betas=(0.5,), times=(0.1,), n_replicas=1))
     assert exc.value.field == "replicas"
+
+
+@pytest.mark.parametrize("wf, x0", [(WF2, (1.0, 0.0)), (WF3, (0.5, 0.0, 0.5))])
+def test_convergence_experiment_rejects_a_start_on_a_face_before_running(monkeypatch, wf, x0):
+    # the Euler-Maruyama ensemble ran first, then the urn's B0 check named b0, a flag converge does not have
+    def never(*args, **kwargs):
+        raise AssertionError("an ensemble ran")
+
+    monkeypatch.setattr("rpwf.stats.simulate_wf_ensemble", never)
+    monkeypatch.setattr("rpwf.stats.simulate_urn_ensemble", never)
+    with pytest.raises(ValidationError) as exc:
+        convergence_experiment(ConvergenceConfig(wf=wf, betas=(0.5,), times=(0.1,), n_replicas=2, x0=x0))
+    assert exc.value.field == "x0"
 
 
 def test_convergence_experiment_reports_infeasible_steps_before_running():
