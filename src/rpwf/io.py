@@ -23,6 +23,7 @@ __all__ = [
     "urn_trajectory_csv",
     "urn_trajectory_json",
     "path_csv",
+    "path_json",
     "ensemble_summary_json",
     "samples_csv",
     "build_manifest",

@@ -20,13 +20,17 @@ kernel advances M replicas with a noise row holding each one's next draw.
 Replica i reads only stream i, in order, and shares no arithmetic with the
 others, so a single path (an ensemble of one) equals ensemble row i bit for
 bit, and no output depends on the noise block size or on worker counts.
-A run given a per-replica scalar step (first exits are) hands its last
-``_SCALAR_TAIL`` replicas to it, where a vector step's fixed cost of some
-twenty numpy calls outweighs their arithmetic.  The hand-off falls at the
-end of a noise block, once the block has used every value it drew: each
-replica then finishes alone in plain floats on its generator's next draws,
-so it still reads its stream in order, and the scalar step's operations
-are the kernel's in the same order, so the bits do not change.
+A run given a per-replica scalar step hands its last ``_SCALAR_TAIL``
+replicas to it, where a vector step's fixed cost of some twenty to sixty
+numpy calls outweighs their arithmetic.  A single path is such a run from
+n = 0, and first exits hand off their last paths.  The hand-off falls at
+the end of a noise block, once the block has used every value it drew:
+each replica then finishes alone in plain floats (a float, or a list of
+floats for a state wider than one) on its generator's next draws, so it
+still reads its stream in order, and the scalar step's operations are the
+kernel's in the same order, so the bits do not change.  Ensembles keep the
+vector kernel: M replicas in plain floats cost about M single paths, more
+than one vector step from about M = 10.
 
 A noise block is stored replica-last, ``(steps,) + shape + (M,)``, and the
 kernel is handed each step's row as an ``(M,) + shape`` view of it: the
@@ -205,13 +209,15 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
     axis is indexed with them and their streams are no longer drawn.  A
     noise block holds about ``_BLOCK_VALUES`` values.
 
-    ``scalar``, given scalar draws and a 1-d float state, is ``kernel``
-    then ``observe`` for one replica in plain floats: ``scalar(j, n, x,
-    noise)`` returns row j's value after step n from its value x before
-    it, or None to retire the row.  At the end of a block at which at most
-    ``_SCALAR_TAIL`` replicas are live (or at n = 0, if no more start), each
-    finishes alone through it on its own generator's next draws, so row i
-    still reads stream i in order; ``observe`` is not called again.
+    ``scalar`` is ``kernel`` then ``observe`` for one replica in plain
+    floats: ``scalar(j, n, x, noise)`` returns row j's value after step n
+    from its value x before it, or None to retire the row.  x is
+    ``state[j].tolist()``, a float for a 1-d state and a list of floats for
+    a wider one, and noise is a draw of ``shape`` as a float or nested
+    lists.  At the end of a block at which at most ``_SCALAR_TAIL``
+    replicas are live (or at n = 0, if no more start), each finishes alone
+    through it on its own generator's next draws, so row i still reads
+    stream i in order; ``observe`` is not called again.
 
     Sizes are not checked here: every front-end has checked them, with
     ``check_sizes`` or, for a single path, ``_n_steps``.
@@ -248,16 +254,23 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
         if cols is not None:
             gens = [gens[i] for i in cols]
     if scalar is not None and gens and n < n_steps:
-        state = _scalar_tail(scalar, state, gens, n, n_steps, draw)
+        state = _scalar_tail(scalar, state, gens, n, n_steps, draw, shape)
     return state
 
 
-def _scalar_tail(scalar, state: np.ndarray, gens, n: int, n_steps: int, draw: str) -> np.ndarray:
-    """Steps n + 1..n_steps of each row alone through ``scalar``, on its generator's next draws; returns the rows it kept."""
+def _scalar_tail(scalar, state: np.ndarray, gens, n: int, n_steps: int, draw: str, shape: tuple) -> np.ndarray:
+    """Steps n + 1..n_steps of each row alone through ``scalar``, on its generator's next draws; returns the rows it kept.
+
+    A chunk of m steps draws ``(m,) + shape`` values, in the step-major,
+    component-minor order in which a noise block is filled.
+    """
     keep = []
     for j, gen in enumerate(gens):
-        x = float(state[j])
-        chunks = (getattr(gen, draw)(size=min(n_steps - lo, _BLOCK_STEPS)).tolist() for lo in range(n, n_steps, _BLOCK_STEPS))
+        x = state[j].tolist()
+        chunks = (
+            getattr(gen, draw)(size=(min(n_steps - lo, _BLOCK_STEPS),) + shape).tolist()
+            for lo in range(n, n_steps, _BLOCK_STEPS)
+        )
         for m, noise in enumerate(itertools.chain.from_iterable(chunks), n + 1):
             x = scalar(j, m, x, noise)
             if x is None:
@@ -298,6 +311,25 @@ def checkpoint_steps(checkpoints, horizon, step_of) -> dict[int, list[int]]:
     for j, c in enumerate(checkpoints):
         at.setdefault(step_of(c), []).append(j)
     return at
+
+
+def record_path(out: np.ndarray) -> Callable:
+    """``record(n, row)`` setting ``out[n]`` to the list of floats ``row``, for a single path's scalar step.
+
+    Rows are kept as one flat list of Python floats and written into
+    ``out`` (C-ordered) once per noise chunk: after each step n that is a
+    multiple of ``_BLOCK_STEPS``, and after the last row.  So a long path
+    never lives as one Python list.
+    """
+    values, last, width, flat = [], len(out) - 1, out[0].size, out.reshape(-1)
+
+    def record(n, row):
+        values.extend(row)
+        if n % _BLOCK_STEPS == 0 or n == last:
+            flat[(n + 1) * width - len(values) : (n + 1) * width] = values
+            values.clear()
+
+    return record
 
 
 def record_checkpoints(at: dict[int, list[int]], out: np.ndarray, values) -> Callable:

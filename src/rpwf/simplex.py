@@ -7,6 +7,8 @@ Two coordinate systems are used throughout: full coordinates ``x``
 ``project_to_simplex`` keeps the (…, k) shape of its input but works on a
 component-major (k, M) copy, the replica axis last in memory, so its
 sequential row sums add whole contiguous component rows.
+``_project_floats`` is the same projection of one row of Python floats, in
+the same operation order, for the single-path Euler-Maruyama step.
 """
 
 from __future__ import annotations
@@ -80,3 +82,27 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     np.subtract(1.0, head, out=R[-1])
     return R.T.reshape(shape)
 
+
+def _project_floats(v: list) -> list:
+    """``project_to_simplex`` of one row of Python floats, bit for bit: its operations in its order.
+
+    The row must have a positive part, as every Euler-Maruyama step's row
+    does (its sum is 1 up to rounding): where numpy divides 0 by 0 to nan,
+    Python raises.
+    """
+    r = [0.0 if x <= 0.0 else x for x in v]  # np.maximum(v, 0.0): nan passes, -0.0 becomes 0.0
+    total = r[0]
+    for x in r[1:]:
+        total += x
+    r = [x / total for x in r]
+    head = r[0]
+    for x in r[1:-1]:
+        head += x
+    while head > 1.0:  # the overshoot loop, on this row alone
+        i = max(range(len(r) - 1), key=r.__getitem__)  # argmax's first of tied maxima
+        r[i] -= head - 1.0
+        head = r[0]
+        for x in r[1:-1]:
+            head += x
+    r[-1] = 1.0 - head
+    return r

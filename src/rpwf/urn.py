@@ -21,17 +21,20 @@ Simulation steps psi directly.  The total r*_{n+1} = beta r*_n + (1-beta)|b|
     r*_{n+1} psi_{n+1} = beta r*_n psi_n + (1 - beta) b + alpha xi_{n+1}
 
 is deterministic apart from xi.  One private kernel, stepped by
-``rng.run_streams``, keeps the cumulative sums of psi for M replicas as a
-(k, M) array, takes xi from comparing each replica's uniform with them (the
-inverse-CDF rule of ``sample_color``), and updates them in place.
-``simulate_urn_ensemble`` runs it with M replicas and ``simulate_urn`` with
-one.  ``step``, ``UrnState`` and ``DrawOutcome`` keep the ball-count form
-as an independent reference.
+``rng.run_streams``, keeps the cumulative sums of psi for M replicas in
+(k, M) memory, takes xi from comparing each replica's uniform with them
+(the inverse-CDF rule of ``sample_color``), and updates them in place.
+``simulate_urn_ensemble`` runs it with M replicas.  ``simulate_urn`` runs
+its plain-float twin, the same operations in the same order on a list of
+k floats, which skips the kernel's fixed cost of numpy calls per step.
+``step``, ``UrnState`` and ``DrawOutcome`` keep the ball-count form as an
+independent reference.
 
 Streams: replica i draws its uniforms, one per step, from ``StreamKey(seed,
-label, i)``.  Replicas share no arithmetic, so row i of an ensemble equals
-``simulate_urn`` with that key bit for bit, and ``rng.map_replicas`` can
-split an ensemble over worker processes without changing its output.
+label, i)``.  Replicas share no arithmetic and the two steps share their
+operations, so row i of an ensemble equals ``simulate_urn`` with that key
+bit for bit, and ``rng.map_replicas`` can split an ensemble over worker
+processes without changing its output.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, freeze_arrays
-from .rng import StreamKey, _check_path, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_streams
+from .rng import StreamKey, _check_path, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, record_path, run_streams
 
 __all__ = [
     "UrnParams",
@@ -262,69 +265,87 @@ def increment_decomposition(params: UrnParams, state: UrnState, draw: DrawOutcom
     return eps_n, delta_n, xi - psi
 
 
-def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe) -> None:
+def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe, record=None) -> None:
     """Run one urn per stream key, one uniform per step, through ``run_streams``.
 
-    The state is ``(cum, below)``: column i of ``cum`` (k, M) holds the
+    The state ``cum`` is an (M, k) view of (k, M) memory: row i holds the
     cumulative sums psi_{n,1}, psi_{n,1} + psi_{n,2}, ..., |psi_n| of
-    replica i, and ``below = u < cum`` (last row always true) marks the
+    replica i.  ``below = u < cum`` (last entry always true) marks the
     colors at or after the draw for its uniform u, so the drawn index is the
     number of false entries: ``sample_color``'s rule.  Then, in place,
 
         cum' = (beta r*_n cum + (1 - beta) cumsum(b) + alpha below) / r*_{n+1}
 
     with r*_{n+1} = beta r*_n + (1 - beta)|b| + alpha, the same for every
-    draw.  ``observe(n, (cum, below))`` must copy what it keeps.
+    draw.  ``observe(n, cum)`` must copy what it keeps.
+
+    Given ``record``, the keys are one single path, which runs in plain
+    floats: the scalar step repeats the kernel's operations in its order on
+    a list of the k sums and calls ``record(n, row)`` with the new sums and
+    then the color drawn at step n.
     """
-    beta, alpha = params.beta, params.alpha
-    b_cum = np.cumsum(params.b)[:, None]
+    beta, alpha, k = params.beta, params.alpha, params.k
+    b_cum = np.cumsum(params.b)
     gain = (1.0 - beta) * params.b_total + alpha
     r = params.b_total + float(params.B0.sum())
     if not r + n_steps * gain < math.inf:  # r*_n <= r*_0 + n gain
         raise ValidationError("alpha", f"the ball total can pass the float range within {n_steps} steps")
     cum = np.repeat(np.cumsum((params.b + params.B0) / r)[:, None], len(keys), axis=1)
+    below = np.ones(cum.shape, dtype=bool)
+    b_col, b_head, b_last = b_cum[:, None], b_cum[:-1].tolist(), float(b_cum[-1])
 
     def kernel(state, u):
         nonlocal r
-        cum, below = state
+        cum = state.T
         r_next = beta * r + gain
         np.less(u, cum[:-1], out=below[:-1])
         cum *= beta * r / r_next
-        cum += (1.0 - beta) / r_next * b_cum
+        cum += (1.0 - beta) / r_next * b_col
         cum += below * (alpha / r_next)
         r = r_next
         return state
 
-    run_streams(keys, n_steps, (cum, np.ones(cum.shape, dtype=bool)), kernel, observe)
+    def step(j, n, c, u):  # advances the shared r, so it serves one path from n = 0
+        nonlocal r
+        r_next = beta * r + gain
+        f, g, a = beta * r / r_next, (1.0 - beta) / r_next, alpha / r_next
+        r = r_next
+        row, color = [], k
+        for ci, bi in zip(c, b_head):  # the sums before the last: below is u < ci
+            if u < ci:
+                row.append(ci * f + g * bi + a)
+                color -= 1
+            else:
+                row.append(ci * f + g * bi + 0.0)
+        row.append(c[-1] * f + g * b_last + a)
+        record(n, row + [color])
+        return row
+
+    run_streams(keys, n_steps, cum.T, kernel, observe, scalar=None if record is None else step)
 
 
 def simulate_urn(params: UrnParams, n_steps: int, seed: StreamKey | int) -> UrnTrajectory:
     """Simulate one trajectory; deterministic in the stream key.
 
-    An int seed draws from ``StreamKey(seed, "urn")``.  This is the
-    ensemble kernel run with a single replica, so it equals bit for bit
-    the ensemble row that draws from the same stream key.
+    An int seed draws from ``StreamKey(seed, "urn")``.  It runs the urn
+    kernel's operations in plain floats, in the kernel's order, so it
+    equals bit for bit the ensemble row that draws from the same stream key.
     """
     check_sizes(n_steps, 1)
     _check_path(n_steps, params.k + 1, "steps")
     key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), "urn")
     k = params.k
-    cum = np.empty((n_steps + 1, k))
-    draws = np.empty(n_steps, dtype=np.int64)
-
-    def record(n, state):
-        cum[n] = state[0][:, 0]
-        if n:
-            draws[n - 1] = k + 1 - np.count_nonzero(state[1])
-
-    _run_urns(params, n_steps, [key], record)
-    return UrnTrajectory(params=params, draws=draws, psi=np.diff(cum, axis=1, prepend=0.0), seed=key)
+    rows = np.empty((n_steps + 1, k + 1))  # the cumulative sums of psi_n, then the color drawn at step n
+    record = record_path(rows)
+    # one replica runs in the scalar step from n = 0; observe sees only the start, which follows no draw
+    _run_urns(params, n_steps, [key], lambda n, cum: record(n, [*cum[0].tolist(), 0]), record)
+    return UrnTrajectory(params=params, draws=rows[1:, k], psi=np.diff(rows[:, :k], axis=1, prepend=0.0), seed=key)
 
 
 def _urn_checkpoints(params: UrnParams, n_steps: int, at: dict, n_out: int, keys: Sequence[StreamKey]) -> np.ndarray:
     """``(n_out, len(keys), k)`` predictive means after the steps of ``at``: one slice of an ensemble."""
     out = np.empty((n_out, len(keys), params.k))
-    _run_urns(params, n_steps, keys, record_checkpoints(at, out, lambda s: np.diff(s[0], axis=0, prepend=0.0).T))
+    _run_urns(params, n_steps, keys, record_checkpoints(at, out, lambda cum: np.diff(cum, axis=1, prepend=0.0)))
     return out
 
 

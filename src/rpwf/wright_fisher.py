@@ -20,16 +20,19 @@ The 1-d marginal / grouped process ``Z`` solves
 with a0 = (b/alpha) * sum_{l in J} p_l and a1 = b/alpha - a0.
 
 Both run on ``rng.run_streams`` (kernels ``em_update`` and the 1-d update;
-observers keep checkpoints, full paths or first exits, retiring exited
-paths).  Path i draws from ``StreamKey(seed, label, i)``, at any worker
-count; a single path is an ensemble of one, equal bit for bit to row i.
-The 1-d step writes into reused scratch rows, and a step in which no path
-leaves (a, b) costs the exit test two reductions.  First exits finish
-their last ``rng._SCALAR_TAIL`` paths one at a time in plain floats, from
-the end of the noise block at which no more are live, on each path's own
-next draws, through a scalar copy of the 1-d step with the same operation
-order, so the exit times and values do not change; the single path and
-``marginal_ensemble_values`` stay on the vector step.
+observers keep checkpoints or first exits, retiring exited paths).  Path i
+draws from ``StreamKey(seed, label, i)``, at any worker count.  Each
+kernel has a plain-float copy with the same operation order, so the bits
+do not change: ``_em_step`` (with ``simplex._project_floats``) and
+``_exit_step``.  The single paths ``simulate_wf`` and
+``simulate_marginal_1d`` run in them from n = 0, recording their path, and
+equal row i of an ensemble bit for bit.  The 1-d vector step writes into
+reused scratch rows, and a step in which no path leaves (a, b) costs the
+exit test two reductions.  First exits finish their last
+``rng._SCALAR_TAIL`` paths one at a time in the plain-float step, from the
+end of the noise block at which no more are live, on each path's own next
+draws.  Ensembles (``simulate_wf_ensemble``, ``marginal_ensemble_values``)
+stay on the vector step.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, freeze_arrays
-from .rng import StreamKey, _check_path, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_streams
-from .simplex import check_simplex, project_to_simplex
+from .rng import StreamKey, _check_path, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, record_path, run_streams
+from .simplex import _project_floats, check_simplex, project_to_simplex
 
 __all__ = [
     "WfParams",
@@ -247,10 +250,42 @@ def _check_x0(params: WfParams, x0) -> np.ndarray:
     return x0
 
 
-def _run_em(params: WfParams, x0: np.ndarray, n_steps: int, dt: float, keys, observe) -> None:
-    """Euler-Maruyama paths from x0, one per stream key; k normals per step."""
+def _run_em(params: WfParams, x0: np.ndarray, n_steps: int, dt: float, keys, observe, scalar=None) -> None:
+    """Euler-Maruyama paths from x0, one per stream key; k normals per step.
+
+    ``observe`` and ``scalar`` are handed to ``run_streams``.
+    """
     X = np.tile(x0, (len(keys), 1))
-    run_streams(keys, n_steps, X, lambda X, z: em_update(X, z, params, dt), observe, "standard_normal", (params.k,))
+    kernel = lambda X, z: em_update(X, z, params, dt)
+    run_streams(keys, n_steps, X, kernel, observe, "standard_normal", (params.k,), scalar)
+
+
+def _em_step(params: WfParams, dt: float, record):
+    """``run_streams``' scalar step for one Euler-Maruyama path: ``em_update`` on a list of k floats.
+
+    ``step(j, n, x, z)`` takes step n in ``em_update``'s operation order
+    (``_sigma_factors``' suffix sums and guarded divides, the running sum
+    of ``_sigma_z``, the drift, then ``_project_floats``), so it equals it
+    bit for bit; it calls ``record(n, x)`` with the new point.
+    """
+    k, p, neg_rate, sdt, sqrt = params.k, params.p.tolist(), -params.rate, math.sqrt(dt), math.sqrt
+
+    def step(j, n, x, z):
+        S = [0.0] * (k + 1)  # S[i] = x_i + ... + x_{k-1}, added from the last component
+        for i in range(k - 1, -1, -1):
+            S[i] = S[i + 1] + x[i]
+        run, v = 0.0, []  # run = sum_{j<i} col_j z_j
+        for i in range(k):
+            xi, zi, s, s1 = x[i], z[i], S[i], S[i + 1]
+            d = xi * s1 / s if s > 0.0 else xi * s1
+            d = sqrt(0.0 if d <= 0.0 else d)  # np.maximum(d, 0.0): nan passes, -0.0 becomes 0.0
+            v.append(neg_rate * (xi - p[i]) * dt + xi + (d * zi - xi * run) * sdt)
+            run += (d / s1 if s1 > 0.0 else 0.0) * zi
+        x = _project_floats(v)
+        record(n, x)
+        return x
+
+    return step
 
 
 def simulate_wf(
@@ -266,11 +301,9 @@ def simulate_wf(
     n = _n_steps(t_max, config.dt, "t-max")
     _check_path(n, params.k, "t-max")
     X = np.empty((n + 1, params.k))
-
-    def record(i, state):
-        X[i] = state[0]
-
-    _run_em(params, x0, n, config.dt, [key], record)
+    record = record_path(X)
+    # one replica runs in the scalar step from n = 0; observe sees only x0
+    _run_em(params, x0, n, config.dt, [key], lambda i, X: record(i, X[0].tolist()), _em_step(params, config.dt, record))
     return PathRecord(t=config.dt * np.arange(n + 1), X=X, seed=key)
 
 
@@ -356,7 +389,7 @@ def _exit_step(od: OneDimWf, dt: float, a: float, b: float, record):
 
     def step(j, n, z, zn):
         w = z * (1.0 - z)
-        z = z + (-a1 * z + a0 * (1.0 - z)) * dt + sqrt((0.0 if w < 0.0 else w) * dt) * zn  # max(w, 0.0)
+        z = z + (-a1 * z + a0 * (1.0 - z)) * dt + sqrt((0.0 if w <= 0.0 else w) * dt) * zn  # np.maximum(w, 0.0)
         z = 0.0 if z < 0.0 else 1.0 if z > 1.0 else z  # np.clip's rule: -0.0 and nan pass
         if z <= a or z >= b:
             record(j, n, z)
@@ -391,11 +424,16 @@ def simulate_marginal_1d(
     n = _n_steps(t_max, config.dt, "t-max")
     _check_path(n, 1, "t-max")
     z = np.empty(n + 1)
+    record = record_path(z)
+    em = _exit_step(od, config.dt, -math.inf, math.inf, None)  # exits nowhere, so it never calls its record
 
-    def record(i, state):
-        z[i] = state[0]
+    def step(j, i, zi, zn):
+        zi = em(j, i, zi, zn)
+        record(i, [zi])
+        return zi
 
-    _run_marginal(od, z0, n, config.dt, [key], record)
+    # one replica runs in the scalar step from n = 0; observe sees only z0
+    _run_marginal(od, z0, n, config.dt, [key], lambda i, z: record(i, z[:1].tolist()), step)
     return config.dt * np.arange(n + 1), z
 
 

@@ -12,9 +12,14 @@ Wright-Fisher, 1-d marginal and urn simulators:
   off the single path on the same stream, wherever the hand-off to the
   scalar tail falls: at n = 0, at the end of the block in which the live
   count fell to the tail's size, or never;
-* the scalar tail's step equals the vector 1-d step bit for bit;
-* first exits and touch flags keep the sha256 pins of the bytes the
-  engine gave before it had a scalar tail.
+* the plain-float steps equal the vector kernels bit for bit: the 1-d
+  step, the urn step (ties of a uniform with a cumulative sum included) and
+  the Euler-Maruyama step with its projection (zero and subnormal
+  components, a head sum past 1 with tied maxima, nan);
+* single paths, which run in those steps, equal ensemble rows, which run in
+  the vector kernels, so the single-vs-row tests compare the two kernels;
+* first exits, touch flags and single paths keep the sha256 pins of the
+  bytes the vector kernels gave before the scalar steps took them over.
 
 Time steps are powers of two so that the grid times t_j = j dt are exact.
 """
@@ -22,15 +27,18 @@ Time steps are powers of two so that the grid times t_j = j dt are exact.
 import hashlib
 import math
 import warnings
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from rpwf import rng
-from rpwf.rng import StreamKey
-from rpwf.urn import UrnParams, simulate_urn_ensemble
+from rpwf.rng import StreamKey, record_path
+from rpwf.simplex import _project_floats, project_to_simplex
+from rpwf.urn import UrnParams, _run_urns, simulate_urn, simulate_urn_ensemble
 from rpwf.wright_fisher import (
     OneDimWf,
     SdeConfig,
@@ -42,7 +50,7 @@ from rpwf.wright_fisher import (
     simulate_wf,
     simulate_wf_ensemble,
 )
-from rpwf.wright_fisher import _exit_step, _marginal_em
+from rpwf.wright_fisher import _em_step, _exit_step, _marginal_em, em_update
 
 LABEL = "wf1d"  # the stream label of the marginal entry points
 
@@ -60,6 +68,19 @@ def wf_params(draw) -> tuple[WfParams, np.ndarray]:
     x = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
     x0 = x / x.sum() if x.sum() > 0 else params.p.copy()
     return params, x0
+
+
+@st.composite
+def urn_params(draw) -> UrnParams:
+    """k = 2..5, beta in [0, 1]; b and B0 have zeros, never both at one color."""
+    k = draw(st.integers(2, 5))
+    counts = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+    b = np.array(draw(st.lists(counts, min_size=k, max_size=k)))
+    B0 = np.array(draw(st.lists(counts, min_size=k, max_size=k)))
+    if not b.sum() > 0:
+        b[0] = 1.0
+    B0[b + B0 <= 0] = 1.0
+    return UrnParams(alpha=draw(st.floats(0.1, 3.0)), beta=draw(st.floats(0.0, 1.0)), b=b, B0=B0)
 
 
 @st.composite
@@ -106,6 +127,24 @@ def test_wf_ensemble_rows_are_single_paths(wp, dt, n_steps, m, seed):
     for i in range(m):
         path = simulate_wf(params, x0, n_steps * dt, cfg, StreamKey(seed, "wf", i))
         assert np.array_equal(ens[:, i, :], path.X, equal_nan=True)
+
+
+@given(
+    urn=urn_params(),
+    n_steps=st.integers(0, 24),
+    m=n_paths,
+    seed=seeds,
+    blocks=st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 30))),
+)
+def test_urn_ensemble_rows_are_single_paths(urn, n_steps, m, seed, blocks):
+    # small blocks end the ensemble's noise blocks and the single path's noise chunks every few steps
+    with pytest.MonkeyPatch.context() as mp:
+        if blocks:
+            small_blocks(mp, *blocks)
+        ens = simulate_urn_ensemble(urn, n_steps, m, seed, checkpoints=range(n_steps + 1))
+        paths = [simulate_urn(urn, n_steps, StreamKey(seed, "urn", i)) for i in range(m)]
+    for i, path in enumerate(paths):
+        assert ens[:, i, :].tobytes() == path.psi.tobytes()
 
 
 @given(od=one_dim, z0=st.floats(0.0, 1.0), dt=dts, n_steps=st.integers(0, 24), m=n_paths, seed=seeds)
@@ -162,7 +201,7 @@ def test_first_exit_hand_off_matches_single_paths(od, ab, dt, n_steps, m, seed, 
         assert touched[i] == (z <= a).any()
 
 
-unit_values = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53]), st.floats(0.0, 1.0))
+unit_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53]), st.floats(0.0, 1.0))
 
 
 @given(
@@ -176,6 +215,100 @@ def test_scalar_step_equals_vector_step(od, dt, pairs):
     step = _exit_step(od, dt, -math.inf, math.inf, None)  # never exits
     for j, (zj, nj) in enumerate(pairs):
         assert step(j, 1, zj, nj).hex() == float(z[j]).hex()
+
+
+class GivenDraws:
+    """A generator stand-in whose ``random`` returns the given values, in order."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def random(self, size=None, out=None):
+        n = out.size if out is not None else math.prod(size)
+        got, self.values = self.values[:n], self.values[n:]
+        if out is None:
+            return got.reshape(size)
+        out[...] = got.reshape(out.shape)
+
+
+@given(urn=urn_params(), us=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=12), tie=st.integers(0, 4))
+def test_scalar_urn_step_equals_vector_step(urn, us, tie):
+    # step 1 draws one of the cumulative sums exactly: u < cum is false there, the kernel's rule
+    r = urn.b_total + float(urn.B0.sum())
+    us = [float(np.cumsum((urn.b + urn.B0) / r)[min(tie, urn.k - 1)]), *us]
+    vector, rows = [], np.empty((len(us) + 1, urn.k + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "generators", lambda keys: [GivenDraws(us)])
+        _run_urns(urn, len(us), [StreamKey(0)], lambda n, cum: vector.append(cum[0].copy()))
+        _run_urns(urn, len(us), [StreamKey(0)], lambda n, cum: None, record_path(rows))
+    for n, u in enumerate(us, 1):
+        assert rows[n, :-1].tobytes() == vector[n].tobytes()
+        assert rows[n, -1] == 1 + sum(u >= c for c in vector[n - 1][:-1])  # the kernel's count of false below
+
+
+@st.composite
+def simplex_point(draw) -> np.ndarray:
+    """A point of the simplex, k = 2..5, with components at 0 or 5e-324, or down to 1e-12 near the faces."""
+    k = draw(st.integers(2, 5))
+    x = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))) ** 4
+    for i, v in enumerate(draw(st.lists(st.sampled_from([None, 0.0, 5e-324]), min_size=k, max_size=k))):
+        if v is not None:
+            x[i] = v
+    if not x.max() > 0:
+        x[draw(st.integers(0, k - 1))] = 1.0
+    return project_to_simplex(x / x.sum())
+
+
+@given(
+    x=simplex_point(),
+    rate=st.floats(0.05, 5.0),
+    dt=st.floats(1e-4, 0.1),
+    seed=seeds,
+    scale=st.sampled_from([1.0, 1e3]),
+)
+@example(x=np.array([1.0, 5e-324, 0.0]), rate=1.0, dt=2.0**-5, seed=3, scale=1.0)
+@example(x=np.array([math.nan, 0.5, 0.5]), rate=1.0, dt=0.01, seed=1, scale=1.0)
+@example(x=np.array([0.25, 0.25, math.nan, 0.5]), rate=1.0, dt=0.01, seed=1, scale=1.0)
+def test_scalar_em_step_equals_em_update(x, rate, dt, seed, scale):
+    k = x.size
+    params = WfParams(b=rate, alpha=1.0, p=np.arange(1.0, k + 1.0) / (k * (k + 1) / 2))
+    z = scale * np.random.default_rng(seed).standard_normal(k)
+    want = em_update(x[None], z[None], params, dt)[0]
+    recorded = []
+    got = _em_step(params, dt, lambda n, row: recorded.append((n, row)))(0, 7, x.tolist(), z.tolist())
+    assert np.array(got).tobytes() == want.tobytes()  # nan bits included
+    assert recorded == [(7, got)]
+
+
+# rows whose projected head sums past 1 by rounding, so the overshoot loop runs: at k = 3, and
+# with two and three tied largest head components (argmax takes the first)
+OVERSHOOT_ROWS = [
+    ["0x1.a12ee8cf95c95p-4", "0x1.dee9611917b7ap-1", "0x0.0000000000001p-1022"],
+    ["0x1.029063ea58425p-5", "0x1.9d08fd32d8516p-5", "0x1.9d08fd32d8516p-5", "0x1.56e1fc2f8f359p-997"],
+    ["0x1.034c4ab62c5b9p-2", "0x1.ed98f00834dacp-4", "0x1.034c4ab62c5b9p-2", "0x1.6aca1e6225248p-6", "0x1.56e1fc2f8f359p-997"],
+    ["0x1.603c8c394ed9fp-1", "0x1.603c8c394ed9fp-1", "0x1.603c8c394ed9fp-1", "0x1.2d1145ebf9badp-4", "0x0.0000000000001p-1022"],
+]
+
+
+@given(
+    v=st.lists(
+        st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan])), min_size=2, max_size=5
+    )
+)
+@example(v=[float.fromhex(h) for h in OVERSHOOT_ROWS[0]])
+@example(v=[math.nan, -0.5, 0.5])
+def test_scalar_projection_equals_vector_projection(v):
+    assume(any(x > 0.0 or x != x for x in v))  # a row with a positive part, as every step's row has
+    assert np.array(_project_floats(v)).tobytes() == project_to_simplex(np.array(v)).tobytes()
+
+
+@pytest.mark.parametrize("row", OVERSHOOT_ROWS)
+def test_scalar_projection_after_head_overshoot(row):
+    v = [float.fromhex(h) for h in row]
+    assert reduce(add, [x / reduce(add, v) for x in v[:-1]]) > 1.0  # the sequential sums the projection takes
+    got = _project_floats(v)
+    assert np.array(got).tobytes() == project_to_simplex(np.array(v)).tobytes()
+    assert reduce(add, got[:-1]) <= 1.0
 
 
 # sha256 of the engine's bytes before the scalar tail, 200 paths at dt = 1e-3 over 2500 steps:
@@ -202,6 +335,41 @@ def test_first_exit_bytes_are_pinned(seed):
     assert 8 <= np.isnan(tau).sum() and 8 <= (~touched).sum()
     got = hashlib.sha256(tau.tobytes() + hit.tobytes()).hexdigest(), hashlib.sha256(touched.tobytes()).hexdigest()
     assert got == FIRST_EXIT_PINS[seed]
+
+
+# sha256 of single paths as the vector kernels gave them, 2050 steps, so that a 2048-step noise
+# chunk ends mid-path; the urn has a zero in B0, the EM paths start on a face and the 1-d path
+# near 0, so that the projection clamps and the clip acts (those paths have exact zeros)
+PIN_DT = 2.0**-8
+PIN_URN = UrnParams(alpha=1.0, beta=0.9, b=np.array([0.5, 1.0, 2.0]), B0=np.array([0.0, 3.0, 0.0]))
+PIN_WF = {
+    2: (WfParams(b=0.2, alpha=1.0, p=np.array([0.3, 0.7])), [1.0, 0.0]),
+    5: (WfParams(b=0.5, alpha=1.0, p=np.array([0.1, 0.2, 0.3, 0.15, 0.25])), [0.5, 0.5, 0.0, 0.0, 0.0]),
+}
+SINGLE_PATH_PINS = {
+    ("urn", 7): "cd2c9af08744cab5e3c18bdbd06e3066fc9c6da05eb2cc5382afc5a7294ad5bf",
+    ("urn", 2026): "40282ec70b343aeb2e4dd1bee3635a2511aa186537678a970a91a3a344fca755",
+    ("wf2", 7): "e24c28e5e82f68df2da85449f712879dc755a2da92503e8d2306394fafeb4612",
+    ("wf2", 2026): "0a0be95979a22277d25191985d0495838c5802d9361469b8c0d889450290dc00",
+    ("wf5", 7): "6b9e2ef8ff241eb3f1b6d2f60f68cfeaba9e980e6f670c881d3d5963e2d70a8c",
+    ("wf5", 2026): "57e0e5f29fa97b036c67a985cc690eae954194e0d5f0f40586d6b6d61a58a77b",
+    ("1d", 7): "c84a17051574d92c6a6797060b1e37811e849203a220fa6af0eb58487a4f4434",
+    ("1d", 2026): "27e0d859661422ffab32027892ffdd95b287bbcb4981f259efebc160cd1c7067",
+}
+
+
+@pytest.mark.parametrize("model, seed", sorted(SINGLE_PATH_PINS))
+def test_single_path_bytes_are_pinned(model, seed):
+    if model == "urn":
+        traj = simulate_urn(PIN_URN, 2050, seed)
+        values = [traj.psi, traj.draws]
+    elif model == "1d":
+        values = [simulate_marginal_1d(OneDimWf(a0=0.05, a1=0.5), 1e-3, 2050 * PIN_DT, SdeConfig(dt=PIN_DT), seed)[1]]
+    else:
+        params, x0 = PIN_WF[int(model[2:])]
+        values = [simulate_wf(params, x0, 2050 * PIN_DT, SdeConfig(dt=PIN_DT), seed).X]
+    assert len(values[0]) == 2051 and (model == "urn" or (values[0] == 0.0).any())
+    assert hashlib.sha256(b"".join(v.tobytes() for v in values)).hexdigest() == SINGLE_PATH_PINS[model, seed]
 
 
 @given(

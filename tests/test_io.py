@@ -1,8 +1,10 @@
+import inspect
 import io
 import json
 
 import numpy as np
 
+import rpwf.io
 from rpwf.io import (
     canonical_json,
     ensemble_summary_json,
@@ -113,3 +115,10 @@ _CSV_SHA = [
 
 def test_csv_writers_keep_their_bytes():
     assert [sha256_bytes(data) for data in _pinned_csvs()] == _CSV_SHA
+
+
+def test_every_public_function_of_io_is_exported():
+    # path_json, which simulate-wf --format json writes, was once left out of __all__
+    functions = [n for n, f in vars(rpwf.io).items() if inspect.isfunction(f) and f.__module__ == "rpwf.io"]
+    defined = {n for n in functions if not n.startswith("_")}
+    assert defined - set(rpwf.io.__all__) == set()
