@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 parameter validation failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -373,6 +374,7 @@ _COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], list[dict]]]] = {
 }
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rpwf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,22 +15,25 @@ it runs numpy's SeedSequence algorithm (hash the entropy words into a
 uint32 arrays, so each generator starts in the same PCG64 state as the
 reference, at a fraction of the per-stream cost.  ``run_streams`` uses it.
 
-``run_streams`` is the package's one loop over time steps: per step, a
-kernel advances M replicas with a noise row holding each one's next draw.
-Replica i reads only stream i, in order, and shares no arithmetic with the
-others, so a single path (an ensemble of one) equals ensemble row i bit for
-bit, and no output depends on the noise block size or on worker counts.
-A run given a per-replica scalar step hands its last ``_SCALAR_TAIL``
-replicas to it, where a vector step's fixed cost of some twenty to sixty
-numpy calls outweighs their arithmetic.  A single path is such a run from
-n = 0, and first exits hand off their last paths.  The hand-off falls at
-the end of a noise block, once the block has used every value it drew:
-each replica then finishes alone in plain floats (a float, or a list of
-floats for a state wider than one) on its generator's next draws, so it
-still reads its stream in order, and the scalar step's operations are the
-kernel's in the same order, so the bits do not change.  Ensembles keep the
-vector kernel: M replicas in plain floats cost about M single paths, more
-than one vector step from about M = 10.
+``run_streams`` is the package's loop over time steps for ensembles: per
+step, a kernel advances M replicas with a noise row holding each one's next
+draw.  Replica i reads only stream i, in order, and shares no arithmetic
+with the others, so no output depends on the noise block size or on worker
+counts.  A first exit given a per-replica scalar step hands its last
+``_SCALAR_TAIL`` replicas to it, where a vector step's fixed cost of some
+twenty to sixty numpy calls outweighs their arithmetic.  The hand-off falls
+at the end of a noise block, once the block has used every value it drew:
+each replica then finishes alone in plain floats on its generator's next
+draws, so it still reads its stream in order.
+
+``run_path`` is the loop of a single path: ``x = step(x, noise)`` in plain
+floats (a float, or a list of floats for a state wider than one) on the
+key's generator, drawing the chunks the scalar tail draws and writing the
+path into its array once per chunk.  Each model's plain-float step repeats
+its vector kernel's operations in the same order, so a single path equals
+ensemble row i bit for bit.  Ensembles keep the vector kernel: M replicas
+in plain floats cost about M single paths, more than one vector step from
+about M = 10.
 
 A noise block is stored replica-last, ``(steps,) + shape + (M,)``, and the
 kernel is handed each step's row as an ``(M,) + shape`` view of it: the
@@ -162,13 +165,7 @@ class _PresetState(ISeedSequence):
 
 
 def generators(keys: Sequence[StreamKey]) -> list[np.random.Generator]:
-    """``[key.generator() for key in keys]``: the same PCG64 states, seeded in one pass over the batch.
-
-    A batch of one is handed to the reference, which is cheaper than the
-    pass's fixed cost of about a hundred numpy calls.
-    """
-    if len(keys) == 1:
-        return [keys[0].generator()]
+    """``[key.generator() for key in keys]``: the same PCG64 states, seeded in one pass over the batch."""
     entropy = [_entropy(key) for key in keys]
     states = np.empty((len(keys), 4), np.uint64)
     for n in {len(e) for e in entropy}:  # a seed or an index >= 2**32 adds a word
@@ -180,7 +177,7 @@ def generators(keys: Sequence[StreamKey]) -> list[np.random.Generator]:
 _BLOCK_VALUES = 1 << 22  # noise values per block (32 MB of doubles)
 _BLOCK_STEPS = 2048  # and at most this many steps
 _FILL_GROUP = 64  # replicas drawn per tile while a block is filled
-_SCALAR_TAIL = 32  # live replicas at or below which a run given a scalar step finishes each alone
+_SCALAR_TAIL = 32  # live replicas at or below which a first exit finishes each alone
 
 
 def check_sizes(n_steps: int, n_replicas: int) -> None:
@@ -189,12 +186,6 @@ def check_sizes(n_steps: int, n_replicas: int) -> None:
         raise ValidationError("steps", f"must be >= 0, got {n_steps}")
     if n_replicas < 1:
         raise ValidationError("replicas", f"must be >= 1, got {n_replicas}")
-
-
-def _check_path(n_steps: int, width: int, name: str) -> None:
-    """Reject a recorded path of (n_steps + 1) x width values past 2^27 (1 GiB of doubles), naming the flag."""
-    if (n_steps + 1) * width > 1 << 27:
-        raise ValidationError(name, f"a path of {n_steps:.4g} steps records over {1 << 27} values")
 
 
 def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe, draw="random", shape=(), scalar=None):
@@ -211,16 +202,14 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
 
     ``scalar`` is ``kernel`` then ``observe`` for one replica in plain
     floats: ``scalar(j, n, x, noise)`` returns row j's value after step n
-    from its value x before it, or None to retire the row.  x is
-    ``state[j].tolist()``, a float for a 1-d state and a list of floats for
-    a wider one, and noise is a draw of ``shape`` as a float or nested
-    lists.  At the end of a block at which at most ``_SCALAR_TAIL``
+    from its value x = ``state[j].tolist()`` before it, or None to retire
+    the row.  At the end of a block at which at most ``_SCALAR_TAIL``
     replicas are live (or at n = 0, if no more start), each finishes alone
     through it on its own generator's next draws, so row i still reads
     stream i in order; ``observe`` is not called again.
 
-    Sizes are not checked here: every front-end has checked them, with
-    ``check_sizes`` or, for a single path, ``_n_steps``.
+    Sizes are not checked here: every front-end has checked them with
+    ``check_sizes``.
     """
     gens = generators(keys)
     keep = observe(0, state)
@@ -258,20 +247,22 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
     return state
 
 
-def _scalar_tail(scalar, state: np.ndarray, gens, n: int, n_steps: int, draw: str, shape: tuple) -> np.ndarray:
-    """Steps n + 1..n_steps of each row alone through ``scalar``, on its generator's next draws; returns the rows it kept.
+def _chunks(gen, n: int, n_steps: int, draw: str, shape: tuple):
+    """The draws of steps n + 1..n_steps as lists, one chunk of at most ``_BLOCK_STEPS`` steps at a time.
 
     A chunk of m steps draws ``(m,) + shape`` values, in the step-major,
     component-minor order in which a noise block is filled.
     """
+    for lo in range(n, n_steps, _BLOCK_STEPS):
+        yield getattr(gen, draw)(size=(min(n_steps - lo, _BLOCK_STEPS),) + shape).tolist()
+
+
+def _scalar_tail(scalar, state: np.ndarray, gens, n: int, n_steps: int, draw: str, shape: tuple) -> np.ndarray:
+    """Steps n + 1..n_steps of each row alone through ``scalar``, on its generator's next draws; returns the rows it kept."""
     keep = []
     for j, gen in enumerate(gens):
         x = state[j].tolist()
-        chunks = (
-            getattr(gen, draw)(size=(min(n_steps - lo, _BLOCK_STEPS),) + shape).tolist()
-            for lo in range(n, n_steps, _BLOCK_STEPS)
-        )
-        for m, noise in enumerate(itertools.chain.from_iterable(chunks), n + 1):
+        for m, noise in enumerate(itertools.chain.from_iterable(_chunks(gen, n, n_steps, draw, shape)), n + 1):
             x = scalar(j, m, x, noise)
             if x is None:
                 break
@@ -279,6 +270,33 @@ def _scalar_tail(scalar, state: np.ndarray, gens, n: int, n_steps: int, draw: st
             state[j] = x
             keep.append(j)
     return state[keep]
+
+
+def run_path(key: StreamKey, n_steps: int, x, step, name: str, draw="random", shape=()) -> np.ndarray:
+    """One path of ``n_steps`` steps ``x = step(x, noise)`` from x on ``key``'s stream; returns x after each step.
+
+    x is a float, and the result an ``(n_steps + 1,)`` array, or a list of
+    floats, and the result an ``(n_steps + 1, len(x))`` array; row 0 is
+    the start.  noise is a draw of ``shape`` as a float or a list, drawn in
+    the chunks of ``run_streams``' scalar tail.  Each chunk's rows are kept
+    as one flat list of floats and written into the array when it ends, so
+    a long path never lives as one Python list.  A path of more than 2^27
+    values (1 GiB of doubles) is rejected before any draw, naming ``name``.
+    """
+    row = np.shape(x)  # () for a float, (k,) for a list of k floats
+    if (n_steps + 1) * math.prod(row) > 1 << 27:
+        raise ValidationError(name, f"a path of {n_steps:.4g} steps records over {1 << 27} values")
+    out = np.empty((n_steps + 1,) + row)
+    out[0], n, values = x, 0, []
+    add = values.extend if row else values.append
+    for noise in _chunks(key.generator(), 0, n_steps, draw, shape):
+        for z in noise:
+            x = step(x, z)
+            add(x)
+        out[n + 1 : n + 1 + len(noise)] = np.reshape(values, (-1,) + row)
+        n += len(noise)
+        values.clear()
+    return out
 
 
 def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int = 1) -> np.ndarray:
@@ -311,25 +329,6 @@ def checkpoint_steps(checkpoints, horizon, step_of) -> dict[int, list[int]]:
     for j, c in enumerate(checkpoints):
         at.setdefault(step_of(c), []).append(j)
     return at
-
-
-def record_path(out: np.ndarray) -> Callable:
-    """``record(n, row)`` setting ``out[n]`` to the list of floats ``row``, for a single path's scalar step.
-
-    Rows are kept as one flat list of Python floats and written into
-    ``out`` (C-ordered) once per noise chunk: after each step n that is a
-    multiple of ``_BLOCK_STEPS``, and after the last row.  So a long path
-    never lives as one Python list.
-    """
-    values, last, width, flat = [], len(out) - 1, out[0].size, out.reshape(-1)
-
-    def record(n, row):
-        values.extend(row)
-        if n % _BLOCK_STEPS == 0 or n == last:
-            flat[(n + 1) * width - len(values) : (n + 1) * width] = values
-            values.clear()
-
-    return record
 
 
 def record_checkpoints(at: dict[int, list[int]], out: np.ndarray, values) -> Callable:

@@ -25,8 +25,9 @@ is deterministic apart from xi.  One private kernel, stepped by
 (k, M) memory, takes xi from comparing each replica's uniform with them
 (the inverse-CDF rule of ``sample_color``), and updates them in place.
 ``simulate_urn_ensemble`` runs it with M replicas.  ``simulate_urn`` runs
-its plain-float twin, the same operations in the same order on a list of
-k floats, which skips the kernel's fixed cost of numpy calls per step.
+its plain-float twin through ``rng.run_path``: the same operations in the
+same order on a list of the k sums and the drawn color, which skips the
+kernel's fixed cost of numpy calls per step.
 ``step``, ``UrnState`` and ``DrawOutcome`` keep the ball-count form as an
 independent reference.
 
@@ -47,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, freeze_arrays
-from .rng import StreamKey, _check_path, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, record_path, run_streams
+from .rng import StreamKey, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_path, run_streams
 
 __all__ = [
     "UrnParams",
@@ -265,63 +266,82 @@ def increment_decomposition(params: UrnParams, state: UrnState, draw: DrawOutcom
     return eps_n, delta_n, xi - psi
 
 
-def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe, record=None) -> None:
+def _urn_start(params: UrnParams, n_steps: int):
+    """The cumulative sums of psi_0 and an iterator over the steps' ``(f, g, a)``.
+
+    Step n + 1 maps the sums ``cum`` of psi_n to ``f cum + g cumsum(b) + a
+    below``, with (f, g, a) = (beta r*_n, 1 - beta, alpha) / r*_{n+1} and
+    r*_{n+1} = beta r*_n + (1 - beta)|b| + alpha, the same for every draw.
+    Rejects, naming alpha, a ball total that can pass the float range
+    within ``n_steps`` steps.
+    """
+    beta, alpha = params.beta, params.alpha
+    gain = (1.0 - beta) * params.b_total + alpha
+    r = params.b_total + float(params.B0.sum())
+    if not r + n_steps * gain < math.inf:  # r*_n <= r*_0 + n gain
+        raise ValidationError("alpha", f"the ball total can pass the float range within {n_steps} steps")
+
+    def coefficients(r):
+        while True:
+            r_next = beta * r + gain
+            yield beta * r / r_next, (1.0 - beta) / r_next, alpha / r_next
+            r = r_next
+
+    return np.cumsum((params.b + params.B0) / r), coefficients(r)
+
+
+def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe) -> None:
     """Run one urn per stream key, one uniform per step, through ``run_streams``.
 
     The state ``cum`` is an (M, k) view of (k, M) memory: row i holds the
     cumulative sums psi_{n,1}, psi_{n,1} + psi_{n,2}, ..., |psi_n| of
     replica i.  ``below = u < cum`` (last entry always true) marks the
     colors at or after the draw for its uniform u, so the drawn index is the
-    number of false entries: ``sample_color``'s rule.  Then, in place,
-
-        cum' = (beta r*_n cum + (1 - beta) cumsum(b) + alpha below) / r*_{n+1}
-
-    with r*_{n+1} = beta r*_n + (1 - beta)|b| + alpha, the same for every
-    draw.  ``observe(n, cum)`` must copy what it keeps.
-
-    Given ``record``, the keys are one single path, which runs in plain
-    floats: the scalar step repeats the kernel's operations in its order on
-    a list of the k sums and calls ``record(n, row)`` with the new sums and
-    then the color drawn at step n.
+    number of false entries: ``sample_color``'s rule.  Then, in place, cum
+    becomes ``f cum + g cumsum(b) + a below`` with the coefficients of
+    ``_urn_start``.  ``observe(n, cum)`` must copy what it keeps.
     """
-    beta, alpha, k = params.beta, params.alpha, params.k
-    b_cum = np.cumsum(params.b)
-    gain = (1.0 - beta) * params.b_total + alpha
-    r = params.b_total + float(params.B0.sum())
-    if not r + n_steps * gain < math.inf:  # r*_n <= r*_0 + n gain
-        raise ValidationError("alpha", f"the ball total can pass the float range within {n_steps} steps")
-    cum = np.repeat(np.cumsum((params.b + params.B0) / r)[:, None], len(keys), axis=1)
+    cum0, coefficients = _urn_start(params, n_steps)
+    cum = np.repeat(cum0[:, None], len(keys), axis=1)
     below = np.ones(cum.shape, dtype=bool)
-    b_col, b_head, b_last = b_cum[:, None], b_cum[:-1].tolist(), float(b_cum[-1])
+    b_col = np.cumsum(params.b)[:, None]
 
     def kernel(state, u):
-        nonlocal r
+        f, g, a = next(coefficients)
         cum = state.T
-        r_next = beta * r + gain
         np.less(u, cum[:-1], out=below[:-1])
-        cum *= beta * r / r_next
-        cum += (1.0 - beta) / r_next * b_col
-        cum += below * (alpha / r_next)
-        r = r_next
+        cum *= f
+        cum += g * b_col
+        cum += below * a
         return state
 
-    def step(j, n, c, u):  # advances the shared r, so it serves one path from n = 0
-        nonlocal r
-        r_next = beta * r + gain
-        f, g, a = beta * r / r_next, (1.0 - beta) / r_next, alpha / r_next
-        r = r_next
-        row, color = [], k
+    run_streams(keys, n_steps, cum.T, kernel, observe)
+
+
+def _urn_step(params: UrnParams, n_steps: int):
+    """``_run_urns``' kernel for one urn in plain floats: ``(start, step)`` for ``rng.run_path``.
+
+    ``step(c, u)`` takes the k cumulative sums of psi_n and a color slot and
+    returns those of psi_{n+1} and the color drawn with the uniform u: the
+    kernel's operations in its order, so it equals it bit for bit.  It takes
+    one path's steps in order from ``start``, the sums of psi_0 and a 0.
+    """
+    cum0, coefficients = _urn_start(params, n_steps)
+    *b_head, b_last = np.cumsum(params.b).tolist()
+
+    def step(c, u):
+        f, g, a = next(coefficients)
+        row, color = [], 1  # one more than the number of sums at or below u
         for ci, bi in zip(c, b_head):  # the sums before the last: below is u < ci
             if u < ci:
                 row.append(ci * f + g * bi + a)
-                color -= 1
             else:
                 row.append(ci * f + g * bi + 0.0)
-        row.append(c[-1] * f + g * b_last + a)
-        record(n, row + [color])
+                color += 1
+        row += (c[-2] * f + g * b_last + a, color)  # the last sum, then the color
         return row
 
-    run_streams(keys, n_steps, cum.T, kernel, observe, scalar=None if record is None else step)
+    return [*cum0.tolist(), 0.0], step
 
 
 def simulate_urn(params: UrnParams, n_steps: int, seed: StreamKey | int) -> UrnTrajectory:
@@ -332,14 +352,10 @@ def simulate_urn(params: UrnParams, n_steps: int, seed: StreamKey | int) -> UrnT
     equals bit for bit the ensemble row that draws from the same stream key.
     """
     check_sizes(n_steps, 1)
-    _check_path(n_steps, params.k + 1, "steps")
     key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), "urn")
-    k = params.k
-    rows = np.empty((n_steps + 1, k + 1))  # the cumulative sums of psi_n, then the color drawn at step n
-    record = record_path(rows)
-    # one replica runs in the scalar step from n = 0; observe sees only the start, which follows no draw
-    _run_urns(params, n_steps, [key], lambda n, cum: record(n, [*cum[0].tolist(), 0]), record)
-    return UrnTrajectory(params=params, draws=rows[1:, k], psi=np.diff(rows[:, :k], axis=1, prepend=0.0), seed=key)
+    start, step = _urn_step(params, n_steps)
+    rows = run_path(key, n_steps, start, step, "steps")  # the sums of psi_n, then the color drawn at step n
+    return UrnTrajectory(params=params, draws=rows[1:, -1], psi=np.diff(rows[:, :-1], axis=1, prepend=0.0), seed=key)
 
 
 def _urn_checkpoints(params: UrnParams, n_steps: int, at: dict, n_out: int, keys: Sequence[StreamKey]) -> np.ndarray:

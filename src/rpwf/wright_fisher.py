@@ -19,20 +19,20 @@ The 1-d marginal / grouped process ``Z`` solves
 
 with a0 = (b/alpha) * sum_{l in J} p_l and a1 = b/alpha - a0.
 
-Both run on ``rng.run_streams`` (kernels ``em_update`` and the 1-d update;
-observers keep checkpoints or first exits, retiring exited paths).  Path i
-draws from ``StreamKey(seed, label, i)``, at any worker count.  Each
-kernel has a plain-float copy with the same operation order, so the bits
+Ensembles run on ``rng.run_streams`` (kernels ``em_update`` and the 1-d
+update; observers keep checkpoints or first exits, retiring exited paths).
+Path i draws from ``StreamKey(seed, label, i)``, at any worker count.  Each
+kernel has a plain-float step with the same operation order, so the bits
 do not change: ``_em_step`` (with ``simplex._project_floats``) and
-``_exit_step``.  The single paths ``simulate_wf`` and
-``simulate_marginal_1d`` run in them from n = 0, recording their path, and
-equal row i of an ensemble bit for bit.  The 1-d vector step writes into
-reused scratch rows, and a step in which no path leaves (a, b) costs the
-exit test two reductions.  First exits finish their last
-``rng._SCALAR_TAIL`` paths one at a time in the plain-float step, from the
-end of the noise block at which no more are live, on each path's own next
-draws.  Ensembles (``simulate_wf_ensemble``, ``marginal_ensemble_values``)
-stay on the vector step.
+``_marginal_step``.  The single paths ``simulate_wf`` and
+``simulate_marginal_1d`` run in them through ``rng.run_path`` and equal
+row i of an ensemble bit for bit.  The 1-d vector step writes into reused
+scratch rows, and a step in which no path leaves (a, b) costs the exit test
+two reductions.  First exits finish their last ``rng._SCALAR_TAIL`` paths
+one at a time in ``_marginal_step`` and the exit test, from the end of the
+noise block at which no more are live, on each path's own next draws.
+Ensembles (``simulate_wf_ensemble``, ``marginal_ensemble_values``) stay on
+the vector step.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, freeze_arrays
-from .rng import StreamKey, _check_path, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, record_path, run_streams
+from .rng import StreamKey, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_path, run_streams
 from .simplex import _project_floats, check_simplex, project_to_simplex
 
 __all__ = [
@@ -250,27 +250,16 @@ def _check_x0(params: WfParams, x0) -> np.ndarray:
     return x0
 
 
-def _run_em(params: WfParams, x0: np.ndarray, n_steps: int, dt: float, keys, observe, scalar=None) -> None:
-    """Euler-Maruyama paths from x0, one per stream key; k normals per step.
+def _em_step(params: WfParams, dt: float):
+    """``em_update`` for one point in plain floats: ``step(x, z)`` maps a list of k floats and k normals to the next point.
 
-    ``observe`` and ``scalar`` are handed to ``run_streams``.
-    """
-    X = np.tile(x0, (len(keys), 1))
-    kernel = lambda X, z: em_update(X, z, params, dt)
-    run_streams(keys, n_steps, X, kernel, observe, "standard_normal", (params.k,), scalar)
-
-
-def _em_step(params: WfParams, dt: float, record):
-    """``run_streams``' scalar step for one Euler-Maruyama path: ``em_update`` on a list of k floats.
-
-    ``step(j, n, x, z)`` takes step n in ``em_update``'s operation order
-    (``_sigma_factors``' suffix sums and guarded divides, the running sum
-    of ``_sigma_z``, the drift, then ``_project_floats``), so it equals it
-    bit for bit; it calls ``record(n, x)`` with the new point.
+    It takes ``em_update``'s operations in their order (``_sigma_factors``'
+    suffix sums and guarded divides, the running sum of ``_sigma_z``, the
+    drift, then ``_project_floats``), so it equals it bit for bit.
     """
     k, p, neg_rate, sdt, sqrt = params.k, params.p.tolist(), -params.rate, math.sqrt(dt), math.sqrt
 
-    def step(j, n, x, z):
+    def step(x, z):
         S = [0.0] * (k + 1)  # S[i] = x_i + ... + x_{k-1}, added from the last component
         for i in range(k - 1, -1, -1):
             S[i] = S[i + 1] + x[i]
@@ -281,9 +270,7 @@ def _em_step(params: WfParams, dt: float, record):
             d = sqrt(0.0 if d <= 0.0 else d)  # np.maximum(d, 0.0): nan passes, -0.0 becomes 0.0
             v.append(neg_rate * (xi - p[i]) * dt + xi + (d * zi - xi * run) * sdt)
             run += (d / s1 if s1 > 0.0 else 0.0) * zi
-        x = _project_floats(v)
-        record(n, x)
-        return x
+        return _project_floats(v)
 
     return step
 
@@ -299,18 +286,16 @@ def simulate_wf(
     x0 = _check_x0(params, x0)
     key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), "wf")
     n = _n_steps(t_max, config.dt, "t-max")
-    _check_path(n, params.k, "t-max")
-    X = np.empty((n + 1, params.k))
-    record = record_path(X)
-    # one replica runs in the scalar step from n = 0; observe sees only x0
-    _run_em(params, x0, n, config.dt, [key], lambda i, X: record(i, X[0].tolist()), _em_step(params, config.dt, record))
+    X = run_path(key, n, x0.tolist(), _em_step(params, config.dt), "t-max", "standard_normal", (params.k,))
     return PathRecord(t=config.dt * np.arange(n + 1), X=X, seed=key)
 
 
 def _wf_checkpoints(params: WfParams, x0, n_steps: int, dt: float, at: dict, n_out: int, keys) -> np.ndarray:
-    """``(n_out, len(keys), k)`` path values after the steps of ``at``: one slice of an ensemble."""
+    """``(n_out, len(keys), k)`` Euler-Maruyama path values from x0 after the steps of ``at``: one slice of an ensemble."""
     out = np.empty((n_out, len(keys), params.k))
-    _run_em(params, x0, n_steps, dt, keys, record_checkpoints(at, out, lambda X: X))
+    kernel = lambda X, z: em_update(X, z, params, dt)
+    observe = record_checkpoints(at, out, lambda X: X)
+    run_streams(keys, n_steps, np.tile(x0, (len(keys), 1)), kernel, observe, "standard_normal", (params.k,))
     return out
 
 
@@ -377,26 +362,27 @@ def _marginal_em(z: np.ndarray, zn: np.ndarray, od: OneDimWf, dt: float, work: n
     return z.clip(0.0, 1.0, out=z)
 
 
-def _exit_step(od: OneDimWf, dt: float, a: float, b: float, record):
-    """``run_streams``'s scalar step for first exits of (a, b): ``_marginal_em`` on one float.
+def _marginal_step(od: OneDimWf, dt: float):
+    """``_marginal_em`` for one value in plain floats: ``step(z, zn)`` is the value after z with the normal draw zn.
 
-    ``step(j, n, z, zn)`` takes step n of row j in ``_marginal_em``'s
-    operation order, so it equals it bit for bit.  It returns the new value,
-    or calls ``record(j, n, z)`` and returns None once the value is at or
-    beyond a or b.
+    It takes ``_marginal_em``'s operations in their order, so it equals it
+    bit for bit.
     """
     a0, a1, sqrt = od.a0, od.a1, math.sqrt
 
-    def step(j, n, z, zn):
+    def step(z, zn):
         w = z * (1.0 - z)
         z = z + (-a1 * z + a0 * (1.0 - z)) * dt + sqrt((0.0 if w <= 0.0 else w) * dt) * zn  # np.maximum(w, 0.0)
-        z = 0.0 if z < 0.0 else 1.0 if z > 1.0 else z  # np.clip's rule: -0.0 and nan pass
-        if z <= a or z >= b:
-            record(j, n, z)
-            return None
-        return z
+        return 0.0 if z < 0.0 else 1.0 if z > 1.0 else z  # np.clip's rule: -0.0 and nan pass
 
     return step
+
+
+def _check_z0(z0: float) -> float:
+    """z0 as a float in [0, 1]."""
+    if not 0.0 <= z0 <= 1.0:
+        raise ValidationError("z0", f"must lie in [0, 1], got {z0}")
+    return float(z0)
 
 
 def _run_marginal(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, observe=lambda n, z: None, scalar=None):
@@ -404,9 +390,7 @@ def _run_marginal(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, observ
 
     ``observe`` and ``scalar`` are handed to ``run_streams``.
     """
-    if not 0.0 <= z0 <= 1.0:
-        raise ValidationError("z0", f"must lie in [0, 1], got {z0}")
-    z = np.full(len(keys), float(z0))
+    z = np.full(len(keys), _check_z0(z0))
     work = np.empty((3, len(keys)))
     kernel = lambda z, zn: _marginal_em(z, zn, od, dt, work)
     return run_streams(keys, n_steps, z, kernel, observe, "standard_normal", scalar=scalar)
@@ -422,18 +406,7 @@ def simulate_marginal_1d(
     """Single 1-d path clamped to [0, 1]; returns (t, z).  An int seed draws from ``StreamKey(seed, "wf1d")``."""
     key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), _MARGINAL)
     n = _n_steps(t_max, config.dt, "t-max")
-    _check_path(n, 1, "t-max")
-    z = np.empty(n + 1)
-    record = record_path(z)
-    em = _exit_step(od, config.dt, -math.inf, math.inf, None)  # exits nowhere, so it never calls its record
-
-    def step(j, i, zi, zn):
-        zi = em(j, i, zi, zn)
-        record(i, [zi])
-        return zi
-
-    # one replica runs in the scalar step from n = 0; observe sees only z0
-    _run_marginal(od, z0, n, config.dt, [key], lambda i, z: record(i, z[:1].tolist()), step)
+    z = run_path(key, n, _check_z0(z0), _marginal_step(od, config.dt), "t-max", "standard_normal")
     return config.dt * np.arange(n + 1), z
 
 
@@ -464,18 +437,32 @@ def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed) -> tuple[np.ndarray, n
             ids = ids[~out]
             return np.flatnonzero(~out)
 
-    def record(j, n, z):  # path ids[j] of the scalar tail left at step n
-        tau[ids[j]], z_exit[ids[j]] = n * dt, z
+    em = _marginal_step(od, dt)
+
+    def tail(j, n, z, zn):  # path ids[j], alone in plain floats: retired once it leaves (a, b) at step n
+        z = em(z, zn)
+        if z <= a or z >= b:
+            tau[ids[j]], z_exit[ids[j]] = n * dt, z
+            return None
+        return z
 
     keys = [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)]
-    _run_marginal(od, z0, n_steps, dt, keys, exits, _exit_step(od, dt, a, b, record))
+    _run_marginal(od, z0, n_steps, dt, keys, exits, tail)
     return tau, z_exit
+
+
+def _check_barriers(**levels: float) -> None:
+    """Reject a nan barrier, which no path would ever cross, naming it."""
+    for name, level in levels.items():
+        if math.isnan(level):
+            raise ValidationError(name, f"must be a number, got {level}")
 
 
 def marginal_touch_flags(
     od: OneDimWf, z0: float, level: float, t_max: float, dt: float, n_paths: int, seed: int
 ) -> np.ndarray:
     """Per-path flag: did the path enter [0, level] by time t_max."""
+    _check_barriers(level=level)
     tau, _ = _first_exit(od, z0, level, np.inf, _n_steps(t_max, dt, "t-max"), dt, n_paths, seed)
     return ~np.isnan(tau)
 
@@ -495,6 +482,7 @@ def marginal_first_passage(
     Crossing is detected on the discrete path (first step at or beyond a
     level); paths still inside at t_cap get time nan.
     """
+    _check_barriers(a=a, b=b)
     if not a < z0 < b:
         raise ValidationError("z0", f"need a < z0 < b, got a={a}, z0={z0}, b={b}")
     tau, z_exit = _first_exit(od, z0, a, b, _n_steps(t_cap, dt, "t-cap"), dt, n_paths, seed)

@@ -1,4 +1,4 @@
-"""Property tests of the stream engine ``rng.run_streams`` through every model.
+"""Property tests of the stream engines ``rng.run_streams`` and ``rng.run_path`` through every model.
 
 ``rng.generators``, which builds the engine's streams in one batch, starts
 every stream in the PCG64 state of the per-key reference ``key.generator()``.
@@ -16,8 +16,10 @@ Wright-Fisher, 1-d marginal and urn simulators:
   step, the urn step (ties of a uniform with a cumulative sum included) and
   the Euler-Maruyama step with its projection (zero and subnormal
   components, a head sum past 1 with tied maxima, nan);
-* single paths, which run in those steps, equal ensemble rows, which run in
-  the vector kernels, so the single-vs-row tests compare the two kernels;
+* single paths, which run in those steps through ``rng.run_path``, equal
+  ensemble rows, which run in the vector kernels through
+  ``rng.run_streams``, so the single-vs-row tests compare the two kernels,
+  with small blocks too, so that ``run_path``'s noise chunks end mid-path;
 * first exits, touch flags and single paths keep the sha256 pins of the
   bytes the vector kernels gave before the scalar steps took them over.
 
@@ -36,9 +38,9 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from rpwf import rng
-from rpwf.rng import StreamKey, record_path
+from rpwf.rng import StreamKey
 from rpwf.simplex import _project_floats, project_to_simplex
-from rpwf.urn import UrnParams, _run_urns, simulate_urn, simulate_urn_ensemble
+from rpwf.urn import UrnParams, _run_urns, _urn_step, simulate_urn, simulate_urn_ensemble
 from rpwf.wright_fisher import (
     OneDimWf,
     SdeConfig,
@@ -50,7 +52,7 @@ from rpwf.wright_fisher import (
     simulate_wf,
     simulate_wf_ensemble,
 )
-from rpwf.wright_fisher import _em_step, _exit_step, _marginal_em, em_update
+from rpwf.wright_fisher import _em_step, _marginal_em, _marginal_step, em_update
 
 LABEL = "wf1d"  # the stream label of the marginal entry points
 
@@ -118,26 +120,27 @@ def test_generators_start_in_the_reference_states(keys):
         assert gen.standard_normal() == ref.standard_normal()
 
 
-@given(wp=wf_params(), dt=dts, n_steps=st.integers(0, 24), m=n_paths, seed=seeds)
-def test_wf_ensemble_rows_are_single_paths(wp, dt, n_steps, m, seed):
+# None, or small (_BLOCK_STEPS, _BLOCK_VALUES), which end the ensemble's noise blocks and the
+# single path's noise chunks every few steps
+blocks = st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 30)))
+
+
+@given(wp=wf_params(), dt=dts, n_steps=st.integers(0, 24), m=n_paths, seed=seeds, blocks=blocks)
+def test_wf_ensemble_rows_are_single_paths(wp, dt, n_steps, m, seed, blocks):
     params, x0 = wp
     cfg = SdeConfig(dt=dt)
     grid = [j * dt for j in range(n_steps + 1)]
-    ens = simulate_wf_ensemble(params, x0, n_steps * dt, cfg, m, seed, label="wf", checkpoints=grid)
-    for i in range(m):
-        path = simulate_wf(params, x0, n_steps * dt, cfg, StreamKey(seed, "wf", i))
+    with pytest.MonkeyPatch.context() as mp:
+        if blocks:
+            small_blocks(mp, *blocks)
+        ens = simulate_wf_ensemble(params, x0, n_steps * dt, cfg, m, seed, label="wf", checkpoints=grid)
+        paths = [simulate_wf(params, x0, n_steps * dt, cfg, StreamKey(seed, "wf", i)) for i in range(m)]
+    for i, path in enumerate(paths):
         assert np.array_equal(ens[:, i, :], path.X, equal_nan=True)
 
 
-@given(
-    urn=urn_params(),
-    n_steps=st.integers(0, 24),
-    m=n_paths,
-    seed=seeds,
-    blocks=st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 30))),
-)
+@given(urn=urn_params(), n_steps=st.integers(0, 24), m=n_paths, seed=seeds, blocks=blocks)
 def test_urn_ensemble_rows_are_single_paths(urn, n_steps, m, seed, blocks):
-    # small blocks end the ensemble's noise blocks and the single path's noise chunks every few steps
     with pytest.MonkeyPatch.context() as mp:
         if blocks:
             small_blocks(mp, *blocks)
@@ -147,11 +150,16 @@ def test_urn_ensemble_rows_are_single_paths(urn, n_steps, m, seed, blocks):
         assert ens[:, i, :].tobytes() == path.psi.tobytes()
 
 
-@given(od=one_dim, z0=st.floats(0.0, 1.0), dt=dts, n_steps=st.integers(0, 24), m=n_paths, seed=seeds)
-def test_marginal_ensemble_rows_are_single_paths(od, z0, dt, n_steps, m, seed):
-    paths = [simulate_marginal_1d(od, z0, n_steps * dt, SdeConfig(dt=dt), StreamKey(seed, LABEL, i))[1] for i in range(m)]
-    for j in range(n_steps + 1):
-        assert np.array_equal(marginal_ensemble_values(od, z0, j * dt, dt, m, seed), [z[j] for z in paths])
+@given(od=one_dim, z0=st.floats(0.0, 1.0), dt=dts, n_steps=st.integers(0, 24), m=n_paths, seed=seeds, blocks=blocks)
+def test_marginal_ensemble_rows_are_single_paths(od, z0, dt, n_steps, m, seed, blocks):
+    cfg = SdeConfig(dt=dt)
+    with pytest.MonkeyPatch.context() as mp:
+        if blocks:
+            small_blocks(mp, *blocks)
+        paths = [simulate_marginal_1d(od, z0, n_steps * dt, cfg, StreamKey(seed, LABEL, i))[1] for i in range(m)]
+        values = [marginal_ensemble_values(od, z0, j * dt, dt, m, seed) for j in range(n_steps + 1)]
+    for j, v in enumerate(values):
+        assert np.array_equal(v, [z[j] for z in paths])
 
 
 @given(od=one_dim, ab=interval(), dt=dts, n_steps=st.integers(1, 40), m=n_paths, seed=seeds)
@@ -212,9 +220,9 @@ unit_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
 def test_scalar_step_equals_vector_step(od, dt, pairs):
     z, zn = np.array(pairs).T
     assert _marginal_em(z, zn, od, dt, np.empty((3, z.size + 2))) is z
-    step = _exit_step(od, dt, -math.inf, math.inf, None)  # never exits
+    step = _marginal_step(od, dt)
     for j, (zj, nj) in enumerate(pairs):
-        assert step(j, 1, zj, nj).hex() == float(z[j]).hex()
+        assert step(zj, nj).hex() == float(z[j]).hex()
 
 
 class GivenDraws:
@@ -223,27 +231,25 @@ class GivenDraws:
     def __init__(self, values):
         self.values = np.array(values, dtype=float)
 
-    def random(self, size=None, out=None):
-        n = out.size if out is not None else math.prod(size)
-        got, self.values = self.values[:n], self.values[n:]
-        if out is None:
-            return got.reshape(size)
+    def random(self, out):
+        got, self.values = self.values[: out.size], self.values[out.size :]
         out[...] = got.reshape(out.shape)
 
 
 @given(urn=urn_params(), us=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=12), tie=st.integers(0, 4))
 def test_scalar_urn_step_equals_vector_step(urn, us, tie):
     # step 1 draws one of the cumulative sums exactly: u < cum is false there, the kernel's rule
-    r = urn.b_total + float(urn.B0.sum())
-    us = [float(np.cumsum((urn.b + urn.B0) / r)[min(tie, urn.k - 1)]), *us]
-    vector, rows = [], np.empty((len(us) + 1, urn.k + 1))
+    row, step = _urn_step(urn, len(us) + 1)
+    us = [row[min(tie, urn.k - 1)], *us]
+    vector = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng, "generators", lambda keys: [GivenDraws(us)])
         _run_urns(urn, len(us), [StreamKey(0)], lambda n, cum: vector.append(cum[0].copy()))
-        _run_urns(urn, len(us), [StreamKey(0)], lambda n, cum: None, record_path(rows))
+    assert np.array(row[:-1]).tobytes() == vector[0].tobytes()
     for n, u in enumerate(us, 1):
-        assert rows[n, :-1].tobytes() == vector[n].tobytes()
-        assert rows[n, -1] == 1 + sum(u >= c for c in vector[n - 1][:-1])  # the kernel's count of false below
+        row = step(row, u)
+        assert np.array(row[:-1]).tobytes() == vector[n].tobytes()
+        assert row[-1] == 1 + sum(u >= c for c in vector[n - 1][:-1])  # the kernel's count of false below
 
 
 @st.composite
@@ -274,10 +280,8 @@ def test_scalar_em_step_equals_em_update(x, rate, dt, seed, scale):
     params = WfParams(b=rate, alpha=1.0, p=np.arange(1.0, k + 1.0) / (k * (k + 1) / 2))
     z = scale * np.random.default_rng(seed).standard_normal(k)
     want = em_update(x[None], z[None], params, dt)[0]
-    recorded = []
-    got = _em_step(params, dt, lambda n, row: recorded.append((n, row)))(0, 7, x.tolist(), z.tolist())
+    got = _em_step(params, dt)(x.tolist(), z.tolist())
     assert np.array(got).tobytes() == want.tobytes()  # nan bits included
-    assert recorded == [(7, got)]
 
 
 # rows whose projected head sums past 1 by rounding, so the overshoot loop runs: at k = 3, and

@@ -307,6 +307,10 @@ _BAD_INPUTS = {
     "config_infinite_dt": ("dt", lambda: SdeConfig(dt=math.inf)),
     "marginal_negative_a1": ("a1", lambda: OneDimWf(a0=0.3, a1=-1.0)),
     "marginal_nan_a0": ("a0", lambda: OneDimWf(a0=math.nan, a1=0.3)),
+    # a nan barrier is never crossed, so it is rejected by name, not read as one that no path reaches
+    "touch_nan_level": ("level", lambda: marginal_touch_flags(OD, 0.5, math.nan, 0.1, 1e-2, 3, seed=1)),
+    "passage_nan_a": ("a", lambda: marginal_first_passage(OD, 0.5, math.nan, 0.8, 1e-2, 3, seed=1)),
+    "passage_nan_b": ("b", lambda: marginal_first_passage(OD, 0.5, 0.2, math.nan, 1e-2, 3, seed=1)),
 }
 
 
