@@ -6,7 +6,10 @@ A color group J of the diffusion aggregates to the [0,1]-valued process
     a0 = (b/alpha) sum_{l in J} p_l,   a1 = b/alpha - a0.
 
 The boundary z in {0,1} is Exit for a_z = 0, Regular for 0 < a_z < 1/2 and
-Entrance for a_z >= 1/2.  Scale function and speed density
+Entrance for a_z >= 1/2; ``classify_boundary`` alone states that rule.  A
+group J is recessive (its frequency reaches 0) iff a0 < 1/2, and color i
+is dominant (X_i reaches 1) iff the a1 of {i} is < 1/2.  Scale function
+and speed density
 
     S'(z) prop z^{-2 a0} (1-z)^{-2 a1},      m(z) prop z^{2 a0 - 1} (1-z)^{2 a1 - 1}
 
@@ -71,15 +74,15 @@ def group_to_1d(params: WfParams, J) -> OneDimWf:
 
 
 def is_recessive(params: WfParams, J) -> bool:
-    """True iff sum_{l in J} p_l < alpha / (2 b): the group frequency touches 0."""
-    return _group_mass(params, J) < params.alpha / (2.0 * params.b)
+    """True iff J's a0 < 1/2, its boundary at 0 not an entrance: the group frequency touches 0."""
+    return classify_boundary(group_to_1d(params, J).a0) is not BoundaryType.ENTRANCE
 
 
 def is_dominant(params: WfParams, i: int) -> bool:
-    """True iff the complement of {i} is recessive: X_i touches 1."""
+    """True iff the a1 of {i} is < 1/2, its boundary at 1 not an entrance: X_i touches 1."""
     if not 1 <= i <= params.k:
         raise ValidationError("i", f"color must lie in 1..{params.k}")
-    return 1.0 - float(params.p[i - 1]) < params.alpha / (2.0 * params.b)
+    return classify_boundary(group_to_1d(params, [i]).a1) is not BoundaryType.ENTRANCE
 
 
 def dominant_colors(params: WfParams) -> list[int]:
@@ -139,12 +142,12 @@ def scale_increment(od: OneDimWf, z1: float, z2: float) -> float:
     total = 0.0
     with np.errstate(over="ignore"):  # an overflow shows as a non-finite total
         if lo == 0.0:
-            if 2.0 * od.a0 >= 1.0:
+            if classify_boundary(od.a0) is BoundaryType.ENTRANCE:
                 return sign * math.inf
             lo = min(hi, 0.25)
             total += _endpoint_tail(od.a0, od.a1, lo)
         if hi == 1.0 and lo < 1.0:
-            if 2.0 * od.a1 >= 1.0:
+            if classify_boundary(od.a1) is BoundaryType.ENTRANCE:
                 return sign * math.inf
             hi = max(lo, 0.75)
             total += _endpoint_tail(od.a1, od.a0, 1.0 - hi)

@@ -300,7 +300,7 @@ def _run_stationary_test(r: dict) -> list[dict]:
         reports.append(
             {
                 "component": i + 1,
-                "beta_params": [2.0 * params.rate * float(params.p[i]), 2.0 * params.rate * (1.0 - float(params.p[i]))],
+                "beta_params": [2.0 * od.a0, 2.0 * od.a1],
                 "ks": ks.as_dict(),
                 "pass_5pct": ks.passes(0.05),
             }

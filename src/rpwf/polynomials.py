@@ -241,11 +241,8 @@ class MultiIndexPolynomial:
         return MultiIndexPolynomial(self.nvars, out)
 
     def __call__(self, y) -> float:
-        y = np.asarray(y, dtype=float)
-        total = 0.0
-        for e, c in self.coeffs.items():
-            total += float(c) * float(np.prod(y**np.array(e)))
-        return total
+        """Value at one point: ``eval_many`` on a batch of one."""
+        return float(self.eval_many(np.reshape(y, (1, -1)))[0])
 
     def eval_many(self, Y: np.ndarray) -> np.ndarray:
         """Evaluate at an (N, nvars) array of points."""

@@ -189,7 +189,7 @@ def check_sizes(n_steps: int, n_replicas: int) -> None:
 
 
 def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe, draw="random", shape=(), scalar=None):
-    """Step one replica per stream key ``n_steps`` times; returns the last state.
+    """Step one replica per stream key ``n_steps`` times; returns the last state, or None given ``scalar``.
 
     Each step every replica draws a value of ``shape`` with its generator's
     ``draw`` method, then ``state = kernel(state, noise)`` with noise of
@@ -206,7 +206,8 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
     the row.  At the end of a block at which at most ``_SCALAR_TAIL``
     replicas are live (or at n = 0, if no more start), each finishes alone
     through it on its own generator's next draws, so row i still reads
-    stream i in order; ``observe`` is not called again.
+    stream i in order; ``observe`` is not called again.  The run then
+    returns None: its results are what ``observe`` and ``scalar`` record.
 
     Sizes are not checked here: every front-end has checked them with
     ``check_sizes``.
@@ -243,8 +244,8 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
         if cols is not None:
             gens = [gens[i] for i in cols]
     if scalar is not None and gens and n < n_steps:
-        state = _scalar_tail(scalar, state, gens, n, n_steps, draw, shape)
-    return state
+        _scalar_tail(scalar, state, gens, n, n_steps, draw, shape)
+    return state if scalar is None else None
 
 
 def _chunks(gen, n: int, n_steps: int, draw: str, shape: tuple):
@@ -257,19 +258,14 @@ def _chunks(gen, n: int, n_steps: int, draw: str, shape: tuple):
         yield getattr(gen, draw)(size=(min(n_steps - lo, _BLOCK_STEPS),) + shape).tolist()
 
 
-def _scalar_tail(scalar, state: np.ndarray, gens, n: int, n_steps: int, draw: str, shape: tuple) -> np.ndarray:
-    """Steps n + 1..n_steps of each row alone through ``scalar``, on its generator's next draws; returns the rows it kept."""
-    keep = []
+def _scalar_tail(scalar, state: np.ndarray, gens, n: int, n_steps: int, draw: str, shape: tuple) -> None:
+    """Steps n + 1..n_steps of each row alone through ``scalar``, on its generator's next draws, until ``scalar`` retires it."""
     for j, gen in enumerate(gens):
         x = state[j].tolist()
         for m, noise in enumerate(itertools.chain.from_iterable(_chunks(gen, n, n_steps, draw, shape)), n + 1):
             x = scalar(j, m, x, noise)
             if x is None:
                 break
-        else:
-            state[j] = x
-            keep.append(j)
-    return state[keep]
 
 
 def run_path(key: StreamKey, n_steps: int, x, step, name: str, draw="random", shape=()) -> np.ndarray:

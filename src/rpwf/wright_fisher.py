@@ -386,7 +386,7 @@ def _check_z0(z0: float) -> float:
 
 
 def _run_marginal(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, observe=lambda n, z: None, scalar=None):
-    """1-d marginal paths from z0, one per stream key; returns the last values.
+    """1-d marginal paths from z0, one per stream key; returns the last values (None given ``scalar``).
 
     ``observe`` and ``scalar`` are handed to ``run_streams``.
     """

@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rpwf.boundary import (
@@ -25,6 +28,7 @@ from rpwf.boundary import (
     scale_increment,
     speed_density,
 )
+from rpwf.cli import main
 from rpwf.errors import ValidationError
 from rpwf.polynomials import GammaWeights
 from rpwf.rng import generator
@@ -114,6 +118,43 @@ def test_at_most_one_dominant_color():
         alpha = float(rng.random() * b)  # alpha/(2b) <= 1/2
         params = WfParams(b=b, alpha=alpha, p=p)
         assert sum(is_dominant(params, i) for i in (1, 2, 3)) <= 1
+
+
+@st.composite
+def _half_edge(draw):
+    """(params, J), k = 2..4: b built from alpha and p so that (b/alpha) sum_J p lies within a few ulp of 1/2."""
+    k = draw(st.integers(2, 4))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    J = draw(st.lists(st.integers(1, k), min_size=1, max_size=k - 1, unique=True))
+    alpha = draw(st.floats(0.1, 10.0))
+    p = w / w.sum()
+    b = 0.5 * alpha / float(sum(p[c - 1] for c in sorted(J)))
+    shift = draw(st.integers(-4, 4))
+    for _ in range(abs(shift)):
+        b = math.nextafter(b, math.copysign(math.inf, shift))
+    return WfParams(b=b, alpha=alpha, p=p), J
+
+
+@example((WfParams(b=2.2635601129436655, alpha=4.373389916782771, p=np.array([0.9660423621565233, 0.03395763784347672])), [1]))
+@given(_half_edge())
+def test_boundary_answers_follow_one_rule_at_the_half_edge(tmp_path_factory, edge):
+    # in the example a0 rounds to 1/2 while p_1 < alpha / (2 b): a second statement of the rule, as
+    # that comparison, printed "recessive": true and "dominant_colors": [1, 2] beside an entrance at 0
+    params, J = edge
+    entrance = lambda a: classify_boundary(a) is BoundaryType.ENTRANCE
+    assert is_recessive(params, J) == (not entrance(group_to_1d(params, J).a0))
+    for i in range(1, params.k + 1):
+        assert is_dominant(params, i) == (not entrance(group_to_1d(params, [i]).a1))
+    out = tmp_path_factory.mktemp("edge") / "b.json"
+    floats = lambda v: ",".join(repr(float(x)) for x in v)
+    argv = ["boundary", f"--b={params.b!r}", f"--alpha={params.alpha!r}", f"--p={floats(params.p)}"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--j=" + ",".join(map(str, J)), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["a0"] == group_to_1d(params, J).a0
+    assert report["recessive"] == (report["boundary_at_0"] != "entrance")
+    if J == [1]:
+        assert (1 in report["dominant_colors"]) == (report["boundary_at_1"] != "entrance")
 
 
 def test_scale_function_no_drift_is_linear():

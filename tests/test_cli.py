@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpwf.boundary import group_to_1d
 from rpwf.cli import _COMMANDS, main
+from rpwf.wright_fisher import WfParams
 
 
 def run(args, capsys):
@@ -464,18 +466,25 @@ def test_converge_worker_count_invariance(tmp_path, capsys):
 
 
 def test_stationary_test_structure(tmp_path, capsys):
-    out = tmp_path / "s.json"
-    code, _ = run(
-        [
-            "stationary-test", "--b", "1,1", "--beta", "0.9", "--t-long", "1.0",
-            "--replicas", "100", "--seed", "4", "--out", str(out),
-        ],
-        capsys,
-    )
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert len(data["tests"]) == 2
-    assert {"component", "beta_params", "ks", "pass_5pct"} <= set(data["tests"][0])
+    # each component reports the Beta(2 a0, 2 a1) law its KS test used: at b = (1, 2), alpha = 0.7
+    # a second formula for it, 2 (b/alpha) (1 - p_i), read 2.857142857142857 for 2.8571428571428577
+    for b, alpha in (([1.0, 1.0], 1.0), ([1.0, 2.0], 0.7)):
+        out = tmp_path / "s.json"
+        code, _ = run(
+            [
+                "stationary-test", "--b", ",".join(map(repr, b)), "--alpha", repr(alpha), "--beta", "0.9",
+                "--t-long", "1.0", "--replicas", "100", "--seed", "4", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert len(data["tests"]) == 2
+        assert {"component", "beta_params", "ks", "pass_5pct"} <= set(data["tests"][0])
+        params = WfParams(b=sum(b), alpha=alpha, p=np.array(b) / sum(b))
+        for test in data["tests"]:
+            od = group_to_1d(params, [test["component"]])
+            assert test["beta_params"] == [2.0 * od.a0, 2.0 * od.a1]
 
 
 def test_manifest_replay_reproduces_output(tmp_path, capsys):
