@@ -166,11 +166,12 @@ def _endpoint_tail(a_near: float, a_far: float, width: float) -> float:
     """Integral of s^{-2 a_near} (1-s)^{-2 a_far} over [0, width]: the scale density between an endpoint and a cut.
 
     The end at 0 is (a0, a1, cut) and the end at 1, by s = 1 - t, is (a1, a0, 1 - cut).
+    The rule is Gauss-Jacobi in u = s / width, whose weights integrate over [-1, 1].
     """
-    from scipy.special import roots_jacobi  # loaded on first use, not on import
+    from .quadrature import _jacobi_raw  # loaded on first use, as the SciPy it calls is
 
-    x, w = roots_jacobi(60, 0.0, -2.0 * a_near)
-    s = 0.5 * width * (x + 1.0)
+    u, w = _jacobi_raw(60, -2.0 * a_near, 0.0)
+    s = width * u
     scale = (0.5 * width) ** (1.0 - 2.0 * a_near)
     return scale * float(w @ (1.0 - s) ** (-2.0 * a_far))
 

@@ -324,7 +324,7 @@ _COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], list[dict]]]] = {
         _COMMON + _WF + [
             Opt("x0", _floats, None, "start point (default p)"),
             Opt("t-max", float, 1.0),
-            Opt("dt", float, 1e-3),
+            Opt("dt", float, SdeConfig.dt),
             Opt("replicas", int, 1),
         ],
         _run_simulate_wf,
@@ -359,7 +359,7 @@ _COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], list[dict]]]] = {
             Opt("betas", _floats, [0.9, 0.99], "comma list of beta values"),
             Opt("times", _floats, [1.0], "checkpoint times in rescaled units"),
             Opt("replicas", int, 500),
-            Opt("dt", float, 1e-3),
+            Opt("dt", float, SdeConfig.dt),
         ],
         _run_converge,
     ),

@@ -2,18 +2,21 @@
 
 Every stochastic routine in the package draws from a ``numpy`` PCG64
 generator obtained from a master seed, a component label and a replica
-index.  The triple is hashed into a ``SeedSequence`` so that
+index.  ``_entropy`` alone turns the triple into 32-bit entropy words (the
+seed mod 2^64, a hash of label and index, the index) and numpy's
+SeedSequence algorithm hashes them into a PCG64 state, so that
 
 * the same triple always yields the same stream, on any platform,
 * distinct labels or indices yield statistically independent streams,
 * ensembles can hand replica ``i`` its own stream without coordination.
 
-``generator`` and ``StreamKey.generator`` build one stream through numpy's
-``SeedSequence``; they are the reference.  ``generators`` builds a batch:
-it runs numpy's SeedSequence algorithm (hash the entropy words into a
-4-word pool, cross-mix it, hash out the PCG64 state) once over all keys as
-uint32 arrays, so each generator starts in the same PCG64 state as the
-reference, at a fraction of the per-stream cost.  ``run_streams`` uses it.
+``StreamKey.generator`` (and ``generator``) build one stream by handing the
+words to numpy's own ``SeedSequence``; they are the reference.
+``generators`` builds a batch: it runs the SeedSequence algorithm (hash the
+words into a 4-word pool, cross-mix it, hash out the PCG64 state) once over
+all keys as uint32 arrays, so each generator starts in the same PCG64 state
+as the reference, at a fraction of the per-stream cost.  ``run_streams``
+uses it.
 
 ``run_streams`` is the package's loop over time steps for ensembles: per
 step, a kernel advances M replicas with a noise row holding each one's next
@@ -47,7 +50,6 @@ results are joined along the replica axis, so row i still reads stream i.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
@@ -63,15 +65,9 @@ from .errors import ValidationError
 _U64 = (1 << 64) - 1
 
 
-def seed_sequence(seed: int, label: str = "main", index: int = 0) -> np.random.SeedSequence:
-    digest = hashlib.sha256(f"{label}\x1f{index}".encode()).digest()
-    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.SeedSequence([int(seed) & _U64, *words, int(index)])
-
-
 def generator(seed: int, label: str = "main", index: int = 0) -> np.random.Generator:
     """PCG64 generator for the (seed, label, index) stream."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(seed, label, index)))
+    return StreamKey(seed, label, index).generator()
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class StreamKey:
     index: int = 0
 
     def generator(self) -> np.random.Generator:
-        return generator(self.seed, self.label, self.index)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(_entropy(self), np.uint32))))
 
     def as_dict(self) -> dict:
         return {"seed": self.seed, "label": self.label, "index": self.index}
@@ -97,15 +93,12 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _M32 = (1 << 32) - 1
 
 
-@functools.cache
 def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, 1) uint32 columns for n successive hash calls: call j xors h_j, then multiplies by h_{j+1}."""
     h = [init]
     for _ in range(n):
         h.append(h[-1] * mult & _M32)
-    xor, mul = np.array(h[:-1], np.uint32)[:, None], np.array(h[1:], np.uint32)[:, None]
-    xor.flags.writeable = mul.flags.writeable = False  # cached: every caller shares them
-    return xor, mul
+    return np.array(h[:-1], np.uint32)[:, None], np.array(h[1:], np.uint32)[:, None]
 
 
 _STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 8)  # 4 uint64 = 8 uint32 state words
@@ -123,7 +116,7 @@ def _words(n: int) -> list[int]:
 
 
 def _entropy(key: StreamKey) -> list[int]:
-    """The 32-bit words ``seed_sequence(key.seed, key.label, key.index)`` mixes."""
+    """The key's 32-bit entropy words: the seed mod 2^64, the first 16 bytes of sha256(label \\x1f index), the index."""
     digest = hashlib.sha256(f"{key.label}\x1f{key.index}".encode()).digest()
     return [*_words(int(key.seed) & _U64), *struct.unpack("<4I", digest[:16]), *_words(int(key.index))]
 

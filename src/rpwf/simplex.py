@@ -42,7 +42,7 @@ def check_reduced(y, name: str = "y") -> np.ndarray:
     # sum past the float range is inf without a warning.  Positive form, so that
     # a NaN fails: min may skip it, the sum carries it.
     vals = y.tolist()
-    if not (min(vals) >= -1e-12 and sum(vals) <= 1.0 + 1e-12):
+    if not (min(vals) >= -SIMPLEX_ATOL and sum(vals) <= 1.0 + SIMPLEX_ATOL):
         raise ValidationError(name, f"{y!r} lies outside the reduced simplex")
     return y
 

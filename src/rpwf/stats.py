@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
+from .rng import _U64
 from .scaling import ScaledFamilyParams, family_member_for_start, step_index
 from .urn import UrnParams, _check_colors, simulate_urn_ensemble
 from .wright_fisher import SdeConfig, WfParams, _check_x0, _n_steps, mean_ode, simulate_wf_ensemble
@@ -144,7 +145,7 @@ class ConvergenceConfig:
     times: tuple[float, ...]
     n_replicas: int
     x0: tuple[float, ...] | None = None
-    dt: float = 1e-3
+    dt: float = SdeConfig.dt
     seed: int = 0
     workers: int = 1
 
@@ -183,7 +184,7 @@ def _marginal_specs(k: int, seed: int) -> list[tuple[str, np.ndarray]]:
     """Singleton marginals plus one seed-derived bipartition for k > 2."""
     specs = [(f"X{i+1}", sel) for i, sel in enumerate(np.eye(k))]
     if k > 2:
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = np.random.Generator(np.random.PCG64(int(seed) & _U64))  # the seed as every stream key takes it
         while True:
             mask = rng.random(k) < 0.5
             if 0 < mask.sum() < k:

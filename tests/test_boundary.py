@@ -214,6 +214,26 @@ def test_scale_increment_keeps_its_bytes_on_a_grid_with_both_ends():
     assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == _SCALE_GRID_SHA
 
 
+# sha256 of scale_increment's outcome (the result's bits, or the field a ValidationError names)
+# from an end at 0 or 1 to every z of _TAIL_Z, both ways, for every (a0, a1) of _TAIL_A: the Gauss-Jacobi
+# tails at both ends, subnormal z included.  Taken when ``_endpoint_tail`` called SciPy's
+# ``roots_jacobi`` itself (numpy 2.4, scipy 1.17).
+_TAIL_A = (0.0, 1e-300, 0.05, 0.3, 0.49, 0.4999999999, 0.5, 0.7)
+_TAIL_Z = (5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-16, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1 - 1e-16, 1 - 2**-53, 0.0, 1.0)
+_TAIL_SHA = "dc06bd41b8278994a66266185737adc7e583de744d2e8d79771573901e8d2bce"
+
+
+def test_scale_increment_keeps_its_bytes_from_either_end():
+    outcomes = [
+        _outcome(lambda: scale_increment(OneDimWf(a0, a1), z1, z2))
+        for a0, a1 in itertools.product(_TAIL_A, _TAIL_A)
+        for end in (0.0, 1.0)
+        for z in _TAIL_Z
+        for z1, z2 in ((end, z), (z, end))
+    ]
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == _TAIL_SHA
+
+
 _dyadic = st.integers(0, 1024).map(lambda i: i / 1024)  # 1 - z is exact
 
 
@@ -244,9 +264,15 @@ def test_speed_density_inverse_identity_via_numerical_scale_slope():
 
 
 def test_hitting_prob_boundary_values_and_monotonicity():
+    # a start on a barrier has exited: no mass to the far side, no time and no cost before the exit
+    for a0, a1 in ((0.3, 0.7), (20.0, 10.0)):
+        ip = IntervalProblem(od=OneDimWf(a0=a0, a1=a1), a=0.2, b_pt=0.8)
+        assert hitting_prob(ip, 0.2) == 0.0
+        assert hitting_prob(ip, 0.8) == 1.0
+        for z0 in (0.2, 0.8):
+            assert mean_exit_time(ip, z0) == 0.0
+            assert expected_cost_scale_form(ip, z0, lambda s: 1.0 + s) == 0.0
     ip = IntervalProblem(od=OneDimWf(a0=0.3, a1=0.7), a=0.2, b_pt=0.8)
-    assert hitting_prob(ip, 0.2) == 0.0
-    assert hitting_prob(ip, 0.8) == 1.0
     us = [hitting_prob(ip, z) for z in np.linspace(0.2, 0.8, 13)]
     assert np.all(np.diff(us) > 0)
     with pytest.raises(ValidationError):

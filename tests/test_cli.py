@@ -302,6 +302,12 @@ def test_density_accepts_full_coordinates(tmp_path, capsys):
     run(base + ["--y0", "0.3", "--y", "0.6", "--out", str(out1)], capsys)
     run(base + ["--y0", "0.3,0.7", "--y", "0.6,0.4", "--out", str(out2)], capsys)
     assert json.loads(out1.read_text())["value"] == json.loads(out2.read_text())["value"]
+    # a full point within the simplex tolerance has a head within it too: the head was rejected
+    # with "--y: array([0.6, 0.4]) lies outside the reduced simplex" and exit 2
+    out3 = tmp_path / "d3.json"
+    code, _ = run(["density", "--b", "1,1,1", "--y0", "0.3,0.3,0.4", "--y", "0.6,0.40000000005,0", "--out", str(out3)], capsys)
+    assert code == 0
+    assert math.isfinite(json.loads(out3.read_text())["value"])
 
 
 def test_boundary_reports_dominant_color(tmp_path, capsys):
@@ -463,6 +469,23 @@ def test_converge_worker_count_invariance(tmp_path, capsys):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_converge_negative_seed_is_its_seed_mod_2_64(tmp_path, capsys):
+    # at k = 3 the grouped marginal J is drawn from the seed mod 2^64, as every stream is;
+    # drawn from the raw seed, a negative one exited 1 with "ValueError: expected non-negative integer"
+    runs = []
+    for seed in ("-5", str(2**64 - 5)):
+        out = tmp_path / seed / "c.json"
+        out.parent.mkdir()
+        argv = ["converge", "--b", "1,1,2", "--betas", "0.6", "--times", "0.1", "--replicas", "4", "--dt", "0.01"]
+        code, stdout = run(argv + ["--seed", seed, "--workers", "1", "--out", str(out)], capsys)
+        assert code == 0
+        manifest = read_manifest(stdout)
+        assert manifest["seed"] == int(seed)
+        runs.append(([e["sha256"] for e in manifest["outputs"]], sorted((p.name, p.read_bytes()) for p in out.parent.iterdir() if "manifest" not in p.name)))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 2  # the report and one samples CSV
 
 
 def test_stationary_test_structure(tmp_path, capsys):

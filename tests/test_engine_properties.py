@@ -27,6 +27,7 @@ Time steps are powers of two so that the grid times t_j = j dt are exact.
 """
 
 import hashlib
+import itertools
 import math
 import warnings
 from functools import reduce
@@ -118,6 +119,25 @@ def test_generators_start_in_the_reference_states(keys):
         assert gen.bit_generator.state == ref.bit_generator.state
         assert gen.random() == ref.random()
         assert gen.standard_normal() == ref.standard_normal()
+
+
+# sha256 of the reference streams ``StreamKey(seed, label, index).generator()`` over every key of
+# _PIN_SEEDS x _PIN_LABELS x _PIN_INDICES: each stream's PCG64 state and increment, then its first
+# random(), standard_normal() and integers(2**63).  Taken when the reference hashed its key through
+# ``rng.seed_sequence`` (numpy 2.4); the batch test above compares ``generators`` only with it.
+_PIN_SEEDS = (-(2**65), -(2**63), -5, -1, 0, 2**32, 2**64 - 1, 2**64, 2**64 + 5, 2**66 - 1)
+_PIN_LABELS = ("", "main", "converge-wf", "\u00e9\u2713", "\U0001d4e6\x1f")
+_PIN_INDICES = (0, 7, 2**32, 2**40 + 7)
+_REFERENCE_STREAMS_SHA = "d6cdf23669800aad953f17e83494fbf27e1b708b195838717b722b3a7b8280b8"
+
+
+def test_reference_streams_keep_their_states():
+    rows = []
+    for seed, label, index in itertools.product(_PIN_SEEDS, _PIN_LABELS, _PIN_INDICES):
+        g = StreamKey(seed, label, index).generator()
+        state = g.bit_generator.state["state"]
+        rows.append(f"{state['state']:x} {state['inc']:x} {g.random().hex()} {g.standard_normal().hex()} {int(g.integers(2**63)):x}")
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == _REFERENCE_STREAMS_SHA
 
 
 # None, or small (_BLOCK_STEPS, _BLOCK_VALUES), which end the ensemble's noise blocks and the

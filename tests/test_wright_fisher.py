@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from rpwf.errors import ValidationError
 from rpwf.rng import StreamKey, generator
-from rpwf.simplex import check_reduced, check_simplex
+from rpwf.simplex import SIMPLEX_ATOL, check_reduced, check_simplex
 from rpwf.scaling import Partition
 from rpwf.stats import ks_critical_value, ks_two_sample
 from rpwf.wright_fisher import (
@@ -105,6 +107,24 @@ def test_check_reduced_rejects_non_finite_points(y):
     with pytest.raises(ValidationError) as exc:
         check_reduced(y, "y")
     assert exc.value.field == "y"
+
+
+_shifts = st.lists(st.floats(-SIMPLEX_ATOL, SIMPLEX_ATOL), min_size=6, max_size=6)
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6), _shifts)
+@example([0.6, 0.4, 0.0], [0.0, 5e-11, 0.0, 0.0, 0.0, 0.0])  # rpwf density --b 1,1,1 --y 0.6,0.40000000005,0
+def test_check_reduced_accepts_the_head_of_every_simplex_point(weights, shifts):
+    # a simplex point moved by at most SIMPLEX_ATOL per component.  With a last component
+    # >= 0 the head sums to at most the full sum; a negative one lets it reach 1 + 2 SIMPLEX_ATOL.
+    assume(sum(weights) > 0)
+    x = [w / sum(weights) + d for w, d in zip(weights, shifts)]
+    assume(x[-1] >= 0.0)
+    try:
+        check_simplex(x, "x")
+    except ValidationError:
+        assume(False)
+    assert check_reduced(x[:-1], "y").tolist() == x[:-1]
 
 
 def test_drift_fixed_point_and_unit_rate():
