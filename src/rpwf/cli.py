@@ -82,7 +82,7 @@ _COMMON = [
     Opt("config", str, None, "flat key = value config file"),
     Opt("out", str, None, "output path (default derived from the command)"),
     Opt("format", str, "csv", "csv or json"),
-    Opt("workers", _workers, os.cpu_count() or 1, "processes for converge, stationary-test, simulate-wf --replicas"),
+    Opt("workers", _workers, None, "processes for converge, stationary-test, simulate-wf --replicas (default: rpwf.rng's)"),
 ]
 
 

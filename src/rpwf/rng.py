@@ -43,9 +43,16 @@ kernel is handed each step's row as an ``(M,) + shape`` view of it: the
 shapes are the replica-first ones, while a pass over one draw index reads
 a contiguous row of M values.
 
-``map_replicas`` is the package's only process pool: worker processes run
-a per-slice job on contiguous slices of an ensemble's stream keys, and the
-results are joined along the replica axis, so row i still reads stream i.
+``map_replicas`` is the package's only process pool: it runs a per-slice
+job on contiguous slices of an ensemble's stream keys and joins the results
+along the replica axis, so row i still reads stream i.  The calling process
+runs the first slice itself while a pool of ``workers - 1`` processes runs
+the others; it is the only process whose module globals a tracer has
+wrapped, and it starts one process fewer.  Every ensemble's default worker
+count (``workers=None``) is resolved here, in ``_default_workers``: the CPUs
+this process may use, as many as each worker gets at least
+``_SPLIT_VALUES`` noise values, and one inside a daemonic process, which
+cannot start a pool.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -173,12 +181,18 @@ _FILL_GROUP = 64  # replicas drawn per tile while a block is filled
 _SCALAR_TAIL = 32  # live replicas at or below which a first exit finishes each alone
 
 
+# 2^20 replicas: their stream keys and generators (about 136 + 777 B each) take 0.9 GiB before the first step
+_MAX_REPLICAS = 1 << 20
+# noise values per worker below which a split does not pay for its pool (starting and joining one costs ~15 ms)
+_SPLIT_VALUES = 1 << 21
+
+
 def check_sizes(n_steps: int, n_replicas: int) -> None:
-    """Reject a negative step count or fewer than one replica, naming the flag."""
+    """Reject a negative step count, or a replica count outside [1, ``_MAX_REPLICAS``], naming the flag."""
     if n_steps < 0:
         raise ValidationError("steps", f"must be >= 0, got {n_steps}")
-    if n_replicas < 1:
-        raise ValidationError("replicas", f"must be >= 1, got {n_replicas}")
+    if not 1 <= n_replicas <= _MAX_REPLICAS:
+        raise ValidationError("replicas", f"must lie in [1, {_MAX_REPLICAS}], got {n_replicas}")
 
 
 def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe, draw="random", shape=(), scalar=None):
@@ -288,15 +302,35 @@ def run_path(key: StreamKey, n_steps: int, x, step, name: str, draw="random", sh
     return out
 
 
-def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int = 1) -> np.ndarray:
-    """``job(keys)``, with the keys split into contiguous slices over ``workers`` processes.
+def _default_workers(values: int) -> int:
+    """Worker count for a run of ``values`` noise values: the usable CPUs, each given ``_SPLIT_VALUES`` or more.
+
+    Inside a daemonic process, such as a ``multiprocessing.Pool`` worker,
+    which may not start processes, it is 1.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, min(cpus, values // _SPLIT_VALUES))
+    if workers > 1:
+        import multiprocessing  # only on the split path: importing the command line must not load it
+
+        if multiprocessing.current_process().daemon:
+            return 1
+    return workers
+
+
+def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int | None = None, draws: int = 0) -> np.ndarray:
+    """``job(keys)``, with the keys split into contiguous slices over ``workers`` processes, this one included.
 
     ``job`` must pickle (a module-level function, or a ``functools.partial``
     of one) and return an array with one entry per key along axis 1, as a
     ``(checkpoints, replicas, k)`` ensemble does.  Callers validate inputs
-    first, so that no process starts on a bad one.  At one worker the job
-    runs in this process.
+    first, so that no process starts on a bad one.  This process runs the
+    first slice while a pool runs the others; at one worker the job runs
+    here alone.  ``workers=None`` takes ``_default_workers`` of the run's
+    noise values, ``draws`` per key at most.
     """
+    if workers is None:
+        workers = _default_workers(len(keys) * draws)
     if not workers >= 1:
         raise ValidationError("workers", f"must be >= 1, got {workers}")
     workers = min(int(workers), len(keys))
@@ -305,8 +339,13 @@ def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int = 1) -> 
     from concurrent.futures import ProcessPoolExecutor  # imported on first use: it pulls in multiprocessing
 
     bounds = [len(keys) * w // workers for w in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(job, [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
+    slices = [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    pool = ProcessPoolExecutor(max_workers=workers - 1)
+    try:
+        futures = [pool.submit(job, part) for part in slices[1:]]
+        parts = [job(slices[0])] + [f.result() for f in futures]
+    finally:  # joins the pool, also when a slice raised; slices not yet started are dropped
+        pool.shutdown(cancel_futures=True)
     return np.concatenate(parts, axis=1)
 
 

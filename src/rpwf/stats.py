@@ -8,7 +8,8 @@ It needs at least two replicas (a KS distance and a moment z-score take a
 sample spread), and its report keeps both ensembles at every checkpoint.
 
 Both exhibits hand ``workers`` to the urn and Euler-Maruyama ensembles,
-which split replicas over processes in ``rng.map_replicas``.
+which split replicas over processes in ``rng.map_replicas``; the default,
+None, leaves the count to ``rng._default_workers``.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class ConvergenceConfig:
     x0: tuple[float, ...] | None = None
     dt: float = SdeConfig.dt
     seed: int = 0
-    workers: int = 1
+    workers: int | None = None
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,7 @@ def convergence_experiment(config: ConvergenceConfig) -> ConvergenceReport:
 
 
 def stationary_urn_samples(
-    wf: WfParams, beta: float, t_long: float, n_replicas: int, seed: int, workers: int = 1
+    wf: WfParams, beta: float, t_long: float, n_replicas: int, seed: int, workers: int | None = None
 ) -> np.ndarray:
     """Long-run predictive-mean samples of the balanced urn at rescaled time t_long.
 

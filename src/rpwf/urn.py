@@ -372,14 +372,15 @@ def simulate_urn_ensemble(
     seed: int,
     label: str = "urn",
     checkpoints: Sequence[int] | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> np.ndarray:
     """Predictive means of independent replicas at the given step indices.
 
     Replica ``i`` consumes exactly the stream ``StreamKey(seed, label, i)``
     and runs the same arithmetic as ``simulate_urn`` with that key, so each
     row equals that single run bit for bit, and the output does not depend
-    on ``workers``, the number of processes the replicas are split over.
+    on ``workers``, the number of processes the replicas are split over
+    (``rng.map_replicas``; None takes its default).
 
     Returns an array of shape ``(len(checkpoints), n_replicas, k)``; the
     default checkpoint list is ``[n_steps]``.
@@ -387,4 +388,4 @@ def simulate_urn_ensemble(
     check_sizes(n_steps, n_replicas)
     cp_list = [int(c) for c in (checkpoints if checkpoints is not None else [n_steps])]
     job = functools.partial(_urn_checkpoints, params, n_steps, checkpoint_steps(cp_list, n_steps, int), len(cp_list))
-    return map_replicas(job, [StreamKey(seed, label, i) for i in range(n_replicas)], workers)
+    return map_replicas(job, [StreamKey(seed, label, i) for i in range(n_replicas)], workers, n_steps)

@@ -21,16 +21,18 @@ with a0 = (b/alpha) * sum_{l in J} p_l and a1 = b/alpha - a0.
 
 Ensembles run on ``rng.run_streams`` (kernels ``em_update`` and the 1-d
 update; observers keep checkpoints or first exits, retiring exited paths).
-Path i draws from ``StreamKey(seed, label, i)``, at any worker count.  Each
-kernel has a plain-float step with the same operation order, so the bits
-do not change: ``_em_step`` (with ``simplex._project_floats``) and
-``_marginal_step``.  The single paths ``simulate_wf`` and
+Path i draws from ``StreamKey(seed, label, i)``, at any worker count: every
+ensemble, first exits included, splits its paths into contiguous slices
+through ``rng.map_replicas``.  Each kernel has a plain-float step with the
+same operation order, so the bits do not change: ``_em_step`` (with
+``simplex._project_floats``) and ``_marginal_step``.  The single paths ``simulate_wf`` and
 ``simulate_marginal_1d`` run in them through ``rng.run_path`` and equal
 row i of an ensemble bit for bit.  The 1-d vector step writes into reused
 scratch rows, and a step in which no path leaves (a, b) costs the exit test
 two reductions.  First exits finish their last ``rng._SCALAR_TAIL`` paths
 one at a time in ``_marginal_step`` and the exit test, from the end of the
-noise block at which no more are live, on each path's own next draws.
+noise block at which no more are live, on each path's own next draws;
+each slice of a split first exit runs its own tail.
 Ensembles (``simulate_wf_ensemble``, ``marginal_ensemble_values``) stay on
 the vector step.
 """
@@ -308,14 +310,15 @@ def simulate_wf_ensemble(
     seed: int,
     label: str = "wf",
     checkpoints: Sequence[float] | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> np.ndarray:
     """Ensemble values at checkpoint times; path i uses stream (seed, label, i).
 
     Returns shape ``(len(checkpoints), n_paths, k)``; default checkpoint is
     ``t_max``.  Checkpoint times must lie in [0, t_max] and snap to the
     step grid by rounding.  Row i equals ``simulate_wf`` on that stream,
-    whatever the number of worker processes the paths are split over.
+    whatever the number of worker processes the paths are split over
+    (``rng.map_replicas``; None takes its default).
     """
     x0 = _check_x0(params, x0)
     n = _n_steps(t_max, config.dt, "t-max")
@@ -323,7 +326,7 @@ def simulate_wf_ensemble(
     checkpoints = list(checkpoints) if checkpoints is not None else [t_max]
     at = checkpoint_steps(checkpoints, t_max, lambda t: int(round(t / config.dt)))
     job = functools.partial(_wf_checkpoints, params, x0, n, config.dt, at, len(checkpoints))
-    return map_replicas(job, [StreamKey(seed, label, i) for i in range(n_paths)], workers)
+    return map_replicas(job, [StreamKey(seed, label, i) for i in range(n_paths)], workers, n * params.k)
 
 
 def mean_ode(params: WfParams, x0, t: float) -> np.ndarray:
@@ -390,7 +393,7 @@ def _run_marginal(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, observ
 
     ``observe`` and ``scalar`` are handed to ``run_streams``.
     """
-    z = np.full(len(keys), _check_z0(z0))
+    z = np.full(len(keys), z0)
     work = np.empty((3, len(keys)))
     kernel = lambda z, zn: _marginal_em(z, zn, od, dt, work)
     return run_streams(keys, n_steps, z, kernel, observe, "standard_normal", scalar=scalar)
@@ -410,22 +413,32 @@ def simulate_marginal_1d(
     return config.dt * np.arange(n + 1), z
 
 
-def marginal_ensemble_values(od: OneDimWf, z0: float, t: float, dt: float, n_paths: int, seed: int) -> np.ndarray:
-    """Values of n_paths independent 1-d paths at time t; path i draws from ``StreamKey(seed, "wf1d", i)``."""
+def _marginal_values(od: OneDimWf, z0: float, n_steps: int, dt: float, keys) -> np.ndarray:
+    """``(1, len(keys))`` values of 1-d paths after n_steps: one slice of an ensemble."""
+    return _run_marginal(od, z0, n_steps, dt, keys)[None]
+
+
+def marginal_ensemble_values(
+    od: OneDimWf, z0: float, t: float, dt: float, n_paths: int, seed: int, workers: int | None = None
+) -> np.ndarray:
+    """Values of n_paths independent 1-d paths at time t; path i draws from ``StreamKey(seed, "wf1d", i)``.
+
+    ``workers`` is handed to ``rng.map_replicas``; the values do not depend on it.
+    """
     n = _n_steps(t, dt, "t")
     check_sizes(n, n_paths)
-    return _run_marginal(od, z0, n, dt, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)])
+    job = functools.partial(_marginal_values, od, _check_z0(z0), n, dt)
+    return map_replicas(job, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)], workers, n)[0]
 
 
-def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Time and value of each path's first step at or beyond a or b (nan if none); exited paths retire.
+def _exit_slice(od, z0, a, b, n_steps, dt, keys) -> np.ndarray:
+    """``(2, len(keys))`` time and value of each path's first step at or beyond a or b (nan if none): one slice.
 
-    The last ``rng._SCALAR_TAIL`` paths finish alone in plain floats.
+    Exited paths retire; the last ``rng._SCALAR_TAIL`` finish alone in plain floats.
     """
-    check_sizes(n_steps, n_paths)
-    tau = np.full(n_paths, np.nan)
-    z_exit = np.full(n_paths, np.nan)
-    ids = np.arange(n_paths)
+    result = np.full((2, len(keys)), np.nan)
+    tau, z_exit = result
+    ids = np.arange(len(keys))
 
     def exits(n, z):  # retires the paths that left (a, b) at step n
         nonlocal ids
@@ -446,9 +459,15 @@ def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed) -> tuple[np.ndarray, n
             return None
         return z
 
-    keys = [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)]
     _run_marginal(od, z0, n_steps, dt, keys, exits, tail)
-    return tau, z_exit
+    return result
+
+
+def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed, workers) -> np.ndarray:
+    """``(2, n_paths)`` time and value of each path's first step at or beyond a or b (nan if none), over ``workers``."""
+    check_sizes(n_steps, n_paths)
+    job = functools.partial(_exit_slice, od, _check_z0(z0), a, b, n_steps, dt)
+    return map_replicas(job, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)], workers, n_steps)
 
 
 def _check_barriers(**levels: float) -> None:
@@ -459,11 +478,21 @@ def _check_barriers(**levels: float) -> None:
 
 
 def marginal_touch_flags(
-    od: OneDimWf, z0: float, level: float, t_max: float, dt: float, n_paths: int, seed: int
+    od: OneDimWf,
+    z0: float,
+    level: float,
+    t_max: float,
+    dt: float,
+    n_paths: int,
+    seed: int,
+    workers: int | None = None,
 ) -> np.ndarray:
-    """Per-path flag: did the path enter [0, level] by time t_max."""
+    """Per-path flag: did the path enter [0, level] by time t_max.
+
+    ``workers`` is handed to ``rng.map_replicas``; the flags do not depend on it.
+    """
     _check_barriers(level=level)
-    tau, _ = _first_exit(od, z0, level, np.inf, _n_steps(t_max, dt, "t-max"), dt, n_paths, seed)
+    tau, _ = _first_exit(od, z0, level, np.inf, _n_steps(t_max, dt, "t-max"), dt, n_paths, seed, workers)
     return ~np.isnan(tau)
 
 
@@ -476,14 +505,16 @@ def marginal_first_passage(
     n_paths: int,
     seed: int,
     t_cap: float = 200.0,
+    workers: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First exit of (a, b): returns (exit times, hit-upper flags).
 
     Crossing is detected on the discrete path (first step at or beyond a
-    level); paths still inside at t_cap get time nan.
+    level); paths still inside at t_cap get time nan.  ``workers`` is
+    handed to ``rng.map_replicas``; the results do not depend on it.
     """
     _check_barriers(a=a, b=b)
     if not a < z0 < b:
         raise ValidationError("z0", f"need a < z0 < b, got a={a}, z0={z0}, b={b}")
-    tau, z_exit = _first_exit(od, z0, a, b, _n_steps(t_cap, dt, "t-cap"), dt, n_paths, seed)
+    tau, z_exit = _first_exit(od, z0, a, b, _n_steps(t_cap, dt, "t-cap"), dt, n_paths, seed, workers)
     return tau, z_exit >= b

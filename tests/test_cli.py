@@ -172,7 +172,7 @@ def test_manifest_does_not_depend_on_workers(tmp_path, capsys):
     out = tmp_path / "ens.json"
     argv = ["simulate-wf", "--b", "1,1", "--t-max", "0.1", "--dt", "0.01", "--replicas", "8", "--out", str(out)]
     manifests = []
-    for workers in (["--workers", "1"], ["--workers", "2"], []):  # the default is the machine's CPU count
+    for workers in (["--workers", "1"], ["--workers", "2"], []):  # the default resolves in rpwf.rng
         code, _ = run(argv + workers, capsys)
         assert code == 0
         manifests.append((tmp_path / "ens.json.manifest.json").read_bytes())

@@ -3,28 +3,44 @@
 ``rng.map_replicas`` hands each worker a contiguous slice of the stream
 keys, so row i reads stream (seed, label, i) whatever the worker count:
 outputs must be byte-identical at workers 1, 2 and 3, including replica
-counts the worker count does not divide and counts below it.  Bad inputs
-must be rejected before any process starts, and an error raised inside a
-worker must reach the caller as the same ``ValidationError``.
+counts the worker count does not divide and counts below it.  The calling
+process runs the first slice itself.  Bad inputs must be rejected before
+any process starts, and an error raised inside a worker must reach the
+caller as the same ``ValidationError``.  At the default worker count a
+small run, or one inside a daemonic process, starts no process.
 """
 
+import concurrent.futures
 import functools
+import multiprocessing
+import os
 import pickle
+import time
 
 import numpy as np
 import pytest
 
+from rpwf import rng, urn, wright_fisher
 from rpwf.cli import main
 from rpwf.errors import ValidationError
-from rpwf.rng import StreamKey, map_replicas
+from rpwf.rng import StreamKey, check_sizes, map_replicas
 from rpwf.scaling import ScaledFamilyParams, build_family_member, eps_delta
 from rpwf.stats import ConvergenceConfig, convergence_experiment, stationary_urn_samples
 from rpwf.urn import simulate_urn_ensemble
-from rpwf.wright_fisher import SdeConfig, WfParams, simulate_wf_ensemble
+from rpwf.wright_fisher import (
+    OneDimWf,
+    SdeConfig,
+    WfParams,
+    marginal_ensemble_values,
+    marginal_first_passage,
+    marginal_touch_flags,
+    simulate_wf_ensemble,
+)
 
 WORKERS = (1, 2, 3)
 WF3 = WfParams(b=1.5, alpha=1.0, p=np.array([0.2, 0.3, 0.5]))
 URN = build_family_member(ScaledFamilyParams(1.0, np.array([0.5, 1.0, 1.5]), 0.8))
+OD = OneDimWf(a0=0.3, a1=0.7)
 
 
 def _same_bytes(arrays):
@@ -76,6 +92,142 @@ def test_cli_simulate_wf_replicas_bytes_do_not_depend_on_workers(tmp_path, capsy
         outs.append(out.read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1] == outs[2]
+
+
+def _slices(n_paths, workers):
+    bounds = [n_paths * w // workers for w in range(workers + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+# (paths, dt, steps): 7 is split unevenly and 2 is below three workers, both at or below the scalar
+# tail, so every slice starts in it at n = 0; 50 paths run the vector step at one worker and start in
+# the tail in slices of 25 and 16-17; 200 paths over 2500 steps (the first-exit pins) hand off at the
+# end of the first 2048-step block in every slice of 100 and 66-67
+EXIT_RUNS = [(7, 1e-2, 60), (2, 1e-2, 60), (50, 1e-2, 80), (200, 1e-3, 2500)]
+
+
+@pytest.mark.parametrize("n_paths,dt,n_steps", EXIT_RUNS)
+def test_first_exits_do_not_depend_on_workers(n_paths, dt, n_steps):
+    t = n_steps * dt
+    runs = []
+    for w in WORKERS:
+        tau, hit = marginal_first_passage(OD, 0.5, 0.1, 0.9, dt, n_paths, 3, t_cap=t, workers=w)
+        touched = marginal_touch_flags(OD, 0.5, 0.3, t, dt, n_paths, 3, workers=w)
+        values = marginal_ensemble_values(OD, 0.5, t, dt, n_paths, 3, workers=w)
+        runs.append((tau, hit, touched, values))
+    for parts in zip(*runs):
+        _same_bytes(parts)
+    tau, values = runs[0][0], runs[0][3]
+    assert tau.shape == values.shape == (n_paths,)
+    if n_paths == 200:  # each slice is handed to the tail mid-run: above the tail's size at n = 0, at or below at 2048
+        live = np.isnan(tau) | (np.round(tau / dt) > 2048)
+        for w in WORKERS:
+            for part in _slices(n_paths, w):
+                assert live[part].size > rng._SCALAR_TAIL >= live[part].sum()
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_small_runs_start_no_process_at_the_default(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    _same_bytes([simulate_urn_ensemble(URN, 40, 7, 3, "u", [0, 40], workers=w) for w in (None, 1)])
+    _same_bytes([simulate_wf_ensemble(WF3, WF3.p, 0.3, SdeConfig(0.01), 7, 4, workers=w) for w in (None, 1)])
+    _same_bytes([marginal_first_passage(OD, 0.5, 0.1, 0.9, 1e-2, 50, 3, 0.8, workers=w)[0] for w in (None, 1)])
+    _same_bytes([marginal_touch_flags(OD, 0.5, 0.3, 0.8, 1e-2, 50, 3, workers=w) for w in (None, 1)])
+    _same_bytes([marginal_ensemble_values(OD, 0.5, 0.8, 1e-2, 50, 3, workers=w) for w in (None, 1)])
+    _same_bytes([stationary_urn_samples(WF3, 0.8, 0.5, 5, 9, workers=w) for w in (None, 1)])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_default_workers_are_the_usable_cpus_capped_by_run_size(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    split = rng._SPLIT_VALUES
+    assert [rng._default_workers(v) for v in (0, split - 1, split, 2 * split - 1)] == [1, 1, 1, 1]
+    assert rng._default_workers(2 * split) == min(cpus, 2)
+    assert rng._default_workers(3 * split) == rng._default_workers(10**12) == cpus
+    monkeypatch.delattr(os, "sched_getaffinity")  # where it does not exist, the CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert rng._default_workers(10**12) == cpus
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert rng._default_workers(10**12) == 1
+
+
+def test_default_inside_a_pool_worker_stays_in_process(monkeypatch):
+    # 40 paths x 10^6 steps is over the size rule: two workers at the default, where a process may start them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # inherited by the forked pool worker
+    args = (OD, 0.5, 0.49, 0.51, 1e-4, 40, 5, 100.0)
+    assert rng._default_workers(40 * 10**6) == 2
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply(marginal_first_passage, args)  # a daemonic process: its own pool would raise AssertionError
+    for part, ref in zip(got, marginal_first_passage(*args, workers=1)):
+        _same_bytes([part, ref])
+
+
+def _fail_in(pid, keys):
+    """Raise in process ``pid``; elsewhere return after a while, so a pool not joined would still be running."""
+    if os.getpid() == pid:
+        raise ValidationError("seed", "raised in the calling process")
+    time.sleep(0.3)
+    return np.zeros((1, len(keys)))
+
+
+def test_pool_is_joined_when_the_callers_slice_raises():
+    before = set(multiprocessing.active_children())
+    with pytest.raises(ValidationError) as exc:
+        map_replicas(functools.partial(_fail_in, os.getpid()), [StreamKey(0, "x", i) for i in range(6)], workers=3)
+    assert exc.value.field == "seed"
+    assert set(multiprocessing.active_children()) == before
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a stream key or generator was built")
+
+
+BIG = rng._MAX_REPLICAS + 1
+OVER_THE_CAP = {
+    "urn": lambda: simulate_urn_ensemble(URN, 5, BIG, 0),
+    "wf": lambda: simulate_wf_ensemble(WF3, WF3.p, 0.1, SdeConfig(0.01), BIG, 0),
+    "values": lambda: marginal_ensemble_values(OD, 0.5, 0.1, 0.01, BIG, 0),
+    "first_passage": lambda: marginal_first_passage(OD, 0.5, 0.2, 0.8, 0.01, BIG, 0),
+    "touch": lambda: marginal_touch_flags(OD, 0.5, 0.3, 0.1, 0.01, BIG, 0),
+    "converge": lambda: convergence_experiment(ConvergenceConfig(WF3, (0.5,), (0.1,), BIG, dt=0.01)),
+    "stationary": lambda: stationary_urn_samples(WF3, 0.8, 0.5, BIG, 0),
+}
+
+
+def _no_stream_keys(monkeypatch):
+    for module in (urn, wright_fisher):
+        monkeypatch.setattr(module, "StreamKey", _unreachable)
+    monkeypatch.setattr(rng, "generators", _unreachable)
+
+
+@pytest.mark.parametrize("name", sorted(OVER_THE_CAP))
+def test_replica_cap_is_checked_before_any_stream_key(monkeypatch, name):
+    _no_stream_keys(monkeypatch)
+    with pytest.raises(ValidationError) as exc:
+        OVER_THE_CAP[name]()
+    assert exc.value.field == "replicas"
+    check_sizes(0, rng._MAX_REPLICAS)  # the cap itself is allowed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-wf", "--b", "1,1", "--t-max", "0.1", "--dt", "0.01"],
+        ["converge", "--b", "1,1", "--betas", "0.5", "--times", "0.1", "--dt", "0.01"],
+        ["stationary-test", "--b", "1,1", "--beta", "0.5", "--t-long", "0.1"],
+    ],
+)
+def test_cli_rejects_replicas_over_the_cap(monkeypatch, tmp_path, capsys, argv):
+    _no_stream_keys(monkeypatch)  # 10^8 keys and generators would take about 91 GB
+    out = tmp_path / "out.json"
+    assert main(argv + ["--replicas", "100000000", "--out", str(out)]) == 2
+    assert "--replicas" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validation_error_survives_pickling():
