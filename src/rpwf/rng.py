@@ -318,7 +318,7 @@ def _default_workers(values: int) -> int:
     return workers
 
 
-def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int | None = None, draws: int = 0) -> np.ndarray:
+def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int | None, draws: int) -> np.ndarray:
     """``job(keys)``, with the keys split into contiguous slices over ``workers`` processes, this one included.
 
     ``job`` must pickle (a module-level function, or a ``functools.partial``
@@ -327,7 +327,8 @@ def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int | None =
     first, so that no process starts on a bad one.  This process runs the
     first slice while a pool runs the others; at one worker the job runs
     here alone.  ``workers=None`` takes ``_default_workers`` of the run's
-    noise values, ``draws`` per key at most.
+    noise values, ``draws`` per key at most (a first exit passes its step
+    cap, which paths that exit early do not reach).
     """
     if workers is None:
         workers = _default_workers(len(keys) * draws)

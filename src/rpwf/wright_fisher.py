@@ -418,17 +418,15 @@ def _marginal_values(od: OneDimWf, z0: float, n_steps: int, dt: float, keys) -> 
     return _run_marginal(od, z0, n_steps, dt, keys)[None]
 
 
-def marginal_ensemble_values(
-    od: OneDimWf, z0: float, t: float, dt: float, n_paths: int, seed: int, workers: int | None = None
-) -> np.ndarray:
+def marginal_ensemble_values(od: OneDimWf, z0: float, t: float, dt: float, n_paths: int, seed: int) -> np.ndarray:
     """Values of n_paths independent 1-d paths at time t; path i draws from ``StreamKey(seed, "wf1d", i)``.
 
-    ``workers`` is handed to ``rng.map_replicas``; the values do not depend on it.
+    The paths split over ``rng.map_replicas``'s default worker count; the values do not depend on it.
     """
     n = _n_steps(t, dt, "t")
     check_sizes(n, n_paths)
     job = functools.partial(_marginal_values, od, _check_z0(z0), n, dt)
-    return map_replicas(job, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)], workers, n)[0]
+    return map_replicas(job, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)], None, n)[0]
 
 
 def _exit_slice(od, z0, a, b, n_steps, dt, keys) -> np.ndarray:
@@ -463,11 +461,14 @@ def _exit_slice(od, z0, a, b, n_steps, dt, keys) -> np.ndarray:
     return result
 
 
-def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed, workers) -> np.ndarray:
-    """``(2, n_paths)`` time and value of each path's first step at or beyond a or b (nan if none), over ``workers``."""
+def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed) -> np.ndarray:
+    """``(2, n_paths)`` time and value of each path's first step at or beyond a or b (nan if none).
+
+    The paths split over ``rng.map_replicas``'s default worker count; the results do not depend on it.
+    """
     check_sizes(n_steps, n_paths)
     job = functools.partial(_exit_slice, od, _check_z0(z0), a, b, n_steps, dt)
-    return map_replicas(job, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)], workers, n_steps)
+    return map_replicas(job, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)], None, n_steps)
 
 
 def _check_barriers(**levels: float) -> None:
@@ -478,21 +479,11 @@ def _check_barriers(**levels: float) -> None:
 
 
 def marginal_touch_flags(
-    od: OneDimWf,
-    z0: float,
-    level: float,
-    t_max: float,
-    dt: float,
-    n_paths: int,
-    seed: int,
-    workers: int | None = None,
+    od: OneDimWf, z0: float, level: float, t_max: float, dt: float, n_paths: int, seed: int
 ) -> np.ndarray:
-    """Per-path flag: did the path enter [0, level] by time t_max.
-
-    ``workers`` is handed to ``rng.map_replicas``; the flags do not depend on it.
-    """
+    """Per-path flag: did the path enter [0, level] by time t_max."""
     _check_barriers(level=level)
-    tau, _ = _first_exit(od, z0, level, np.inf, _n_steps(t_max, dt, "t-max"), dt, n_paths, seed, workers)
+    tau, _ = _first_exit(od, z0, level, np.inf, _n_steps(t_max, dt, "t-max"), dt, n_paths, seed)
     return ~np.isnan(tau)
 
 
@@ -505,16 +496,14 @@ def marginal_first_passage(
     n_paths: int,
     seed: int,
     t_cap: float = 200.0,
-    workers: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First exit of (a, b): returns (exit times, hit-upper flags).
 
     Crossing is detected on the discrete path (first step at or beyond a
-    level); paths still inside at t_cap get time nan.  ``workers`` is
-    handed to ``rng.map_replicas``; the results do not depend on it.
+    level); paths still inside at t_cap get time nan.
     """
     _check_barriers(a=a, b=b)
     if not a < z0 < b:
         raise ValidationError("z0", f"need a < z0 < b, got a={a}, z0={z0}, b={b}")
-    tau, z_exit = _first_exit(od, z0, a, b, _n_steps(t_cap, dt, "t-cap"), dt, n_paths, seed, workers)
+    tau, z_exit = _first_exit(od, z0, a, b, _n_steps(t_cap, dt, "t-cap"), dt, n_paths, seed)
     return tau, z_exit >= b

@@ -106,14 +106,22 @@ def _slices(n_paths, workers):
 EXIT_RUNS = [(7, 1e-2, 60), (2, 1e-2, 60), (50, 1e-2, 80), (200, 1e-3, 2500)]
 
 
+def _default_of(monkeypatch, cpus):
+    """Make the default worker count ``cpus`` for any run of at least ``cpus`` noise values."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(rng, "_SPLIT_VALUES", 1)
+
+
 @pytest.mark.parametrize("n_paths,dt,n_steps", EXIT_RUNS)
-def test_first_exits_do_not_depend_on_workers(n_paths, dt, n_steps):
+def test_first_exits_do_not_depend_on_workers(monkeypatch, n_paths, dt, n_steps):
     t = n_steps * dt
     runs = []
-    for w in WORKERS:
-        tau, hit = marginal_first_passage(OD, 0.5, 0.1, 0.9, dt, n_paths, 3, t_cap=t, workers=w)
-        touched = marginal_touch_flags(OD, 0.5, 0.3, t, dt, n_paths, 3, workers=w)
-        values = marginal_ensemble_values(OD, 0.5, t, dt, n_paths, 3, workers=w)
+    for w in WORKERS:  # the marginal front-ends take the default worker count
+        _default_of(monkeypatch, w)
+        assert rng._default_workers(n_paths * n_steps) == w
+        tau, hit = marginal_first_passage(OD, 0.5, 0.1, 0.9, dt, n_paths, 3, t_cap=t)
+        touched = marginal_touch_flags(OD, 0.5, 0.3, t, dt, n_paths, 3)
+        values = marginal_ensemble_values(OD, 0.5, t, dt, n_paths, 3)
         runs.append((tau, hit, touched, values))
     for parts in zip(*runs):
         _same_bytes(parts)
@@ -136,9 +144,9 @@ def test_small_runs_start_no_process_at_the_default(monkeypatch, cpus):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     _same_bytes([simulate_urn_ensemble(URN, 40, 7, 3, "u", [0, 40], workers=w) for w in (None, 1)])
     _same_bytes([simulate_wf_ensemble(WF3, WF3.p, 0.3, SdeConfig(0.01), 7, 4, workers=w) for w in (None, 1)])
-    _same_bytes([marginal_first_passage(OD, 0.5, 0.1, 0.9, 1e-2, 50, 3, 0.8, workers=w)[0] for w in (None, 1)])
-    _same_bytes([marginal_touch_flags(OD, 0.5, 0.3, 0.8, 1e-2, 50, 3, workers=w) for w in (None, 1)])
-    _same_bytes([marginal_ensemble_values(OD, 0.5, 0.8, 1e-2, 50, 3, workers=w) for w in (None, 1)])
+    marginal_first_passage(OD, 0.5, 0.1, 0.9, 1e-2, 50, 3, 0.8)  # these take the default only
+    marginal_touch_flags(OD, 0.5, 0.3, 0.8, 1e-2, 50, 3)
+    marginal_ensemble_values(OD, 0.5, 0.8, 1e-2, 50, 3)
     _same_bytes([stationary_urn_samples(WF3, 0.8, 0.5, 5, 9, workers=w) for w in (None, 1)])
 
 
@@ -163,7 +171,8 @@ def test_default_inside_a_pool_worker_stays_in_process(monkeypatch):
     assert rng._default_workers(40 * 10**6) == 2
     with multiprocessing.get_context("fork").Pool(1) as pool:
         got = pool.apply(marginal_first_passage, args)  # a daemonic process: its own pool would raise AssertionError
-    for part, ref in zip(got, marginal_first_passage(*args, workers=1)):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the reference runs here, in one process
+    for part, ref in zip(got, marginal_first_passage(*args)):
         _same_bytes([part, ref])
 
 
@@ -178,7 +187,7 @@ def _fail_in(pid, keys):
 def test_pool_is_joined_when_the_callers_slice_raises():
     before = set(multiprocessing.active_children())
     with pytest.raises(ValidationError) as exc:
-        map_replicas(functools.partial(_fail_in, os.getpid()), [StreamKey(0, "x", i) for i in range(6)], workers=3)
+        map_replicas(functools.partial(_fail_in, os.getpid()), [StreamKey(0, "x", i) for i in range(6)], 3, 0)
     assert exc.value.field == "seed"
     assert set(multiprocessing.active_children()) == before
 
@@ -239,14 +248,14 @@ def test_validation_error_survives_pickling():
 def test_error_raised_in_a_worker_reaches_the_caller():
     job = functools.partial(eps_delta, 0.0, 1.0)  # alpha = 0 is rejected inside each worker
     with pytest.raises(ValidationError) as exc:
-        map_replicas(job, [StreamKey(0, "x", i) for i in range(4)], workers=2)
+        map_replicas(job, [StreamKey(0, "x", i) for i in range(4)], 2, 0)
     assert exc.value.field == "alpha"
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_map_replicas_rejects_workers_below_one(workers):
     with pytest.raises(ValidationError) as exc:
-        map_replicas(len, [StreamKey(0)], workers)
+        map_replicas(len, [StreamKey(0)], workers, 0)
     assert exc.value.field == "workers"
     with pytest.raises(ValidationError) as exc:
         simulate_urn_ensemble(URN, 5, 3, 0, workers=workers)
