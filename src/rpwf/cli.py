@@ -38,7 +38,7 @@ from .boundary import (
 )
 from .errors import ValidationError
 from .rng import StreamKey
-from .simplex import check_simplex
+from .simplex import SIMPLEX_ATOL, check_simplex
 from .spectral import transition_density
 from .stats import ConvergenceConfig, convergence_experiment, ks_one_sample, stationary_urn_samples
 from .urn import UrnParams, simulate_urn
@@ -174,8 +174,10 @@ def _wf_params(r: dict) -> WfParams:
 def _reduced_point(vals: list[float], k: int, name: str) -> np.ndarray:
     v = np.asarray(vals, dtype=float)
     if v.size == k:
-        check_simplex(v, name)
-        return v[:-1]
+        head = check_simplex(v, name)[:-1]
+        # past a last component of -SIMPLEX_ATOL the head may sum to 1 + 2 SIMPLEX_ATOL: scaled back onto the face
+        total = sum(head.tolist())
+        return head if total <= 1.0 + SIMPLEX_ATOL else head / total
     if v.size == k - 1:
         return v
     raise ValidationError(name, f"expected {k} (full) or {k - 1} (reduced) coordinates")

@@ -41,7 +41,10 @@ about M = 10.
 A noise block is stored replica-last, ``(steps,) + shape + (M,)``, and the
 kernel is handed each step's row as an ``(M,) + shape`` view of it: the
 shapes are the replica-first ones, while a pass over one draw index reads
-a contiguous row of M values.
+a contiguous row of M values.  Each call holds one noise buffer, in each
+process it runs in, allocated once after the n = 0 observer: replicas
+that retire only narrow later blocks, so every block fits in the first
+one's ``max(_BLOCK_VALUES, width)`` values.
 
 ``map_replicas`` is the package's only process pool: it runs a per-slice
 job on contiguous slices of an ensemble's stream keys and joins the results
@@ -205,7 +208,8 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
     must copy what it keeps.  It may retire replicas by returning the
     indices, among the current rows, of those that stay: the state's first
     axis is indexed with them and their streams are no longer drawn.  A
-    noise block holds about ``_BLOCK_VALUES`` values.
+    noise block holds about ``_BLOCK_VALUES`` values, and every block of
+    the call is a view of one buffer allocated before the first.
 
     ``scalar`` is ``kernel`` then ``observe`` for one replica in plain
     floats: ``scalar(j, n, x, noise)`` returns row j's value after step n
@@ -224,13 +228,12 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
     if keep is not None:
         state, gens = state[keep], [gens[i] for i in keep]
     least = 0 if scalar is None else _SCALAR_TAIL  # a block starts while more replicas than this are live
-    buf = np.empty(0)
+    width = len(gens) * math.prod(shape)
+    buf = np.empty(min(n_steps * width, max(_BLOCK_VALUES, width)))  # retiring replicas only narrow later blocks
     n = 0
     while n < n_steps and len(gens) > least:
         width = len(gens) * math.prod(shape)
         steps = min(n_steps - n, _BLOCK_STEPS, max(1, _BLOCK_VALUES // width))
-        if buf.size < steps * width:  # reused by later blocks, which are rarely larger
-            buf = np.empty(steps * width)
         block = buf[: steps * width].reshape((steps,) + shape + (len(gens),))
         tile = np.empty((min(_FILL_GROUP, len(gens)), steps) + shape)
         for lo in range(0, len(gens), _FILL_GROUP):  # one draw call per replica, transposed a tile at a time

@@ -2,9 +2,14 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is asserted, so a red test is a failed criterion.
+When ``RPWF_ACCEPTANCE_JSONL`` names a file, each criterion also appends
+one JSON line to it: its name, whether it passed, its statistics, their
+bounds, its seeds and its elapsed seconds.
 """
 
+import json
 import math
+import os
 import time
 from fractions import Fraction as F
 
@@ -55,9 +60,21 @@ from rpwf.wright_fisher import (
 from helpers import random_simplex_points
 
 
-def report(criterion: str, ok: bool, detail: str = ""):
+def report(criterion: str, ok: bool, detail: str = "", statistic=None, bound=None, seed=None, elapsed=None):
+    """Print the criterion's line, append its record to ``RPWF_ACCEPTANCE_JSONL`` if set, and assert ``ok``.
+
+    ``bound`` maps a name of ``statistic``, or ``elapsed_s``, to the
+    ``[relation, limit]`` it must meet, such as ``["<", 1e-12]``; a limit
+    computed by the test, such as a KS critical value, is recorded as it
+    was computed.
+    """
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] {criterion}" + (f"  ({detail})" if detail else ""))
+    path = os.environ.get("RPWF_ACCEPTANCE_JSONL")
+    if path:
+        record = {"name": criterion, "pass": bool(ok), "statistic": statistic, "bound": bound, "seed": seed, "elapsed_s": elapsed}
+        with open(path, "a") as fh:
+            fh.write(json.dumps(record, default=lambda v: v.item()) + "\n")  # numpy scalars as Python numbers
     assert ok, f"{criterion}: {detail}"
 
 
@@ -76,6 +93,10 @@ def test_criterion_01_sigma_factorization():
         "criterion 1: sigma factorization, 1000 points per k in 2..6",
         worst_fact < 1e-12 and worst_col < 1e-12 and elapsed < 1.0,
         f"factorization {worst_fact:.2e}, column sums {worst_col:.2e}, {elapsed:.2f}s",
+        {"factorization": worst_fact, "column_sums": worst_col},
+        {"factorization": ["<", 1e-12], "column_sums": ["<", 1e-12], "elapsed_s": ["<", 1.0]},
+        seed=101,
+        elapsed=elapsed,
     )
 
 
@@ -113,10 +134,15 @@ def test_criterion_02_urn_identities():
         "criterion 2: urn identities (closed form, r* constancy, increment decomposition)",
         rel < 1e-9 and worst_const < 1e-12 and worst_id < 1e-12 and elapsed < 5.0,
         f"closed-form rel {rel:.2e}, r* drift {worst_const:.2e}, increment {worst_id:.2e}, {elapsed:.2f}s",
+        {"closed_form_rel": rel, "r_star_drift": worst_const, "increment": worst_id},
+        {"closed_form_rel": ["<", 1e-9], "r_star_drift": ["<", 1e-12], "increment": ["<", 1e-12], "elapsed_s": ["<", 5.0]},
+        seed=[7, 11],
+        elapsed=elapsed,
     )
 
 
 def test_criterion_03_grouping_pathwise_identity():
+    start = time.perf_counter()
     fp = ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 1.5, 0.5, 2.0]), beta=0.9)
     traj = simulate_urn(build_family_member(fp), 10_000, 13)
     grouped = project_group(traj, Partition([[1, 3], [2, 4]]))
@@ -130,6 +156,10 @@ def test_criterion_03_grouping_pathwise_identity():
         "criterion 3: k=4 grouping satisfies the 2-color recursion pathwise",
         worst < 1e-12,
         f"max residual {worst:.2e} over 1e4 steps",
+        {"max_residual": worst},
+        {"max_residual": ["<", 1e-12]},
+        seed=13,
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -177,6 +207,9 @@ def test_criterion_04_eigen_structure_and_orthogonality():
         "criterion 4: eigen structure, Gram identity, biorthogonality (degrees <= 3, k in {2,3})",
         worst_jac < 1e-8 and worst_cross < 1e-8 and worst_bi < 1e-8 and elapsed < 30.0,
         f"jacobi gram {worst_jac:.2e}, cross-degree {worst_cross:.2e}, U/V biorth {worst_bi:.2e}, {elapsed:.1f}s",
+        {"jacobi_gram": worst_jac, "cross_degree": worst_cross, "biorthogonality": worst_bi},
+        {"jacobi_gram": ["<", 1e-8], "cross_degree": ["<", 1e-8], "biorthogonality": ["<", 1e-8], "elapsed_s": ["<", 30.0]},
+        elapsed=elapsed,
     )
 
 
@@ -223,10 +256,15 @@ def test_criterion_05_transition_density():
         "criterion 5: spectral transition density (k=2, 2b/alpha=2, degree 30)",
         worst_int < 1e-4 and worst_rev < 1e-8 and worst_stat < 1e-8 and elapsed < 10.0,
         f"integral {worst_int:.2e}, reversibility {worst_rev:.2e}, t=50 {worst_stat:.2e}, {elapsed:.1f}s",
+        {"integral": worst_int, "reversibility": worst_rev, "stationary_t50": worst_stat},
+        {"integral": ["<", 1e-4], "reversibility": ["<", 1e-8], "stationary_t50": ["<", 1e-8], "elapsed_s": ["<", 10.0]},
+        seed=55,
+        elapsed=elapsed,
     )
 
 
 def test_criterion_06_forward_equation_residual():
+    start = time.perf_counter()
     grid = np.linspace(0.1, 0.9, 50)[:, None]
     poly = WfParams(b=2.0, alpha=1.0, p=np.array([0.5, 0.5]))  # gamma = (1, 1)
     gw_poly = GammaWeights.from_wf(poly)
@@ -240,6 +278,9 @@ def test_criterion_06_forward_equation_residual():
         "criterion 6: stationary density satisfies the forward equation (50-point grid)",
         r1 < 1e-6 and r2 < 1e-6,
         f"polynomial weight {r1:.2e}, fractional weight {r2:.2e}",
+        {"polynomial_weight": r1, "fractional_weight": r2},
+        {"polynomial_weight": ["<", 1e-6], "fractional_weight": ["<", 1e-6]},
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -281,6 +322,10 @@ def test_criterion_07_boundary_and_hitting():
         "criterion 7: boundary table, hitting probabilities and mean exit times vs Monte Carlo",
         table_ok and worst_u_sig < 3.0 and worst_t_sig < 3.0 and elapsed < 300.0,
         f"hit-prob worst {worst_u_sig:.2f} se, exit-time worst {worst_t_sig:.2f} se, {elapsed:.0f}s",
+        {"boundary_table": table_ok, "hit_prob_se": worst_u_sig, "exit_time_se": worst_t_sig},
+        {"boundary_table": ["==", True], "hit_prob_se": ["<", 3.0], "exit_time_se": ["<", 3.0], "elapsed_s": ["<", 300.0]},
+        seed=[100, 101, 102, 200, 201, 202],
+        elapsed=elapsed,
     )
 
 
@@ -305,6 +350,10 @@ def test_criterion_08_convergence_exhibit():
         "criterion 8: weak-convergence exhibit (beta=0.99, M=2000, t=1)",
         below_crit and wins >= 8 and elapsed < 600.0,
         f"KS {ks_high_beta:.4f} vs crit {rep.critical[0.01]:.4f}, trend {wins}/10, {elapsed:.0f}s",
+        {"ks_beta_0.99": ks_high_beta, "trend_wins": wins},
+        {"ks_beta_0.99": ["<", rep.critical[0.01]], "trend_wins": [">=", 8], "elapsed_s": ["<", 600.0]},
+        seed=[1, *range(100, 110)],
+        elapsed=elapsed,
     )
 
 
@@ -321,6 +370,10 @@ def test_criterion_09_stationary_exhibit():
         "criterion 9: long-run urn samples match the Dirichlet/Beta stationary law",
         all(ok for _, _, _, ok in results),
         "; ".join(f"p={p}: D={d:.4f} vs {c:.4f}" for p, d, c, ok in results) + f", {elapsed:.0f}s",
+        {f"ks_p{p}": d for p, d, _, _ in results},
+        {f"ks_p{p}": ["<", c] for p, _, c, _ in results},
+        seed=42,
+        elapsed=elapsed,
     )
 
 
@@ -333,10 +386,15 @@ def test_criterion_10_recessive_dominant_behavior():
         "criterion 10: entrance boundary untouched, regular boundary visited",
         entrance.sum() == 0 and regular.mean() >= 0.10 and elapsed < 300.0,
         f"entrance {int(entrance.sum())}/1000, regular {regular.mean():.1%}, {elapsed:.0f}s",
+        {"entrance_touches": entrance.sum(), "regular_touch_frac": regular.mean()},
+        {"entrance_touches": ["==", 0], "regular_touch_frac": [">=", 0.10], "elapsed_s": ["<", 300.0]},
+        seed=[7, 8],
+        elapsed=elapsed,
     )
 
 
 def test_criterion_11_cli_determinism(tmp_path, capsys):
+    start = time.perf_counter()
     runs = {
         "simulate-urn": ["--steps", "20", "--seed", "5"],
         "simulate-wf": ["--b", "1,1", "--t-max", "0.05", "--dt", "0.005", "--seed", "5"],
@@ -375,4 +433,8 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
         "criterion 11: CLI byte-determinism under fixed seed, worker-count independent",
         all_ok and workers_ok,
         ", ".join(details) + f", workers:{'ok' if workers_ok else 'DIFFERS'}",
+        {"byte_identical": all_ok, "worker_invariant": workers_ok},
+        {"byte_identical": ["==", True], "worker_invariant": ["==", True]},
+        seed=5,
+        elapsed=time.perf_counter() - start,
     )

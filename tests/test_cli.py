@@ -308,6 +308,11 @@ def test_density_accepts_full_coordinates(tmp_path, capsys):
     code, _ = run(["density", "--b", "1,1,1", "--y0", "0.3,0.3,0.4", "--y", "0.6,0.40000000005,0", "--out", str(out3)], capsys)
     assert code == 0
     assert math.isfinite(json.loads(out3.read_text())["value"])
+    # a last component of -1e-10 lets the head sum to 1 + 1.5e-10, past the reduced simplex's 1 + 1e-10
+    out4 = tmp_path / "d4.json"
+    code, _ = run(["density", "--b", "1,1,1", "--y0", "0.3,0.3,0.4", "--y=0.6,0.40000000015,-1e-10", "--out", str(out4)], capsys)
+    assert code == 0
+    assert math.isfinite(json.loads(out4.read_text())["value"])
 
 
 def test_boundary_reports_dominant_color(tmp_path, capsys):

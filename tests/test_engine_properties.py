@@ -21,7 +21,8 @@ Wright-Fisher, 1-d marginal and urn simulators:
   ``rng.run_streams``, so the single-vs-row tests compare the two kernels,
   with small blocks too, so that ``run_path``'s noise chunks end mid-path;
 * first exits, touch flags and single paths keep the sha256 pins of the
-  bytes the vector kernels gave before the scalar steps took them over.
+  bytes the vector kernels gave before the scalar steps took them over;
+* a run holds one noise buffer, also when retiring replicas widen a block.
 
 Time steps are powers of two so that the grid times t_j = j dt are exact.
 """
@@ -29,6 +30,7 @@ Time steps are powers of two so that the grid times t_j = j dt are exact.
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 from functools import reduce
 from operator import add
@@ -428,3 +430,22 @@ def test_outputs_do_not_depend_on_block_size(wp, od, ab, dt, n_steps, m, seed, s
         got = run()
     for e, g in zip(expected, got):
         assert np.array_equal(e, g, equal_nan=e.dtype.kind == "f")
+
+
+def test_one_noise_buffer_per_run(monkeypatch):
+    # 300 replicas fill 2^16-value blocks of 218 steps; retiring 50 of them after step 1 makes the next
+    # block wider (262 x 250 > 218 x 300), and it must fit in the run's one buffer, not a second block
+    monkeypatch.setattr(rng, "_BLOCK_VALUES", 1 << 16)
+    keys = [StreamKey(3, "buffer", i) for i in range(300)]
+
+    def peak_bytes(observe):
+        tracemalloc.start()
+        try:
+            rng.run_streams(keys, 600, np.zeros(300), lambda x, z: x + z, observe)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    steady = peak_bytes(lambda n, x: None)
+    retiring = peak_bytes(lambda n, x: np.arange(250) if n == 1 else None)
+    assert retiring - steady < 8 * rng._BLOCK_VALUES / 10
