@@ -41,14 +41,20 @@ about M = 10.
 A noise block is stored replica-last, ``(steps,) + shape + (M,)``, and the
 kernel is handed each step's row as an ``(M,) + shape`` view of it: the
 shapes are the replica-first ones, while a pass over one draw index reads
-a contiguous row of M values.  Each call holds one noise buffer, in each
-process it runs in, allocated once after the n = 0 observer: replicas
-that retire only narrow later blocks, so every block fits in the first
-one's ``max(_BLOCK_VALUES, width)`` values.
+a contiguous row of M values.  ``_BLOCK_VALUES`` is the noise budget of a
+whole run, whatever its worker count.  A call holds one noise buffer for
+its budget, allocated once after the n = 0 observer, and fills blocks of
+``budget // width`` steps (at least 1, at most ``_BLOCK_STEPS``) for a
+block row of ``width`` values: replicas that retire only narrow later
+blocks, so every block fits in the buffer's ``max(budget, width)`` values.
 
 ``map_replicas`` is the package's only process pool: it runs a per-slice
 job on contiguous slices of an ensemble's stream keys and joins the results
-along the replica axis, so row i still reads stream i.  The calling process
+along the replica axis, so row i still reads stream i.  Each slice gets its
+share of the budget, ``_BLOCK_VALUES * len(slice) // len(keys)``, so each
+of its replicas draws chunks of the length a one-process run gives it, and
+a split run holds about ``_BLOCK_VALUES`` values of noise over all its
+processes, as a one-process run does.  The calling process
 runs the first slice itself while a pool of ``workers - 1`` processes runs
 the others; it is the only process whose module globals a tracer has
 wrapped, and it starts one process fewer.  Every ensemble's default worker
@@ -178,7 +184,7 @@ def generators(keys: Sequence[StreamKey]) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_PresetState(s))) for s in states]
 
 
-_BLOCK_VALUES = 1 << 22  # noise values per block (32 MB of doubles)
+_BLOCK_VALUES = 1 << 22  # noise values per run, shared by its slices (32 MB of doubles)
 _BLOCK_STEPS = 2048  # and at most this many steps
 _FILL_GROUP = 64  # replicas drawn per tile while a block is filled
 _SCALAR_TAIL = 32  # live replicas at or below which a first exit finishes each alone
@@ -198,7 +204,9 @@ def check_sizes(n_steps: int, n_replicas: int) -> None:
         raise ValidationError("replicas", f"must lie in [1, {_MAX_REPLICAS}], got {n_replicas}")
 
 
-def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe, draw="random", shape=(), scalar=None):
+def run_streams(
+    keys: Sequence[StreamKey], n_steps: int, state, kernel, observe, draw="random", shape=(), scalar=None, budget=None
+):
     """Step one replica per stream key ``n_steps`` times; returns the last state, or None given ``scalar``.
 
     Each step every replica draws a value of ``shape`` with its generator's
@@ -208,8 +216,10 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
     must copy what it keeps.  It may retire replicas by returning the
     indices, among the current rows, of those that stay: the state's first
     axis is indexed with them and their streams are no longer drawn.  A
-    noise block holds about ``_BLOCK_VALUES`` values, and every block of
-    the call is a view of one buffer allocated before the first.
+    noise block holds about ``budget`` values (None: ``_BLOCK_VALUES``, a
+    whole run's; a slice of a split run passes the share ``map_replicas``
+    gave it), and every block of the call is a view of one buffer of at
+    most ``max(budget, width)`` values, allocated before the first.
 
     ``scalar`` is ``kernel`` then ``observe`` for one replica in plain
     floats: ``scalar(j, n, x, noise)`` returns row j's value after step n
@@ -223,17 +233,18 @@ def run_streams(keys: Sequence[StreamKey], n_steps: int, state, kernel, observe,
     Sizes are not checked here: every front-end has checked them with
     ``check_sizes``.
     """
+    budget = _BLOCK_VALUES if budget is None else budget
     gens = generators(keys)
     keep = observe(0, state)
     if keep is not None:
         state, gens = state[keep], [gens[i] for i in keep]
     least = 0 if scalar is None else _SCALAR_TAIL  # a block starts while more replicas than this are live
     width = len(gens) * math.prod(shape)
-    buf = np.empty(min(n_steps * width, max(_BLOCK_VALUES, width)))  # retiring replicas only narrow later blocks
+    buf = np.empty(min(n_steps * width, max(budget, width)))  # retiring replicas only narrow later blocks
     n = 0
     while n < n_steps and len(gens) > least:
         width = len(gens) * math.prod(shape)
-        steps = min(n_steps - n, _BLOCK_STEPS, max(1, _BLOCK_VALUES // width))
+        steps = min(n_steps - n, _BLOCK_STEPS, max(1, budget // width))
         block = buf[: steps * width].reshape((steps,) + shape + (len(gens),))
         tile = np.empty((min(_FILL_GROUP, len(gens)), steps) + shape)
         for lo in range(0, len(gens), _FILL_GROUP):  # one draw call per replica, transposed a tile at a time
@@ -322,16 +333,19 @@ def _default_workers(values: int) -> int:
 
 
 def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int | None, draws: int) -> np.ndarray:
-    """``job(keys)``, with the keys split into contiguous slices over ``workers`` processes, this one included.
+    """``job(keys, budget)``, with the keys split into contiguous slices over ``workers`` processes, this one included.
 
-    ``job`` must pickle (a module-level function, or a ``functools.partial``
-    of one) and return an array with one entry per key along axis 1, as a
-    ``(checkpoints, replicas, k)`` ensemble does.  Callers validate inputs
-    first, so that no process starts on a bad one.  This process runs the
-    first slice while a pool runs the others; at one worker the job runs
-    here alone.  ``workers=None`` takes ``_default_workers`` of the run's
-    noise values, ``draws`` per key at most (a first exit passes its step
-    cap, which paths that exit early do not reach).
+    ``job(part, budget)`` runs one slice on a noise budget of ``budget``
+    values, the slice's share ``_BLOCK_VALUES * len(part) // len(keys)`` of
+    the run's, which it hands to ``run_streams``; at one worker it is
+    ``job(keys, _BLOCK_VALUES)``.  ``job`` must pickle (a module-level
+    function, or a ``functools.partial`` of one) and return an array with
+    one entry per key along axis 1, as a ``(checkpoints, replicas, k)``
+    ensemble does.  Callers validate inputs first, so that no process
+    starts on a bad one.  This process runs the first slice while a pool
+    runs the others.  ``workers=None`` takes ``_default_workers`` of the
+    run's noise values, ``draws`` per key at most (a first exit passes its
+    step cap, which paths that exit early do not reach).
     """
     if workers is None:
         workers = _default_workers(len(keys) * draws)
@@ -339,15 +353,15 @@ def map_replicas(job: Callable, keys: Sequence[StreamKey], workers: int | None, 
         raise ValidationError("workers", f"must be >= 1, got {workers}")
     workers = min(int(workers), len(keys))
     if workers <= 1:
-        return job(keys)
+        return job(keys, _BLOCK_VALUES)
     from concurrent.futures import ProcessPoolExecutor  # imported on first use: it pulls in multiprocessing
 
     bounds = [len(keys) * w // workers for w in range(workers + 1)]
-    slices = [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    slices = [(keys[lo:hi], _BLOCK_VALUES * (hi - lo) // len(keys)) for lo, hi in zip(bounds, bounds[1:])]
     pool = ProcessPoolExecutor(max_workers=workers - 1)
     try:
-        futures = [pool.submit(job, part) for part in slices[1:]]
-        parts = [job(slices[0])] + [f.result() for f in futures]
+        futures = [pool.submit(job, *part) for part in slices[1:]]
+        parts = [job(*slices[0])] + [f.result() for f in futures]
     finally:  # joins the pool, also when a slice raised; slices not yet started are dropped
         pool.shutdown(cancel_futures=True)
     return np.concatenate(parts, axis=1)

@@ -290,8 +290,8 @@ def _urn_start(params: UrnParams, n_steps: int):
     return np.cumsum((params.b + params.B0) / r), coefficients(r)
 
 
-def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe) -> None:
-    """Run one urn per stream key, one uniform per step, through ``run_streams``.
+def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe, budget=None) -> None:
+    """Run one urn per stream key, one uniform per step, through ``run_streams`` on a noise ``budget``.
 
     The state ``cum`` is an (M, k) view of (k, M) memory: row i holds the
     cumulative sums psi_{n,1}, psi_{n,1} + psi_{n,2}, ..., |psi_n| of
@@ -315,7 +315,7 @@ def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observ
         cum += below * a
         return state
 
-    run_streams(keys, n_steps, cum.T, kernel, observe)
+    run_streams(keys, n_steps, cum.T, kernel, observe, budget=budget)
 
 
 def _urn_step(params: UrnParams, n_steps: int):
@@ -358,10 +358,10 @@ def simulate_urn(params: UrnParams, n_steps: int, seed: StreamKey | int) -> UrnT
     return UrnTrajectory(params=params, draws=rows[1:, -1], psi=np.diff(rows[:, :-1], axis=1, prepend=0.0), seed=key)
 
 
-def _urn_checkpoints(params: UrnParams, n_steps: int, at: dict, n_out: int, keys: Sequence[StreamKey]) -> np.ndarray:
+def _urn_checkpoints(params: UrnParams, n_steps: int, at: dict, n_out: int, keys: Sequence[StreamKey], budget: int) -> np.ndarray:
     """``(n_out, len(keys), k)`` predictive means after the steps of ``at``: one slice of an ensemble."""
     out = np.empty((n_out, len(keys), params.k))
-    _run_urns(params, n_steps, keys, record_checkpoints(at, out, lambda cum: np.diff(cum, axis=1, prepend=0.0)))
+    _run_urns(params, n_steps, keys, record_checkpoints(at, out, lambda cum: np.diff(cum, axis=1, prepend=0.0)), budget)
     return out
 
 

@@ -292,12 +292,12 @@ def simulate_wf(
     return PathRecord(t=config.dt * np.arange(n + 1), X=X, seed=key)
 
 
-def _wf_checkpoints(params: WfParams, x0, n_steps: int, dt: float, at: dict, n_out: int, keys) -> np.ndarray:
+def _wf_checkpoints(params: WfParams, x0, n_steps: int, dt: float, at: dict, n_out: int, keys, budget: int) -> np.ndarray:
     """``(n_out, len(keys), k)`` Euler-Maruyama path values from x0 after the steps of ``at``: one slice of an ensemble."""
     out = np.empty((n_out, len(keys), params.k))
     kernel = lambda X, z: em_update(X, z, params, dt)
     observe = record_checkpoints(at, out, lambda X: X)
-    run_streams(keys, n_steps, np.tile(x0, (len(keys), 1)), kernel, observe, "standard_normal", (params.k,))
+    run_streams(keys, n_steps, np.tile(x0, (len(keys), 1)), kernel, observe, "standard_normal", (params.k,), budget=budget)
     return out
 
 
@@ -388,15 +388,15 @@ def _check_z0(z0: float) -> float:
     return float(z0)
 
 
-def _run_marginal(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, observe=lambda n, z: None, scalar=None):
+def _run_marginal(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, budget: int, observe=lambda n, z: None, scalar=None):
     """1-d marginal paths from z0, one per stream key; returns the last values (None given ``scalar``).
 
-    ``observe`` and ``scalar`` are handed to ``run_streams``.
+    ``budget``, ``observe`` and ``scalar`` are handed to ``run_streams``.
     """
     z = np.full(len(keys), z0)
     work = np.empty((3, len(keys)))
     kernel = lambda z, zn: _marginal_em(z, zn, od, dt, work)
-    return run_streams(keys, n_steps, z, kernel, observe, "standard_normal", scalar=scalar)
+    return run_streams(keys, n_steps, z, kernel, observe, "standard_normal", scalar=scalar, budget=budget)
 
 
 def simulate_marginal_1d(
@@ -413,9 +413,9 @@ def simulate_marginal_1d(
     return config.dt * np.arange(n + 1), z
 
 
-def _marginal_values(od: OneDimWf, z0: float, n_steps: int, dt: float, keys) -> np.ndarray:
+def _marginal_values(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, budget: int) -> np.ndarray:
     """``(1, len(keys))`` values of 1-d paths after n_steps: one slice of an ensemble."""
-    return _run_marginal(od, z0, n_steps, dt, keys)[None]
+    return _run_marginal(od, z0, n_steps, dt, keys, budget)[None]
 
 
 def marginal_ensemble_values(od: OneDimWf, z0: float, t: float, dt: float, n_paths: int, seed: int) -> np.ndarray:
@@ -429,7 +429,7 @@ def marginal_ensemble_values(od: OneDimWf, z0: float, t: float, dt: float, n_pat
     return map_replicas(job, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)], None, n)[0]
 
 
-def _exit_slice(od, z0, a, b, n_steps, dt, keys) -> np.ndarray:
+def _exit_slice(od, z0, a, b, n_steps, dt, keys, budget) -> np.ndarray:
     """``(2, len(keys))`` time and value of each path's first step at or beyond a or b (nan if none): one slice.
 
     Exited paths retire; the last ``rng._SCALAR_TAIL`` finish alone in plain floats.
@@ -443,10 +443,13 @@ def _exit_slice(od, z0, a, b, n_steps, dt, keys) -> np.ndarray:
         if np.minimum.reduce(z) > a and np.maximum.reduce(z) < b:  # none left: two reductions (a nan fails both)
             return None
         out = (z <= a) | (z >= b)
-        if out.any():
-            tau[ids[out]], z_exit[ids[out]] = n * dt, z[out]
-            ids = ids[~out]
-            return np.flatnonzero(~out)
+        left = np.flatnonzero(out)
+        if left.size:  # none, if only nan rows failed the test above
+            keep = np.flatnonzero(~out)
+            gone = ids[left]
+            tau[gone], z_exit[gone] = n * dt, z[left]
+            ids = ids[keep]
+            return keep
 
     em = _marginal_step(od, dt)
 
@@ -457,7 +460,7 @@ def _exit_slice(od, z0, a, b, n_steps, dt, keys) -> np.ndarray:
             return None
         return z
 
-    _run_marginal(od, z0, n_steps, dt, keys, exits, tail)
+    _run_marginal(od, z0, n_steps, dt, keys, budget, exits, tail)
     return result
 
 

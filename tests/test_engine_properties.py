@@ -316,12 +316,23 @@ OVERSHOOT_ROWS = [
 ]
 
 
+# a row of 11 components whose sums differ between one column at a time and numpy's pairwise
+# summation (np.add.reduce over 8 or more components); the drawn rows of 8-12 components are
+# mostly short binary fractions, whose sums agree both ways
+PAIRWISE_ROW = [
+    "0x1.0cfb3de3b0e2dp-1", "0x1.3db00bd5806d2p-2", "0x1.f17ed305b11c2p-2", "0x1.c76af30d70096p-1",
+    "0x1.de3af3a425594p-1", "0x1.6e61dd3220188p-2", "0x1.249f8ed758714p-1", "0x1.4998213104b76p-2",
+    "0x1.304817f37063ap-1", "0x1.5a05667a04864p-2", "0x1.9104923f0aea4p-2",
+]
+
+
 @given(
     v=st.lists(
-        st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan])), min_size=2, max_size=5
+        st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan])), min_size=2, max_size=12
     )
 )
 @example(v=[float.fromhex(h) for h in OVERSHOOT_ROWS[0]])
+@example(v=[float.fromhex(h) for h in PAIRWISE_ROW])
 @example(v=[math.nan, -0.5, 0.5])
 def test_scalar_projection_equals_vector_projection(v):
     assume(any(x > 0.0 or x != x for x in v))  # a row with a positive part, as every step's row has

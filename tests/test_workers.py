@@ -4,7 +4,8 @@
 keys, so row i reads stream (seed, label, i) whatever the worker count:
 outputs must be byte-identical at workers 1, 2 and 3, including replica
 counts the worker count does not divide and counts below it.  The calling
-process runs the first slice itself.  Bad inputs must be rejected before
+process runs the first slice itself, and each slice draws on its share of
+the run's noise budget, in blocks of a one-worker run's length.  Bad inputs must be rejected before
 any process starts, and an error raised inside a worker must reach the
 caller as the same ``ValidationError``.  At the default worker count a
 small run, or one inside a daemonic process, starts no process.
@@ -16,6 +17,7 @@ import multiprocessing
 import os
 import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +136,95 @@ def test_first_exits_do_not_depend_on_workers(monkeypatch, n_paths, dt, n_steps)
                 assert live[part].size > rng._SCALAR_TAIL >= live[part].sum()
 
 
+class _InProcess:
+    """Stands in for the process pool: runs each submitted slice here, at once, so that its draws can be watched."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+class _Watched:
+    """A generator that appends to ``chunks`` the length of every block fill (a draw given ``out``)."""
+
+    def __init__(self, gen, chunks):
+        self.gen, self.chunks = gen, chunks
+
+    def __getattr__(self, name):
+        method = getattr(self.gen, name)
+
+        def draw(*args, out=None, **kwargs):
+            if out is not None:
+                self.chunks.append(out.shape[0])
+            return method(*args, out=out, **kwargs)
+
+        return draw
+
+
+def _watch_slices(monkeypatch) -> list[dict]:
+    """Record each ``run_streams`` call of the models: its first key, replicas, block fills and noise buffer.
+
+    The buffer is read with ``tracemalloc`` at the first step, as the largest
+    allocation the call still holds.
+    """
+    calls, real_generators, real_run = [], rng.generators, rng.run_streams
+
+    def run_streams(keys, n_steps, state, kernel, observe, *args, **kwargs):
+        call = {"first": keys[0].index, "replicas": len(keys), "chunks": [], "buffer": 0}
+
+        def first_step(state, noise):
+            if not call["buffer"]:
+                call["buffer"] = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+            return kernel(state, noise)
+
+        monkeypatch.setattr(rng, "generators", lambda ks: [_Watched(g, call["chunks"]) for g in real_generators(ks)])
+        tracemalloc.start()
+        try:
+            return real_run(keys, n_steps, state, first_step, observe, *args, **kwargs)
+        finally:
+            tracemalloc.stop()
+            calls.append(call)
+
+    for module in (urn, wright_fisher):
+        monkeypatch.setattr(module, "run_streams", run_streams)
+    return calls
+
+
+# (components, run) of 600 replicas; at a 2^16-value budget a one-worker run fills blocks of 109
+# steps (urn, 1-d paths) or 36 (k = 3 EM), fewer than each run takes, and so must every slice
+SPLIT_RUNS = {
+    "urn": (1, lambda: simulate_urn_ensemble(URN, 300, 600, 3)),
+    "wf": (WF3.k, lambda: simulate_wf_ensemble(WF3, WF3.p, 1.0, SdeConfig(0.01), 600, 4)),
+    "values": (1, lambda: marginal_ensemble_values(OD, 0.5, 3.0, 0.01, 600, 3)),
+    "first_exit": (1, lambda: marginal_first_passage(OD, 0.5, 0.1, 0.9, 0.01, 600, 3, 3.0)),
+}
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("name", sorted(SPLIT_RUNS))
+def test_slices_split_the_noise_budget(monkeypatch, name, workers):
+    monkeypatch.setattr(rng, "_BLOCK_VALUES", 1 << 16)
+    _default_of(monkeypatch, workers)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcess)
+    calls = _watch_slices(monkeypatch)
+    k, run = SPLIT_RUNS[name]
+    run()
+    calls.sort(key=lambda call: call["first"])
+    assert [call["replicas"] for call in calls] == [part.stop - part.start for part in _slices(600, workers)]
+    chunk = rng._BLOCK_VALUES // (600 * k)  # steps per block at one worker
+    for call in calls:
+        share, row = rng._BLOCK_VALUES * call["replicas"] // 600, call["replicas"] * k
+        assert call["chunks"][: call["replicas"]] == [chunk] * call["replicas"]  # the first block, one fill per replica
+        assert 8 * chunk * row <= call["buffer"] <= 8 * (share + row)
+
+
 def _no_pool(*args, **kwargs):
     raise AssertionError("a process pool was started")
 
@@ -176,7 +267,7 @@ def test_default_inside_a_pool_worker_stays_in_process(monkeypatch):
         _same_bytes([part, ref])
 
 
-def _fail_in(pid, keys):
+def _fail_in(pid, keys, budget):
     """Raise in process ``pid``; elsewhere return after a while, so a pool not joined would still be running."""
     if os.getpid() == pid:
         raise ValidationError("seed", "raised in the calling process")
@@ -246,7 +337,7 @@ def test_validation_error_survives_pickling():
 
 
 def test_error_raised_in_a_worker_reaches_the_caller():
-    job = functools.partial(eps_delta, 0.0, 1.0)  # alpha = 0 is rejected inside each worker
+    job = functools.partial(eps_delta, 0.0)  # alpha = 0 is rejected inside each worker, before keys and budget are read
     with pytest.raises(ValidationError) as exc:
         map_replicas(job, [StreamKey(0, "x", i) for i in range(4)], 2, 0)
     assert exc.value.field == "alpha"
