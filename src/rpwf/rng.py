@@ -22,21 +22,22 @@ uses it.
 step, a kernel advances M replicas with a noise row holding each one's next
 draw.  Replica i reads only stream i, in order, and shares no arithmetic
 with the others, so no output depends on the noise block size or on worker
-counts.  A first exit given a per-replica scalar step hands its last
-``_SCALAR_TAIL`` replicas to it, where a vector step's fixed cost of some
-twenty to sixty numpy calls outweighs their arithmetic.  The hand-off falls
-at the end of a noise block, once the block has used every value it drew:
-each replica then finishes alone in plain floats on its generator's next
-draws, so it still reads its stream in order.
+counts.  A run given a per-replica scalar step (every 1-d marginal run)
+hands its last ``_SCALAR_TAIL`` replicas to it, where a vector step's
+fixed cost of some twenty to sixty numpy calls outweighs their
+arithmetic.  The hand-off falls at the end of a noise block, once the
+block has used every value it drew: each replica then finishes alone in
+plain floats on its generator's next draws, so it still reads its stream
+in order.
 
 ``run_path`` is the loop of a single path: ``x = step(x, noise)`` in plain
 floats (a float, or a list of floats for a state wider than one) on the
 key's generator, drawing the chunks the scalar tail draws and writing the
 path into its array once per chunk.  Each model's plain-float step repeats
 its vector kernel's operations in the same order, so a single path equals
-ensemble row i bit for bit.  Ensembles keep the vector kernel: M replicas
-in plain floats cost about M single paths, more than one vector step from
-about M = 10.
+ensemble row i bit for bit.  The urn and Euler-Maruyama ensembles keep
+the vector kernel: M replicas in plain floats cost about M single paths,
+more than one of their vector steps from about M = 10.
 
 A noise block is stored replica-last, ``(steps,) + shape + (M,)``, and the
 kernel is handed each step's row as an ``(M,) + shape`` view of it: the
@@ -124,8 +125,6 @@ _OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
 
 def _words(n: int) -> list[int]:
     """numpy's split of a non-negative integer into 32-bit entropy words, low first (0 -> [0])."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
     words = [n & _M32]
     while n := n >> 32:
         words.append(n & _M32)
@@ -134,6 +133,8 @@ def _words(n: int) -> list[int]:
 
 def _entropy(key: StreamKey) -> list[int]:
     """The key's 32-bit entropy words: the seed mod 2^64, the first 16 bytes of sha256(label \\x1f index), the index."""
+    if key.index < 0:
+        raise ValidationError("index", f"must be >= 0, got {key.index}")
     digest = hashlib.sha256(f"{key.label}\x1f{key.index}".encode()).digest()
     return [*_words(int(key.seed) & _U64), *struct.unpack("<4I", digest[:16]), *_words(int(key.index))]
 
@@ -187,7 +188,7 @@ def generators(keys: Sequence[StreamKey]) -> list[np.random.Generator]:
 _BLOCK_VALUES = 1 << 22  # noise values per run, shared by its slices (32 MB of doubles)
 _BLOCK_STEPS = 2048  # and at most this many steps
 _FILL_GROUP = 64  # replicas drawn per tile while a block is filled
-_SCALAR_TAIL = 32  # live replicas at or below which a first exit finishes each alone
+_SCALAR_TAIL = 32  # live replicas at or below which a run given a scalar step finishes each alone
 
 
 # 2^20 replicas: their stream keys and generators (about 136 + 777 B each) take 0.9 GiB before the first step
@@ -205,9 +206,9 @@ def check_sizes(n_steps: int, n_replicas: int) -> None:
 
 
 def run_streams(
-    keys: Sequence[StreamKey], n_steps: int, state, kernel, observe, draw="random", shape=(), scalar=None, budget=None
-):
-    """Step one replica per stream key ``n_steps`` times; returns the last state, or None given ``scalar``.
+    keys: Sequence[StreamKey], n_steps: int, state, kernel, observe, draw="random", shape=(), scalar=None, *, budget: int
+) -> None:
+    """Step one replica per stream key ``n_steps`` times; the results are what ``observe`` and ``scalar`` record.
 
     Each step every replica draws a value of ``shape`` with its generator's
     ``draw`` method, then ``state = kernel(state, noise)`` with noise of
@@ -216,10 +217,10 @@ def run_streams(
     must copy what it keeps.  It may retire replicas by returning the
     indices, among the current rows, of those that stay: the state's first
     axis is indexed with them and their streams are no longer drawn.  A
-    noise block holds about ``budget`` values (None: ``_BLOCK_VALUES``, a
-    whole run's; a slice of a split run passes the share ``map_replicas``
-    gave it), and every block of the call is a view of one buffer of at
-    most ``max(budget, width)`` values, allocated before the first.
+    noise block holds about ``budget`` values (``_BLOCK_VALUES``, a whole
+    run's, or the share ``map_replicas`` gave a slice of a split run), and
+    every block of the call is a view of one buffer of at most
+    ``max(budget, width)`` values, allocated before the first.
 
     ``scalar`` is ``kernel`` then ``observe`` for one replica in plain
     floats: ``scalar(j, n, x, noise)`` returns row j's value after step n
@@ -227,13 +228,11 @@ def run_streams(
     the row.  At the end of a block at which at most ``_SCALAR_TAIL``
     replicas are live (or at n = 0, if no more start), each finishes alone
     through it on its own generator's next draws, so row i still reads
-    stream i in order; ``observe`` is not called again.  The run then
-    returns None: its results are what ``observe`` and ``scalar`` record.
+    stream i in order; ``observe`` is not called again.
 
     Sizes are not checked here: every front-end has checked them with
     ``check_sizes``.
     """
-    budget = _BLOCK_VALUES if budget is None else budget
     gens = generators(keys)
     keep = observe(0, state)
     if keep is not None:
@@ -266,7 +265,6 @@ def run_streams(
             gens = [gens[i] for i in cols]
     if scalar is not None and gens and n < n_steps:
         _scalar_tail(scalar, state, gens, n, n_steps, draw, shape)
-    return state if scalar is None else None
 
 
 def _chunks(gen, n: int, n_steps: int, draw: str, shape: tuple):

@@ -290,7 +290,7 @@ def _urn_start(params: UrnParams, n_steps: int):
     return np.cumsum((params.b + params.B0) / r), coefficients(r)
 
 
-def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe, budget=None) -> None:
+def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe, budget: int) -> None:
     """Run one urn per stream key, one uniform per step, through ``run_streams`` on a noise ``budget``.
 
     The state ``cum`` is an (M, k) view of (k, M) memory: row i holds the

@@ -20,7 +20,7 @@ The 1-d marginal / grouped process ``Z`` solves
 with a0 = (b/alpha) * sum_{l in J} p_l and a1 = b/alpha - a0.
 
 Ensembles run on ``rng.run_streams`` (kernels ``em_update`` and the 1-d
-update; observers keep checkpoints or first exits, retiring exited paths).
+update; observers keep checkpoints or stopped paths, retiring exited ones).
 Path i draws from ``StreamKey(seed, label, i)``, at any worker count: every
 ensemble, first exits included, splits its paths into contiguous slices
 through ``rng.map_replicas``.  Each kernel has a plain-float step with the
@@ -28,13 +28,17 @@ same operation order, so the bits do not change: ``_em_step`` (with
 ``simplex._project_floats``) and ``_marginal_step``.  The single paths ``simulate_wf`` and
 ``simulate_marginal_1d`` run in them through ``rng.run_path`` and equal
 row i of an ensemble bit for bit.  The 1-d vector step writes into reused
-scratch rows, and a step in which no path leaves (a, b) costs the exit test
-two reductions.  First exits finish their last ``rng._SCALAR_TAIL`` paths
-one at a time in ``_marginal_step`` and the exit test, from the end of the
-noise block at which no more are live, on each path's own next draws;
-each slice of a split first exit runs its own tail.
-Ensembles (``simulate_wf_ensemble``, ``marginal_ensemble_values``) stay on
-the vector step.
+scratch rows, and a step in which no path leaves (a, b) costs the exit
+test one reduction per barrier inside [0, 1].  Every 1-d ensemble is one
+run of paths stopped on leaving an interval (a, b), ``_first_exit``: each
+path's time tau (nan if never) and its value then, or after the last
+step.  Values at t (``marginal_ensemble_values``) stop on leaving
+(-inf, inf), which never happens, and touch flags on leaving
+(level, inf).  Such a run finishes its last ``rng._SCALAR_TAIL`` paths one
+at a time in ``_marginal_step`` and the exit test, from the end of the
+noise block at which no more are live (at n = 0 if no more start), on each
+path's own next draws; each slice of a split run has its own tail.
+``simulate_wf_ensemble`` stays on the vector step.
 """
 
 from __future__ import annotations
@@ -388,17 +392,6 @@ def _check_z0(z0: float) -> float:
     return float(z0)
 
 
-def _run_marginal(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, budget: int, observe=lambda n, z: None, scalar=None):
-    """1-d marginal paths from z0, one per stream key; returns the last values (None given ``scalar``).
-
-    ``budget``, ``observe`` and ``scalar`` are handed to ``run_streams``.
-    """
-    z = np.full(len(keys), z0)
-    work = np.empty((3, len(keys)))
-    kernel = lambda z, zn: _marginal_em(z, zn, od, dt, work)
-    return run_streams(keys, n_steps, z, kernel, observe, "standard_normal", scalar=scalar, budget=budget)
-
-
 def simulate_marginal_1d(
     od: OneDimWf,
     z0: float,
@@ -413,59 +406,64 @@ def simulate_marginal_1d(
     return config.dt * np.arange(n + 1), z
 
 
-def _marginal_values(od: OneDimWf, z0: float, n_steps: int, dt: float, keys, budget: int) -> np.ndarray:
-    """``(1, len(keys))`` values of 1-d paths after n_steps: one slice of an ensemble."""
-    return _run_marginal(od, z0, n_steps, dt, keys, budget)[None]
-
-
 def marginal_ensemble_values(od: OneDimWf, z0: float, t: float, dt: float, n_paths: int, seed: int) -> np.ndarray:
     """Values of n_paths independent 1-d paths at time t; path i draws from ``StreamKey(seed, "wf1d", i)``.
 
-    The paths split over ``rng.map_replicas``'s default worker count; the values do not depend on it.
+    They are the stopped values of a first exit of (-inf, inf), which no
+    path leaves.  The paths split over ``rng.map_replicas``'s default worker
+    count; the values do not depend on it.
     """
-    n = _n_steps(t, dt, "t")
-    check_sizes(n, n_paths)
-    job = functools.partial(_marginal_values, od, _check_z0(z0), n, dt)
-    return map_replicas(job, [StreamKey(seed, _MARGINAL, i) for i in range(n_paths)], None, n)[0]
+    return _first_exit(od, z0, -math.inf, math.inf, _n_steps(t, dt, "t"), dt, n_paths, seed)[1]
 
 
 def _exit_slice(od, z0, a, b, n_steps, dt, keys, budget) -> np.ndarray:
-    """``(2, len(keys))`` time and value of each path's first step at or beyond a or b (nan if none): one slice.
+    """``(2, len(keys))`` paths stopped on leaving (a, b), as (tau, Z at min(tau, T)): one slice.
 
-    Exited paths retire; the last ``rng._SCALAR_TAIL`` finish alone in plain floats.
+    tau is the time of a path's first step at or beyond a or b, and nan if
+    none; the value is the path's at tau, or after the last step if none.
+    Exited paths retire; the last ``rng._SCALAR_TAIL`` finish alone in
+    plain floats.
     """
     result = np.full((2, len(keys)), np.nan)
-    tau, z_exit = result
+    tau, z_stop = result
     ids = np.arange(len(keys))
+    lower, upper = a >= 0.0, b <= 1.0  # a barrier outside [0, 1], where the paths stay, is never reached
 
     def exits(n, z):  # retires the paths that left (a, b) at step n
         nonlocal ids
-        if np.minimum.reduce(z) > a and np.maximum.reduce(z) < b:  # none left: two reductions (a nan fails both)
+        if n == n_steps:  # the paths still inside stop here
+            z_stop[ids] = z
+        # none left: a reduction per barrier in reach (a nan row fails it, and stays below)
+        if (not lower or np.minimum.reduce(z) > a) and (not upper or np.maximum.reduce(z) < b):
             return None
         out = (z <= a) | (z >= b)
         left = np.flatnonzero(out)
         if left.size:  # none, if only nan rows failed the test above
             keep = np.flatnonzero(~out)
             gone = ids[left]
-            tau[gone], z_exit[gone] = n * dt, z[left]
+            tau[gone], z_stop[gone] = n * dt, z[left]
             ids = ids[keep]
             return keep
 
     em = _marginal_step(od, dt)
 
-    def tail(j, n, z, zn):  # path ids[j], alone in plain floats: retired once it leaves (a, b) at step n
+    def tail(j, n, z, zn):  # path ids[j], alone in plain floats: stopped once it leaves (a, b), or at step n_steps
         z = em(z, zn)
         if z <= a or z >= b:
-            tau[ids[j]], z_exit[ids[j]] = n * dt, z
-            return None
-        return z
+            tau[ids[j]] = n * dt
+        elif n < n_steps:
+            return z
+        z_stop[ids[j]] = z
+        return None
 
-    _run_marginal(od, z0, n_steps, dt, keys, budget, exits, tail)
+    work = np.empty((3, len(keys)))
+    kernel = lambda z, zn: _marginal_em(z, zn, od, dt, work)
+    run_streams(keys, n_steps, np.full(len(keys), z0), kernel, exits, "standard_normal", scalar=tail, budget=budget)
     return result
 
 
 def _first_exit(od, z0, a, b, n_steps, dt, n_paths, seed) -> np.ndarray:
-    """``(2, n_paths)`` time and value of each path's first step at or beyond a or b (nan if none).
+    """``(2, n_paths)`` paths stopped on leaving (a, b) within n_steps steps, as ``_exit_slice`` gives them.
 
     The paths split over ``rng.map_replicas``'s default worker count; the results do not depend on it.
     """
@@ -508,5 +506,5 @@ def marginal_first_passage(
     _check_barriers(a=a, b=b)
     if not a < z0 < b:
         raise ValidationError("z0", f"need a < z0 < b, got a={a}, z0={z0}, b={b}")
-    tau, z_exit = _first_exit(od, z0, a, b, _n_steps(t_cap, dt, "t-cap"), dt, n_paths, seed)
-    return tau, z_exit >= b
+    tau, z_stop = _first_exit(od, z0, a, b, _n_steps(t_cap, dt, "t-cap"), dt, n_paths, seed)
+    return tau, z_stop >= b

@@ -7,11 +7,13 @@ Wright-Fisher, 1-d marginal and urn simulators:
 
 * outputs do not depend on the noise block size: shrinking the blocks to a
   few steps, so that blocks and path retirement end mid-run, changes no bit;
-* row i of an ensemble equals the single run on stream i at every step;
-* first exits and touch flags of the compacting ensemble equal those read
-  off the single path on the same stream, wherever the hand-off to the
-  scalar tail falls: at n = 0, at the end of the block in which the live
-  count fell to the tail's size, or never;
+* row i of an ensemble equals the single run on stream i at every step,
+  for the 1-d values wherever the hand-off to the scalar tail falls;
+* first exits, touch flags and stopped values (the exit value, or the last
+  one) of the compacting ensemble equal those read off the single path on
+  the same stream, wherever the hand-off to the scalar tail falls: at
+  n = 0, at the end of the block in which the live count fell to the
+  tail's size, or never;
 * the plain-float steps equal the vector kernels bit for bit: the 1-d
   step, the urn step (ties of a uniform with a cumulative sum included) and
   the Euler-Maruyama step with its projection (zero and subnormal
@@ -20,8 +22,10 @@ Wright-Fisher, 1-d marginal and urn simulators:
   ensemble rows, which run in the vector kernels through
   ``rng.run_streams``, so the single-vs-row tests compare the two kernels,
   with small blocks too, so that ``run_path``'s noise chunks end mid-path;
-* first exits, touch flags and single paths keep the sha256 pins of the
-  bytes the vector kernels gave before the scalar steps took them over;
+* first exits, touch flags, 1-d values and single paths keep the sha256
+  pins of the bytes the vector kernels gave before the scalar steps took
+  them over;
+* a negative stream index is rejected, naming it;
 * a run holds one noise buffer, also when retiring replicas widen a block.
 
 Time steps are powers of two so that the grid times t_j = j dt are exact.
@@ -41,6 +45,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from rpwf import rng
+from rpwf.errors import ValidationError
 from rpwf.rng import StreamKey
 from rpwf.simplex import _project_floats, project_to_simplex
 from rpwf.urn import UrnParams, _run_urns, _urn_step, simulate_urn, simulate_urn_ensemble
@@ -55,7 +60,7 @@ from rpwf.wright_fisher import (
     simulate_wf,
     simulate_wf_ensemble,
 )
-from rpwf.wright_fisher import _em_step, _marginal_em, _marginal_step, em_update
+from rpwf.wright_fisher import _em_step, _first_exit, _marginal_em, _marginal_step, em_update
 
 LABEL = "wf1d"  # the stream label of the marginal entry points
 
@@ -142,6 +147,20 @@ def test_reference_streams_keep_their_states():
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == _REFERENCE_STREAMS_SHA
 
 
+NEGATIVE_INDEX = {
+    "generator": lambda key: key.generator(),
+    "generators": lambda key: rng.generators([StreamKey(0, "urn", 1), key]),
+    "simulate_urn": lambda key: simulate_urn(UrnParams(alpha=1.0, beta=0.5, b=np.ones(2), B0=np.ones(2)), 3, key),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_INDEX))
+def test_negative_stream_index_is_rejected_naming_it(name):
+    with pytest.raises(ValidationError) as exc:
+        NEGATIVE_INDEX[name](StreamKey(0, "urn", -3))
+    assert exc.value.field == "index" and "-3" in str(exc.value)
+
+
 # None, or small (_BLOCK_STEPS, _BLOCK_VALUES), which end the ensemble's noise blocks and the
 # single path's noise chunks every few steps
 blocks = st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 30)))
@@ -172,12 +191,24 @@ def test_urn_ensemble_rows_are_single_paths(urn, n_steps, m, seed, blocks):
         assert ens[:, i, :].tobytes() == path.psi.tobytes()
 
 
-@given(od=one_dim, z0=st.floats(0.0, 1.0), dt=dts, n_steps=st.integers(0, 24), m=n_paths, seed=seeds, blocks=blocks)
-def test_marginal_ensemble_rows_are_single_paths(od, z0, dt, n_steps, m, seed, blocks):
+# how many live paths a 1-d run hands to the scalar tail: "never" keeps every row on the vector step,
+# "all" hands every row off at n = 0
+tails = st.sampled_from(["never", "one", "half", "all"])
+
+
+def tail_size(tail: str, m: int) -> int:
+    return {"never": 0, "one": 1, "half": m // 2, "all": m}[tail]
+
+
+@given(
+    od=one_dim, z0=st.floats(0.0, 1.0), dt=dts, n_steps=st.integers(0, 24), m=n_paths, seed=seeds, blocks=blocks, tail=tails
+)
+def test_marginal_ensemble_rows_are_single_paths(od, z0, dt, n_steps, m, seed, blocks, tail):
     cfg = SdeConfig(dt=dt)
     with pytest.MonkeyPatch.context() as mp:
         if blocks:
             small_blocks(mp, *blocks)
+        mp.setattr(rng, "_SCALAR_TAIL", tail_size(tail, m))
         paths = [simulate_marginal_1d(od, z0, n_steps * dt, cfg, StreamKey(seed, LABEL, i))[1] for i in range(m)]
         values = [marginal_ensemble_values(od, z0, j * dt, dt, m, seed) for j in range(n_steps + 1)]
     for j, v in enumerate(values):
@@ -188,6 +219,7 @@ def test_marginal_ensemble_rows_are_single_paths(od, z0, dt, n_steps, m, seed, b
 def test_first_exit_and_touch_match_single_paths(od, ab, dt, n_steps, m, seed):
     a, z0, b = ab
     tau, hit = marginal_first_passage(od, z0, a, b, dt, m, seed, t_cap=n_steps * dt)
+    stopped = _first_exit(od, z0, a, b, n_steps, dt, m, seed)[1]
     touched = marginal_touch_flags(od, z0, a, n_steps * dt, dt, m, seed)
     touched_at_start = marginal_touch_flags(od, z0, b, n_steps * dt, dt, m, seed)  # every path retires at n = 0
     for i in range(m):
@@ -197,6 +229,7 @@ def test_first_exit_and_touch_match_single_paths(od, ab, dt, n_steps, m, seed):
             assert tau[i] == out[0] * dt and hit[i] == (z[out[0]] >= b)
         else:
             assert np.isnan(tau[i]) and not hit[i]
+        assert stopped[i].hex() == z[out[0] if out.size else -1].hex()  # the exit value, or the last one
         assert touched[i] == (z <= a).any()
         assert touched_at_start[i]
 
@@ -210,7 +243,7 @@ def test_first_exit_and_touch_match_single_paths(od, ab, dt, n_steps, m, seed):
     seed=seeds,
     steps=st.integers(1, 4),
     values=st.integers(1, 30),
-    tail=st.sampled_from(["never", "one", "half", "all"]),
+    tail=tails,
 )
 def test_first_exit_hand_off_matches_single_paths(od, ab, dt, n_steps, m, seed, steps, values, tail):
     # small blocks end every few steps, so the hand-off falls on many different steps; "all" hands off at n = 0
@@ -218,9 +251,11 @@ def test_first_exit_hand_off_matches_single_paths(od, ab, dt, n_steps, m, seed, 
     t = n_steps * dt
     with pytest.MonkeyPatch.context() as mp:
         small_blocks(mp, steps, values)
-        mp.setattr(rng, "_SCALAR_TAIL", {"never": 0, "one": 1, "half": m // 2, "all": m}[tail])
+        mp.setattr(rng, "_SCALAR_TAIL", tail_size(tail, m))
         tau, hit = marginal_first_passage(od, z0, a, b, dt, m, seed, t_cap=t)
+        stopped = _first_exit(od, z0, a, b, n_steps, dt, m, seed)[1]
         touched = marginal_touch_flags(od, z0, a, t, dt, m, seed)
+        touched_zero = marginal_touch_flags(od, z0, 0.0, t, dt, m, seed)  # a barrier on the clip
     for i in range(m):
         _, z = simulate_marginal_1d(od, z0, t, SdeConfig(dt=dt), StreamKey(seed, LABEL, i))
         out = np.flatnonzero((z <= a) | (z >= b))
@@ -228,7 +263,9 @@ def test_first_exit_hand_off_matches_single_paths(od, ab, dt, n_steps, m, seed, 
             assert tau[i] == out[0] * dt and hit[i] == (z[out[0]] >= b)
         else:
             assert np.isnan(tau[i]) and not hit[i]
+        assert stopped[i].hex() == z[out[0] if out.size else -1].hex()
         assert touched[i] == (z <= a).any()
+        assert touched_zero[i] == (z <= 0.0).any()
 
 
 unit_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53]), st.floats(0.0, 1.0))
@@ -266,7 +303,7 @@ def test_scalar_urn_step_equals_vector_step(urn, us, tie):
     vector = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng, "generators", lambda keys: [GivenDraws(us)])
-        _run_urns(urn, len(us), [StreamKey(0)], lambda n, cum: vector.append(cum[0].copy()))
+        _run_urns(urn, len(us), [StreamKey(0)], lambda n, cum: vector.append(cum[0].copy()), rng._BLOCK_VALUES)
     assert np.array(row[:-1]).tobytes() == vector[0].tobytes()
     for n, u in enumerate(us, 1):
         row = step(row, u)
@@ -409,6 +446,22 @@ def test_single_path_bytes_are_pinned(model, seed):
     assert hashlib.sha256(b"".join(v.tobytes() for v in values)).hexdigest() == SINGLE_PATH_PINS[model, seed]
 
 
+# sha256 of marginal ensemble values as the vector step gave them, for all paths at or below the
+# scalar tail's size (20) and above it (200), at the single paths' 1-d pin settings: 2050 steps, so
+# that a 2048-step noise block ends mid-run, from z0 = 1e-3, so that the clip acts (exact zeros)
+VALUES_PINS = {
+    (20, 7): "6208734b99c5e2128cfa715b361b5d4bc4f908182832f3c7a9969eaa27ada4d0",
+    (200, 2026): "39d19ccced7f22d6e79052ea0c9b4444f9dcf28b43a2ec43ac0a68b1d45d9c3a",
+}
+
+
+@pytest.mark.parametrize("m, seed", sorted(VALUES_PINS))
+def test_marginal_ensemble_value_bytes_are_pinned(m, seed):
+    values = marginal_ensemble_values(OneDimWf(a0=0.05, a1=0.5), 1e-3, 2050 * PIN_DT, PIN_DT, m, seed)
+    assert values.shape == (m,) and (values == 0.0).any()
+    assert hashlib.sha256(values.tobytes()).hexdigest() == VALUES_PINS[m, seed]
+
+
 @given(
     wp=wf_params(),
     od=one_dim,
@@ -452,7 +505,7 @@ def test_one_noise_buffer_per_run(monkeypatch):
     def peak_bytes(observe):
         tracemalloc.start()
         try:
-            rng.run_streams(keys, 600, np.zeros(300), lambda x, z: x + z, observe)
+            rng.run_streams(keys, 600, np.zeros(300), lambda x, z: x + z, observe, budget=rng._BLOCK_VALUES)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
