@@ -43,19 +43,25 @@ A noise block is stored replica-last, ``(steps,) + shape + (M,)``, and the
 kernel is handed each step's row as an ``(M,) + shape`` view of it: the
 shapes are the replica-first ones, while a pass over one draw index reads
 a contiguous row of M values.  ``_BLOCK_VALUES`` is the noise budget of a
-whole run, whatever its worker count.  A call holds one noise buffer for
-its budget, allocated once after the n = 0 observer, and fills blocks of
-``budget // width`` steps (at least 1, at most ``_BLOCK_STEPS``) for a
-block row of ``width`` values: replicas that retire only narrow later
-blocks, so every block fits in the buffer's ``max(budget, width)`` values.
+whole run, whatever its worker count, and ``_CALL_VALUES`` caps the values
+of one draw call, whose fixed cost (about 0.8 us) that many values pay
+back.  For a block row of ``width`` values a call fills blocks of
+``budget // width`` steps, at least 1 and at most
+``S = max(1, _CALL_VALUES // prod(shape))``, so each replica's draw fills
+at most ``_CALL_VALUES`` values (one step's, if a step draws more).  It
+holds one noise buffer, allocated once after the n = 0 observer at the
+largest block it can fill, ``min(budget, S * width)`` values (at least one
+row, at most the whole run): replicas that retire only narrow later
+blocks, so every block fits in it.  Each replica's draw method is bound
+once per call.
 
 ``map_replicas`` is the package's only process pool: it runs a per-slice
 job on contiguous slices of an ensemble's stream keys and joins the results
 along the replica axis, so row i still reads stream i.  Each slice gets its
 share of the budget, ``_BLOCK_VALUES * len(slice) // len(keys)``, so each
 of its replicas draws chunks of the length a one-process run gives it, and
-a split run holds about ``_BLOCK_VALUES`` values of noise over all its
-processes, as a one-process run does.  The calling process
+a split run holds at most about ``_BLOCK_VALUES`` values of noise over all
+its processes, as a one-process run does.  The calling process
 runs the first slice itself while a pool of ``workers - 1`` processes runs
 the others; it is the only process whose module globals a tracer has
 wrapped, and it starts one process fewer.  Every ensemble's default worker
@@ -186,8 +192,8 @@ def generators(keys: Sequence[StreamKey]) -> list[np.random.Generator]:
 
 
 _BLOCK_VALUES = 1 << 22  # noise values per run, shared by its slices (32 MB of doubles)
-_BLOCK_STEPS = 2048  # and at most this many steps
-_FILL_GROUP = 64  # replicas drawn per tile while a block is filled
+_CALL_VALUES = 1024  # values per draw call: a call's fixed cost (~0.8 us) is paid back by about this many
+_FILL_GROUP = 128  # replicas drawn per tile while a block is filled
 _SCALAR_TAIL = 32  # live replicas at or below which a run given a scalar step finishes each alone
 
 
@@ -218,9 +224,13 @@ def run_streams(
     indices, among the current rows, of those that stay: the state's first
     axis is indexed with them and their streams are no longer drawn.  A
     noise block holds about ``budget`` values (``_BLOCK_VALUES``, a whole
-    run's, or the share ``map_replicas`` gave a slice of a split run), and
-    every block of the call is a view of one buffer of at most
-    ``max(budget, width)`` values, allocated before the first.
+    run's, or the share ``map_replicas`` gave a slice of a split run) and
+    spans at most S = ``max(1, _CALL_VALUES // prod(shape))`` steps, so
+    that no draw call fills more than ``_CALL_VALUES`` values (one step's,
+    if a step draws more).  Every block of the call is a view of one
+    buffer, allocated before the first at the largest block the call can
+    fill: ``min(budget, S * width)`` values for a block row of ``width``
+    values, at least one row and at most ``n_steps`` rows.
 
     ``scalar`` is ``kernel`` then ``observe`` for one replica in plain
     floats: ``scalar(j, n, x, noise)`` returns row j's value after step n
@@ -233,23 +243,25 @@ def run_streams(
     Sizes are not checked here: every front-end has checked them with
     ``check_sizes``.
     """
-    gens = generators(keys)
+    fills = [getattr(g, draw) for g in generators(keys)]  # each replica's draw method, bound once
     keep = observe(0, state)
     if keep is not None:
-        state, gens = state[keep], [gens[i] for i in keep]
+        state, fills = state[keep], [fills[i] for i in keep]
     least = 0 if scalar is None else _SCALAR_TAIL  # a block starts while more replicas than this are live
-    width = len(gens) * math.prod(shape)
-    buf = np.empty(min(n_steps * width, max(budget, width)))  # retiring replicas only narrow later blocks
+    call = max(1, _CALL_VALUES // math.prod(shape))  # steps of one draw call
+    width = len(fills) * math.prod(shape)
+    buf = np.empty(min(n_steps * width, max(width, min(budget, call * width))))  # retiring replicas only narrow later blocks
     n = 0
-    while n < n_steps and len(gens) > least:
-        width = len(gens) * math.prod(shape)
-        steps = min(n_steps - n, _BLOCK_STEPS, max(1, budget // width))
-        block = buf[: steps * width].reshape((steps,) + shape + (len(gens),))
-        tile = np.empty((min(_FILL_GROUP, len(gens)), steps) + shape)
-        for lo in range(0, len(gens), _FILL_GROUP):  # one draw call per replica, transposed a tile at a time
-            group = gens[lo : lo + _FILL_GROUP]
-            for t, g in enumerate(group):
-                getattr(g, draw)(out=tile[t])
+    while n < n_steps and len(fills) > least:
+        width = len(fills) * math.prod(shape)
+        steps = min(n_steps - n, call, max(1, budget // width))
+        block = buf[: steps * width].reshape((steps,) + shape + (len(fills),))
+        tile = np.empty((min(_FILL_GROUP, len(fills)), steps) + shape)
+        rows = list(tile)
+        for lo in range(0, len(fills), _FILL_GROUP):  # one draw call per replica, transposed a tile at a time
+            group = fills[lo : lo + _FILL_GROUP]
+            for fill, row in zip(group, rows):
+                fill(out=row)
             block[..., lo : lo + len(group)] = np.moveaxis(tile[: len(group)], 0, -1)
         cols = None  # block columns of the replicas still running, None while all are
         for row in np.moveaxis(block, -1, 1):  # (M,) + shape views of replica-last rows
@@ -262,26 +274,30 @@ def run_streams(
                 if not len(cols):  # every replica retired
                     break
         if cols is not None:
-            gens = [gens[i] for i in cols]
-    if scalar is not None and gens and n < n_steps:
-        _scalar_tail(scalar, state, gens, n, n_steps, draw, shape)
+            fills = [fills[i] for i in cols]
+    if scalar is not None and fills and n < n_steps:
+        _scalar_tail(scalar, state, fills, n, n_steps, shape)
 
 
-def _chunks(gen, n: int, n_steps: int, draw: str, shape: tuple):
-    """The draws of steps n + 1..n_steps as lists, one chunk of at most ``_BLOCK_STEPS`` steps at a time.
+def _chunks(fill, n: int, n_steps: int, shape: tuple):
+    """The draws of steps n + 1..n_steps as lists, one draw call ``fill(size=...)`` per chunk.
 
     A chunk of m steps draws ``(m,) + shape`` values, in the step-major,
-    component-minor order in which a noise block is filled.
+    component-minor order in which a noise block is filled; it spans
+    ``max(1, _CALL_VALUES // prod(shape))`` steps, the last one fewer, so
+    it holds at most ``_CALL_VALUES`` values (one step's, if a step draws
+    more).
     """
-    for lo in range(n, n_steps, _BLOCK_STEPS):
-        yield getattr(gen, draw)(size=(min(n_steps - lo, _BLOCK_STEPS),) + shape).tolist()
+    call = max(1, _CALL_VALUES // math.prod(shape))
+    for lo in range(n, n_steps, call):
+        yield fill(size=(min(n_steps - lo, call),) + shape).tolist()
 
 
-def _scalar_tail(scalar, state: np.ndarray, gens, n: int, n_steps: int, draw: str, shape: tuple) -> None:
-    """Steps n + 1..n_steps of each row alone through ``scalar``, on its generator's next draws, until ``scalar`` retires it."""
-    for j, gen in enumerate(gens):
+def _scalar_tail(scalar, state: np.ndarray, fills, n: int, n_steps: int, shape: tuple) -> None:
+    """Steps n + 1..n_steps of each row alone through ``scalar``, on its draw method's next draws, until ``scalar`` retires it."""
+    for j, fill in enumerate(fills):
         x = state[j].tolist()
-        for m, noise in enumerate(itertools.chain.from_iterable(_chunks(gen, n, n_steps, draw, shape)), n + 1):
+        for m, noise in enumerate(itertools.chain.from_iterable(_chunks(fill, n, n_steps, shape)), n + 1):
             x = scalar(j, m, x, noise)
             if x is None:
                 break
@@ -304,7 +320,7 @@ def run_path(key: StreamKey, n_steps: int, x, step, name: str, draw="random", sh
     out = np.empty((n_steps + 1,) + row)
     out[0], n, values = x, 0, []
     add = values.extend if row else values.append
-    for noise in _chunks(key.generator(), 0, n_steps, draw, shape):
+    for noise in _chunks(getattr(key.generator(), draw), 0, n_steps, shape):
         for z in noise:
             x = step(x, z)
             add(x)

@@ -33,7 +33,11 @@ Every value is computed by the same arithmetic as a plain
 per-multi-index evaluation, to the last bit.
 
 The series converges spectrally for t bounded away from 0; values at
-t < 0.05 are flagged unreliable rather than silently returned.
+t < 0.05 are flagged unreliable rather than silently returned.  A value
+past the float range (at large b/alpha the basis rows near a face reach
+1e160-1e275, and their product overflows) is not returned either:
+``evaluate`` raises a ``ValidationError`` naming y, or y0 when y0's
+memoised basis row overflowed, without a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -201,6 +205,7 @@ class SpectralTransitionDensity:
             self._decay_memo = memo
         return memo[1]
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite result is rejected below, naming its point
     def evaluate(self, y0, y, t: float) -> TransitionDensity:
         if not 0 < t < math.inf:
             raise ValidationError("t", f"transition density requires 0 < t < inf, got {t}")
@@ -211,6 +216,9 @@ class SpectralTransitionDensity:
         kernel_terms = per_degree * self._decay(t)
         total = stat * kernel_terms.sum()
         tail = abs(stat * kernel_terms[-1]) if self.max_degree >= 1 else 0.0
+        if not (math.isfinite(total) and math.isfinite(tail)):
+            reason = f"the density at y0={np.asarray(y0, float).tolist()}, y={y.tolist()} is {total}, not a finite float"
+            raise ValidationError("y" if np.isfinite(start).all() else "y0", reason)  # y0 if its memoised basis row overflowed
         warn = bool(tail > 1e-6 * max(abs(total), 1e-300))
         return TransitionDensity(
             value=total,

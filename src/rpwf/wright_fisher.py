@@ -350,8 +350,10 @@ def _marginal_em(z: np.ndarray, zn: np.ndarray, od: OneDimWf, dt: float, work: n
     """One Euler-Maruyama step of 1-d values z with the normal draws zn, written over z; returns z.
 
     The step is clip(z + d + noise, 0, 1) with d = (-a1 z + a0 (1 - z)) dt
-    and noise = sqrt(max(z (1 - z), 0) dt) zn.  ``work`` is a (3, M')
-    scratch array, M' >= len(z), so the step allocates nothing.
+    and noise = sqrt(z (1 - z) dt) zn.  z lies in [0, 1] (``_check_z0``,
+    then the clip), so z (1 - z) is >= 0 or -0.0, whose sign never reaches
+    z: z + d is +0.0 whenever it is zero.  ``work`` is a (3, M') scratch
+    array, M' >= len(z), so the step allocates nothing.
     """
     d, u, w = work[:, : z.size]
     np.multiply(-od.a1, z, out=d)
@@ -360,7 +362,6 @@ def _marginal_em(z: np.ndarray, zn: np.ndarray, od: OneDimWf, dt: float, work: n
     d += u
     d *= dt
     np.multiply(z, w, out=w)
-    np.maximum(w, 0.0, out=w)
     w *= dt
     np.sqrt(w, out=w)
     w *= zn
@@ -378,8 +379,7 @@ def _marginal_step(od: OneDimWf, dt: float):
     a0, a1, sqrt = od.a0, od.a1, math.sqrt
 
     def step(z, zn):
-        w = z * (1.0 - z)
-        z = z + (-a1 * z + a0 * (1.0 - z)) * dt + sqrt((0.0 if w <= 0.0 else w) * dt) * zn  # np.maximum(w, 0.0)
+        z = z + (-a1 * z + a0 * (1.0 - z)) * dt + sqrt(z * (1.0 - z) * dt) * zn
         return 0.0 if z < 0.0 else 1.0 if z > 1.0 else z  # np.clip's rule: -0.0 and nan pass
 
     return step

@@ -107,8 +107,10 @@ stream_keys = st.builds(
 )
 
 
-def small_blocks(mp: pytest.MonkeyPatch, steps: int, values: int) -> None:
-    mp.setattr(rng, "_BLOCK_STEPS", steps)
+def small_blocks(mp: pytest.MonkeyPatch, call: int, values: int) -> None:
+    """Draw calls of at most ``call`` values (one step at least, so a cap below a step's k values still draws) and a
+    run's budget of ``values``."""
+    mp.setattr(rng, "_CALL_VALUES", call)
     mp.setattr(rng, "_BLOCK_VALUES", values)
 
 
@@ -161,7 +163,7 @@ def test_negative_stream_index_is_rejected_naming_it(name):
     assert exc.value.field == "index" and "-3" in str(exc.value)
 
 
-# None, or small (_BLOCK_STEPS, _BLOCK_VALUES), which end the ensemble's noise blocks and the
+# None, or small (_CALL_VALUES, _BLOCK_VALUES), which end the ensemble's noise blocks and the
 # single path's noise chunks every few steps
 blocks = st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 30)))
 
@@ -284,6 +286,21 @@ def test_scalar_step_equals_vector_step(od, dt, pairs):
         assert step(zj, nj).hex() == float(z[j]).hex()
 
 
+@pytest.mark.parametrize("z0", [-0.0, 0.0, 1.0])
+@pytest.mark.parametrize("a0, a1", [(0.0, 0.7), (0.7, 0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("tail", ["never", "all"])
+def test_paths_from_a_face_equal_their_rows(z0, a0, a1, tail):
+    # z (1 - z) is -0.0 at z = -0.0 and 0.0 on either face, where the step takes its square root unclamped;
+    # with no drift off a face a path stays there, on the vector step ("never") and the plain-float step ("all")
+    od, dt, n_steps, m = OneDimWf(a0=a0, a1=a1), 2.0**-7, 12, 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "_SCALAR_TAIL", tail_size(tail, m))
+        values = [marginal_ensemble_values(od, z0, j * dt, dt, m, 5) for j in range(n_steps + 1)]
+    for i in range(m):
+        _, z = simulate_marginal_1d(od, z0, n_steps * dt, SdeConfig(dt=dt), StreamKey(5, LABEL, i))
+        assert [v[i].hex() for v in values] == [zj.hex() for zj in z]
+
+
 class GivenDraws:
     """A generator stand-in whose ``random`` returns the given values, in order."""
 
@@ -386,8 +403,8 @@ def test_scalar_projection_after_head_overshoot(row):
 
 
 # sha256 of the engine's bytes before the scalar tail, 200 paths at dt = 1e-3 over 2500 steps:
-# the live count falls to the tail's size mid-way through the first 2048-step block, the tail
-# takes over at its end, reads the 452 steps past it and keeps censored paths (8-13 in first
+# the live count falls to the tail's size inside a 1024-step noise block, the tail takes over at
+# its end (step 1024 or 2048), reads the steps past it and keeps censored paths (8-13 in first
 # exits, 8-12 untouched)
 FIRST_EXIT_PINS = {
     3: (
@@ -411,9 +428,10 @@ def test_first_exit_bytes_are_pinned(seed):
     assert got == FIRST_EXIT_PINS[seed]
 
 
-# sha256 of single paths as the vector kernels gave them, 2050 steps, so that a 2048-step noise
-# chunk ends mid-path; the urn has a zero in B0, the EM paths start on a face and the 1-d path
-# near 0, so that the projection clamps and the clip acts (those paths have exact zeros)
+# sha256 of single paths as the vector kernels gave them, 2050 steps, so that the path spans
+# several noise chunks (1024 steps of one draw, 512 at k = 2, 204 at k = 5), the last one short;
+# the urn has a zero in B0, the EM paths start on a face and the 1-d path near 0, so that the
+# projection clamps and the clip acts (those paths have exact zeros)
 PIN_DT = 2.0**-8
 PIN_URN = UrnParams(alpha=1.0, beta=0.9, b=np.array([0.5, 1.0, 2.0]), B0=np.array([0.0, 3.0, 0.0]))
 PIN_WF = {
@@ -448,7 +466,8 @@ def test_single_path_bytes_are_pinned(model, seed):
 
 # sha256 of marginal ensemble values as the vector step gave them, for all paths at or below the
 # scalar tail's size (20) and above it (200), at the single paths' 1-d pin settings: 2050 steps, so
-# that a 2048-step noise block ends mid-run, from z0 = 1e-3, so that the clip acts (exact zeros)
+# that the run spans three 1024-step noise blocks or chunks, the last one short, from z0 = 1e-3, so
+# that the clip acts (exact zeros)
 VALUES_PINS = {
     (20, 7): "6208734b99c5e2128cfa715b361b5d4bc4f908182832f3c7a9969eaa27ada4d0",
     (200, 2026): "39d19ccced7f22d6e79052ea0c9b4444f9dcf28b43a2ec43ac0a68b1d45d9c3a",

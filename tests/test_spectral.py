@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -117,6 +118,30 @@ def test_evaluator_rejects_b_over_alpha_past_its_precision(alpha):
     with pytest.raises(ValidationError) as exc:
         SpectralTransitionDensity(WfParams(b=1.0, alpha=alpha, p=np.array([0.5, 0.5])))
     assert exc.value.field == "alpha"
+
+
+def test_evaluate_past_the_float_range_names_the_point():
+    # the basis rows at y0 = y = 1 - 1e-8 reach 9e161: their product overflowed with a RuntimeWarning, and
+    # times exp(-nu_n t) = 0 gave nan, which evaluate returned
+    S = SpectralTransitionDensity(WfParams(b=1e6, alpha=1.0, p=np.array([1e-3, 1 - 1e-3])), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError) as exc:
+            S.evaluate([1 - 1e-8], [1 - 1e-8], 1.0)
+        assert exc.value.field == "y" and "not a finite float" in str(exc.value)
+        assert math.isfinite(S.evaluate([1e-3], [1e-3], 1.0).value)
+
+
+def test_evaluate_names_y0_when_its_basis_row_overflows():
+    # no admitted parameters overflow a single row (at most about 1e275 at b/alpha = 1e8), so the norms are
+    # scaled to put y0's row (1.9e261 at 1 - 1e-8) past the float range while y's (7e22 at 1e-12) stays inside
+    S = SpectralTransitionDensity(WfParams(b=1e8, alpha=1.0, p=np.array([1e-6, 1 - 1e-6])), 40)
+    S._inv_norm = S._inv_norm * 1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError) as exc:
+            S.evaluate([1 - 1e-8], [1e-12], 1.0)
+    assert exc.value.field == "y0"
 
 
 def test_dirichlet_density_past_the_float_range_is_inf():

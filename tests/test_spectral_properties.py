@@ -17,6 +17,7 @@ here, fails.
 
 import copy
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given
@@ -197,7 +198,9 @@ def test_cached_evaluation_matches_per_multi_index_oracle(case):
 
 
 # ``check_reduced``, ``dirichlet_density`` and ``SpectralTransitionDensity.evaluate`` as
-# they were when evaluate checked y0 on every call, verbatim; the evaluator's tables are borrowed.
+# they were when evaluate checked y0 on every call, verbatim but for evaluate's rule for a
+# non-finite result (a ValidationError naming y, or y0 when its basis row overflowed); the
+# evaluator's tables are borrowed.
 
 
 def eager_check_reduced(y, name: str = "y") -> np.ndarray:
@@ -260,10 +263,14 @@ class EagerEvaluate:
             raise ValidationError("y0", f"expected {self.gw.nvars} coordinates")
         stat = eager_dirichlet_density(self.gw, y)  # checks y
         y = np.asarray(y, dtype=float)
-        per_degree = np.add.reduceat(self._normalized_values(y) * self._start_row(y0), self._starts)
-        kernel_terms = per_degree * np.exp(-self._nu * t)
-        total = stat * kernel_terms.sum()
-        tail = abs(stat * kernel_terms[-1]) if self.max_degree >= 1 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = self._start_row(y0)
+            per_degree = np.add.reduceat(self._normalized_values(y) * start, self._starts)
+            kernel_terms = per_degree * np.exp(-self._nu * t)
+            total = stat * kernel_terms.sum()
+            tail = abs(stat * kernel_terms[-1]) if self.max_degree >= 1 else 0.0
+        if not (math.isfinite(total) and math.isfinite(tail)):
+            raise ValidationError("y" if np.all(np.isfinite(start)) else "y0", "the density is not a finite float")
         warn = bool(tail > 1e-6 * max(abs(total), 1e-300))
         return TransitionDensity(
             value=total,
@@ -326,3 +333,37 @@ def test_one_bad_argument_fails_as_the_eager_checks_did(case, field, bad, bad_t,
     # the good call primes the y0 memo; a 2-d y0 has the same bytes as the good one
     calls = [(y0, y, t), (args["y0"], args["y"], args["t"])]
     assert _outcome(S.evaluate, calls) == _outcome(EagerEvaluate(S).evaluate, calls)
+
+
+@st.composite
+def near_face(draw, k: int):
+    """A reduced point whose full point has one coordinate in [1e-300, 1e-2] (before normalising): near a face or a corner."""
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    w[draw(st.integers(0, k - 1))] = 10.0 ** draw(st.floats(-300.0, -2.0))
+    return (w / w.sum())[:-1]
+
+
+@st.composite
+def extreme_calls(draw):
+    k = draw(st.integers(2, 5))
+    rate = math.exp(draw(st.floats(math.log(0.15), math.log(1e8))))
+    w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+    points = [(draw(near_face(k)), draw(near_face(k)), 10.0 ** draw(st.floats(-3.0, 1.0))) for _ in range(3)]
+    return WfParams(b=rate, alpha=1.0, p=w / w.sum()), points
+
+
+@given(extreme_calls())
+def test_evaluate_is_finite_or_names_a_point(case):
+    """Over log-uniform b/alpha in [0.15, 1e8], k = 2..5 and points near the faces, ``evaluate``
+    returns a finite value and tail, or raises a ValidationError naming y0 or y; it never warns."""
+    params, points = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        S = SpectralTransitionDensity(params)
+        for y0, y, t in points:
+            try:
+                out = S.evaluate(y0, y, t)
+            except ValidationError as exc:
+                assert exc.field in ("y0", "y")
+            else:
+                assert math.isfinite(out.value) and math.isfinite(out.tail_term)

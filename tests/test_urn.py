@@ -251,8 +251,9 @@ def test_trajectory_rows_sum_to_one():
     assert np.max(np.abs(traj.psi.sum(axis=1) - 1.0)) < 1e-12
 
 
-def test_ensemble_rows_match_across_noise_blocks():
-    # 2050 steps cross a noise-block boundary; 66 replicas cross a fill tile
+def test_ensemble_rows_match_across_noise_blocks(monkeypatch):
+    # 2050 steps cross a noise-block boundary; 66 replicas cross a fill tile of 64
+    monkeypatch.setattr("rpwf.rng._FILL_GROUP", 64)
     p = make_params(beta=0.9, b=(1.0, 0.0, 2.0), B0=(0.5, 1.0, 0.5))
     ens = simulate_urn_ensemble(p, 2050, 66, seed=3, label="urn", checkpoints=[2047, 2048, 2050])
     for i in (0, 63, 64, 65):

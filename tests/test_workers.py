@@ -5,8 +5,10 @@ keys, so row i reads stream (seed, label, i) whatever the worker count:
 outputs must be byte-identical at workers 1, 2 and 3, including replica
 counts the worker count does not divide and counts below it.  The calling
 process runs the first slice itself, and each slice draws on its share of
-the run's noise budget, in blocks of a one-worker run's length.  Bad inputs must be rejected before
-any process starts, and an error raised inside a worker must reach the
+the run's noise budget, in blocks of a one-worker run's length, with no
+draw call filling more than ``rng._CALL_VALUES`` values, into one buffer of
+the largest block it can fill.  Bad inputs must be rejected before any
+process starts, and an error raised inside a worker must reach the
 caller as the same ``ValidationError``.  At the default worker count a
 small run, or one inside a daemonic process, starts no process.
 """
@@ -104,7 +106,7 @@ def _slices(n_paths, workers):
 # (paths, dt, steps): 7 is split unevenly and 2 is below three workers, both at or below the scalar
 # tail, so every slice starts in it at n = 0; 50 paths run the vector step at one worker and start in
 # the tail in slices of 25 and 16-17; 200 paths over 2500 steps (the first-exit pins) hand off at the
-# end of the first 2048-step block in every slice of 100 and 66-67
+# end of the first or the second 1024-step block in every slice of 100 and 66-67
 EXIT_RUNS = [(7, 1e-2, 60), (2, 1e-2, 60), (50, 1e-2, 80), (200, 1e-3, 2500)]
 
 
@@ -223,6 +225,28 @@ def test_slices_split_the_noise_budget(monkeypatch, name, workers):
         share, row = rng._BLOCK_VALUES * call["replicas"] // 600, call["replicas"] * k
         assert call["chunks"][: call["replicas"]] == [chunk] * call["replicas"]  # the first block, one fill per replica
         assert 8 * chunk * row <= call["buffer"] <= 8 * (share + row)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("call_values", [64, 1024])  # the call cap binds (64 / 1 and 64 / 3 steps), or the budget
+@pytest.mark.parametrize("name", ["urn", "wf"])
+def test_draw_calls_fill_at_most_the_call_cap(monkeypatch, name, call_values, workers):
+    monkeypatch.setattr(rng, "_BLOCK_VALUES", 1 << 16)
+    monkeypatch.setattr(rng, "_CALL_VALUES", call_values)
+    _default_of(monkeypatch, workers)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcess)
+    calls = _watch_slices(monkeypatch)
+    k, run = SPLIT_RUNS[name]
+    run()
+    assert len(calls) == workers
+    for call in calls:
+        share, row = rng._BLOCK_VALUES * call["replicas"] // 600, call["replicas"] * k
+        steps = min(call_values // k, share // row)
+        assert (steps == call_values // k) == (call_values == 64)
+        assert max(call["chunks"]) * k <= call_values and call["chunks"][: call["replicas"]] == [steps] * call["replicas"]
+        # the largest block the call can fill: where the cap binds, the first one (steps x row values); where the
+        # budget binds, its share, which a block after retirements, narrower but of more steps, may come close to
+        assert call["buffer"] == 8 * min(share, call_values // k * row)
 
 
 def _no_pool(*args, **kwargs):
