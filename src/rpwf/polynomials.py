@@ -265,16 +265,6 @@ class MultiIndexPolynomial:
             return NotImplemented
         return self.nvars == other.nvars and (self - other).is_zero()
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, key=lambda e: (sum(e), e), reverse=True):
-            c = self.coeffs[e]
-            mono = "*".join(f"y{i+1}^{v}" for i, v in enumerate(e) if v) or "1"
-            parts.append(f"({c})*{mono}")
-        return " + ".join(parts)
-
 
 def _poch(x, m: int):
     """Pochhammer (x)_m = x (x+1) ... (x+m-1); exact for Fraction x."""

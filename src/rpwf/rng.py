@@ -30,6 +30,12 @@ block has used every value it drew: each replica then finishes alone in
 plain floats on its generator's next draws, so it still reads its stream
 in order.
 
+``checkpoint_slice`` is the job of every fixed-length ensemble, the urn's
+and the Euler-Maruyama one: a model gives M replicas' start state, kernel,
+value map and draw, and the job keeps their values at the checkpoint
+steps.  The other job, of the 1-d marginal ensembles, is
+``wright_fisher._exit_slice``'s paths stopped on leaving an interval.
+
 ``run_path`` is the loop of a single path: ``x = step(x, noise)`` in plain
 floats (a float, or a list of floats for a state wider than one) on the
 key's generator, drawing the chunks the scalar tail draws and writing the
@@ -199,14 +205,17 @@ _SCALAR_TAIL = 32  # live replicas at or below which a run given a scalar step f
 
 # 2^20 replicas: their stream keys and generators (about 136 + 777 B each) take 0.9 GiB before the first step
 _MAX_REPLICAS = 1 << 20
+# steps of one path: five times the most anything here runs (2e7: marginal_first_passage's default
+# t_cap = 200 at dt = 1e-5, and the urn exhibits' cap); more are rejected before anything runs
+_MAX_STEPS = 100_000_000
 # noise values per worker below which a split does not pay for its pool (starting and joining one costs ~15 ms)
 _SPLIT_VALUES = 1 << 21
 
 
 def check_sizes(n_steps: int, n_replicas: int) -> None:
-    """Reject a negative step count, or a replica count outside [1, ``_MAX_REPLICAS``], naming the flag."""
-    if n_steps < 0:
-        raise ValidationError("steps", f"must be >= 0, got {n_steps}")
+    """Reject a step count outside [0, ``_MAX_STEPS``], or a replica count outside [1, ``_MAX_REPLICAS``], naming the flag."""
+    if not 0 <= n_steps <= _MAX_STEPS:
+        raise ValidationError("steps", f"must lie in [0, {_MAX_STEPS}], got {n_steps}")
     if not 1 <= n_replicas <= _MAX_REPLICAS:
         raise ValidationError("replicas", f"must lie in [1, {_MAX_REPLICAS}], got {n_replicas}")
 
@@ -391,11 +400,20 @@ def checkpoint_steps(checkpoints, horizon, step_of) -> dict[int, list[int]]:
     return at
 
 
-def record_checkpoints(at: dict[int, list[int]], out: np.ndarray, values) -> Callable:
-    """Observer setting ``out[j] = values(state)`` after step n for every j in ``at[n]``."""
+def checkpoint_slice(model: Callable, n_steps: int, at: dict[int, list[int]], n_out: int, keys, budget: int) -> np.ndarray:
+    """``(n_out, len(keys), k)`` values of ``model``'s replicas after the steps of ``at``: one slice of an ensemble.
+
+    ``model(M)`` returns M replicas' ``(state, kernel, values, draw,
+    shape)``: the start, the kernel and draw of ``run_streams``, and the
+    map from a state to its ``(M, k)`` values.  ``out[j] = values(state)``
+    after step n for every j in ``at[n]``.
+    """
+    state, kernel, values, draw, shape = model(len(keys))
+    out = np.empty((n_out,) + state.shape)
 
     def observe(n, state):
         for j in at.get(n, ()):
             out[j] = values(state)
 
-    return observe
+    run_streams(keys, n_steps, state, kernel, observe, draw, shape, budget=budget)
+    return out

@@ -24,7 +24,8 @@ is deterministic apart from xi.  One private kernel, stepped by
 ``rng.run_streams``, keeps the cumulative sums of psi for M replicas in
 (k, M) memory, takes xi from comparing each replica's uniform with them
 (the inverse-CDF rule of ``sample_color``), and updates them in place.
-``simulate_urn_ensemble`` runs it with M replicas.  ``simulate_urn`` runs
+``simulate_urn_ensemble`` runs it with M replicas as ``_urn_model``, the
+model of the checkpoint job ``rng.checkpoint_slice``.  ``simulate_urn`` runs
 its plain-float twin through ``rng.run_path``: the same operations in the
 same order on a list of the k sums and the drawn color, which skips the
 kernel's fixed cost of numpy calls per step.
@@ -48,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, freeze_arrays
-from .rng import StreamKey, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_path, run_streams
+from .rng import StreamKey, check_sizes, checkpoint_slice, checkpoint_steps, map_replicas, run_path
 
 __all__ = [
     "UrnParams",
@@ -290,8 +291,8 @@ def _urn_start(params: UrnParams, n_steps: int):
     return np.cumsum((params.b + params.B0) / r), coefficients(r)
 
 
-def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observe, budget: int) -> None:
-    """Run one urn per stream key, one uniform per step, through ``run_streams`` on a noise ``budget``.
+def _urn_model(params: UrnParams, n_steps: int, M: int):
+    """M urns for ``rng.checkpoint_slice``: their start, kernel and predictive means, one uniform per step.
 
     The state ``cum`` is an (M, k) view of (k, M) memory: row i holds the
     cumulative sums psi_{n,1}, psi_{n,1} + psi_{n,2}, ..., |psi_n| of
@@ -299,10 +300,10 @@ def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observ
     colors at or after the draw for its uniform u, so the drawn index is the
     number of false entries: ``sample_color``'s rule.  Then, in place, cum
     becomes ``f cum + g cumsum(b) + a below`` with the coefficients of
-    ``_urn_start``.  ``observe(n, cum)`` must copy what it keeps.
+    ``_urn_start``.
     """
     cum0, coefficients = _urn_start(params, n_steps)
-    cum = np.repeat(cum0[:, None], len(keys), axis=1)
+    cum = np.repeat(cum0[:, None], M, axis=1)
     below = np.ones(cum.shape, dtype=bool)
     b_col = np.cumsum(params.b)[:, None]
 
@@ -315,11 +316,11 @@ def _run_urns(params: UrnParams, n_steps: int, keys: Sequence[StreamKey], observ
         cum += below * a
         return state
 
-    run_streams(keys, n_steps, cum.T, kernel, observe, budget=budget)
+    return cum.T, kernel, lambda cum: np.diff(cum, axis=1, prepend=0.0), "random", ()
 
 
 def _urn_step(params: UrnParams, n_steps: int):
-    """``_run_urns``' kernel for one urn in plain floats: ``(start, step)`` for ``rng.run_path``.
+    """``_urn_model``'s kernel for one urn in plain floats: ``(start, step)`` for ``rng.run_path``.
 
     ``step(c, u)`` takes the k cumulative sums of psi_n and a color slot and
     returns those of psi_{n+1} and the color drawn with the uniform u: the
@@ -358,13 +359,6 @@ def simulate_urn(params: UrnParams, n_steps: int, seed: StreamKey | int) -> UrnT
     return UrnTrajectory(params=params, draws=rows[1:, -1], psi=np.diff(rows[:, :-1], axis=1, prepend=0.0), seed=key)
 
 
-def _urn_checkpoints(params: UrnParams, n_steps: int, at: dict, n_out: int, keys: Sequence[StreamKey], budget: int) -> np.ndarray:
-    """``(n_out, len(keys), k)`` predictive means after the steps of ``at``: one slice of an ensemble."""
-    out = np.empty((n_out, len(keys), params.k))
-    _run_urns(params, n_steps, keys, record_checkpoints(at, out, lambda cum: np.diff(cum, axis=1, prepend=0.0)), budget)
-    return out
-
-
 def simulate_urn_ensemble(
     params: UrnParams,
     n_steps: int,
@@ -387,5 +381,6 @@ def simulate_urn_ensemble(
     """
     check_sizes(n_steps, n_replicas)
     cp_list = [int(c) for c in (checkpoints if checkpoints is not None else [n_steps])]
-    job = functools.partial(_urn_checkpoints, params, n_steps, checkpoint_steps(cp_list, n_steps, int), len(cp_list))
+    at = checkpoint_steps(cp_list, n_steps, int)
+    job = functools.partial(checkpoint_slice, functools.partial(_urn_model, params, n_steps), n_steps, at, len(cp_list))
     return map_replicas(job, [StreamKey(seed, label, i) for i in range(n_replicas)], workers, n_steps)

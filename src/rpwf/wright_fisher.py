@@ -19,8 +19,11 @@ The 1-d marginal / grouped process ``Z`` solves
 
 with a0 = (b/alpha) * sum_{l in J} p_l and a1 = b/alpha - a0.
 
-Ensembles run on ``rng.run_streams`` (kernels ``em_update`` and the 1-d
-update; observers keep checkpoints or stopped paths, retiring exited ones).
+Ensembles run on ``rng.run_streams`` through one of two slice jobs: the
+checkpoint job ``rng.checkpoint_slice`` keeps the values of
+``_em_model``'s paths (kernel ``em_update``) at checkpoint steps, and
+``_exit_slice`` keeps 1-d paths stopped on leaving an interval, retiring
+exited ones.
 Path i draws from ``StreamKey(seed, label, i)``, at any worker count: every
 ensemble, first exits included, splits its paths into contiguous slices
 through ``rng.map_replicas``.  Each kernel has a plain-float step with the
@@ -51,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, freeze_arrays
-from .rng import StreamKey, check_sizes, checkpoint_steps, map_replicas, record_checkpoints, run_path, run_streams
+from .rng import _MAX_STEPS, StreamKey, check_sizes, checkpoint_slice, checkpoint_steps, map_replicas, run_path, run_streams
 from .simplex import _project_floats, check_simplex, project_to_simplex
 
 __all__ = [
@@ -232,11 +235,6 @@ def em_update(x, z, params: WfParams, dt: float) -> np.ndarray:
     return project_to_simplex(v)
 
 
-# five times the most Euler-Maruyama steps anything here runs (2e7: marginal_first_passage's
-# default t_cap = 200 at dt = 1e-5); more are rejected before anything runs
-_MAX_STEPS = 100_000_000
-
-
 def _n_steps(t: float, dt: float, name: str) -> int:
     """Number of steps of size dt that cover [0, t]."""
     if not 0 < dt < math.inf:
@@ -296,13 +294,10 @@ def simulate_wf(
     return PathRecord(t=config.dt * np.arange(n + 1), X=X, seed=key)
 
 
-def _wf_checkpoints(params: WfParams, x0, n_steps: int, dt: float, at: dict, n_out: int, keys, budget: int) -> np.ndarray:
-    """``(n_out, len(keys), k)`` Euler-Maruyama path values from x0 after the steps of ``at``: one slice of an ensemble."""
-    out = np.empty((n_out, len(keys), params.k))
-    kernel = lambda X, z: em_update(X, z, params, dt)
-    observe = record_checkpoints(at, out, lambda X: X)
-    run_streams(keys, n_steps, np.tile(x0, (len(keys), 1)), kernel, observe, "standard_normal", (params.k,), budget=budget)
-    return out
+def _em_model(params: WfParams, x0, dt: float, M: int):
+    """M Euler-Maruyama paths from x0 for ``rng.checkpoint_slice``: start, kernel, values, draw and shape."""
+    kernel = lambda X, z: em_update(X, z, params, dt)  # the module global, which a tracer wraps
+    return np.tile(x0, (M, 1)), kernel, lambda X: X, "standard_normal", (params.k,)
 
 
 def simulate_wf_ensemble(
@@ -329,7 +324,7 @@ def simulate_wf_ensemble(
     check_sizes(n, n_paths)
     checkpoints = list(checkpoints) if checkpoints is not None else [t_max]
     at = checkpoint_steps(checkpoints, t_max, lambda t: int(round(t / config.dt)))
-    job = functools.partial(_wf_checkpoints, params, x0, n, config.dt, at, len(checkpoints))
+    job = functools.partial(checkpoint_slice, functools.partial(_em_model, params, x0, config.dt), n, at, len(checkpoints))
     return map_replicas(job, [StreamKey(seed, label, i) for i in range(n_paths)], workers, n * params.k)
 
 

@@ -48,7 +48,7 @@ from rpwf import rng
 from rpwf.errors import ValidationError
 from rpwf.rng import StreamKey
 from rpwf.simplex import _project_floats, project_to_simplex
-from rpwf.urn import UrnParams, _run_urns, _urn_step, simulate_urn, simulate_urn_ensemble
+from rpwf.urn import UrnParams, _urn_model, _urn_step, simulate_urn, simulate_urn_ensemble
 from rpwf.wright_fisher import (
     OneDimWf,
     SdeConfig,
@@ -320,7 +320,8 @@ def test_scalar_urn_step_equals_vector_step(urn, us, tie):
     vector = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng, "generators", lambda keys: [GivenDraws(us)])
-        _run_urns(urn, len(us), [StreamKey(0)], lambda n, cum: vector.append(cum[0].copy()), rng._BLOCK_VALUES)
+        state, kernel, *_ = _urn_model(urn, len(us), 1)
+        rng.run_streams([StreamKey(0)], len(us), state, kernel, lambda n, cum: vector.append(cum[0].copy()), budget=rng._BLOCK_VALUES)
     assert np.array(row[:-1]).tobytes() == vector[0].tobytes()
     for n, u in enumerate(us, 1):
         row = step(row, u)

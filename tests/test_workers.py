@@ -30,7 +30,7 @@ from rpwf.errors import ValidationError
 from rpwf.rng import StreamKey, check_sizes, map_replicas
 from rpwf.scaling import ScaledFamilyParams, build_family_member, eps_delta
 from rpwf.stats import ConvergenceConfig, convergence_experiment, stationary_urn_samples
-from rpwf.urn import simulate_urn_ensemble
+from rpwf.urn import UrnParams, simulate_urn, simulate_urn_ensemble
 from rpwf.wright_fisher import (
     OneDimWf,
     SdeConfig,
@@ -38,6 +38,7 @@ from rpwf.wright_fisher import (
     marginal_ensemble_values,
     marginal_first_passage,
     marginal_touch_flags,
+    simulate_wf,
     simulate_wf_ensemble,
 )
 
@@ -138,6 +139,19 @@ def test_first_exits_do_not_depend_on_workers(monkeypatch, n_paths, dt, n_steps)
                 assert live[part].size > rng._SCALAR_TAIL >= live[part].sum()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checkpoints_on_one_step_equal_their_single_paths(monkeypatch, workers):
+    # two checkpoints on one step share it; the EM times 0.104 and 0.096 both round to step 10, given out of order
+    _default_of(monkeypatch, workers)
+    urns = simulate_urn_ensemble(URN, 5, 3, 3, "u", [5, 5, 0])
+    paths = simulate_wf_ensemble(WF3, WF3.p, 0.2, SdeConfig(0.01), 3, 4, "w", [0.2, 0.104, 0.096, 0.0])
+    assert rng._default_workers(3 * 5) == workers
+    for i in range(3):
+        assert urns[:, i].tobytes() == simulate_urn(URN, 5, StreamKey(3, "u", i)).psi[[5, 5, 0]].tobytes()
+        X = simulate_wf(WF3, WF3.p, 0.2, SdeConfig(0.01), StreamKey(4, "w", i)).X
+        assert paths[:, i].tobytes() == X[[20, 10, 10, 0]].tobytes()
+
+
 class _InProcess:
     """Stands in for the process pool: runs each submitted slice here, at once, so that its draws can be watched."""
 
@@ -194,7 +208,7 @@ def _watch_slices(monkeypatch) -> list[dict]:
             tracemalloc.stop()
             calls.append(call)
 
-    for module in (urn, wright_fisher):
+    for module in (rng, wright_fisher):
         monkeypatch.setattr(module, "run_streams", run_streams)
     return calls
 
@@ -336,6 +350,14 @@ def test_replica_cap_is_checked_before_any_stream_key(monkeypatch, name):
         OVER_THE_CAP[name]()
     assert exc.value.field == "replicas"
     check_sizes(0, rng._MAX_REPLICAS)  # the cap itself is allowed
+
+
+def test_step_cap_is_checked_before_any_stream_key(monkeypatch):
+    _no_stream_keys(monkeypatch)
+    with pytest.raises(ValidationError) as exc:
+        simulate_urn_ensemble(UrnParams(1, 0.5, [1, 1], [1, 1]), 10**12, 2, 0, workers=1)
+    assert exc.value.field == "steps"
+    check_sizes(rng._MAX_STEPS, 1)  # the cap itself is allowed
 
 
 @pytest.mark.parametrize(
