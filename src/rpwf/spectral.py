@@ -22,11 +22,17 @@ repeat across multi-indices (factor i depends on n_i and the trailing
 degree only: at k = 5, degree 6, 91 of the 840 factors are distinct), so
 the build keeps a table of the distinct (i, n_i, a_i, b_i) rows and an
 inverse index; a point's basis row is one Jacobi call over the distinct
-rows, gathered back and multiplied out per multi-index as before.  Two
+rows, gathered back and multiplied out per multi-index as before.  Three
 things are memoised on the evaluator: the checked basis row of the start
 point y0, keyed on the (shape, bytes) of ``np.asarray(y0, float)``, so
 calls with y0 held fixed (a grid sweep) neither re-check nor re-evaluate
-it; and exp(-nu_n t) for the last t.  The k - 1 stick
+it; with that row, the time-free part of each y evaluated against it,
+pi_gamma(y) and the per-degree sums of f_n(y) f_n(y0) / <f_n, f_n>_gamma,
+keyed the same way on y, so a sweep of the same points at another t only
+multiplies by exp(-nu_n t) and sums; and exp(-nu_n t) for the last t.
+The y memo goes with y0's row when y0 changes, and is cleared when it
+holds ``_PAIR_MEMO`` = 2^14 points (6.9-7.1 MiB at the degree caps of
+k = 3, 4 and 5, 11.0 MiB at k = 2, by ``tracemalloc``).  The k - 1 stick
 remainders of a point are Python floats, not array temporaries.  The
 Dirichlet exponents and log-normaliser are cached on ``GammaWeights``.
 Every value is computed by the same arithmetic as a plain
@@ -77,6 +83,8 @@ SMALL_T_THRESHOLD = 0.05
 # evaluation of the same series.  Past 1e8 it exceeds the 1e-6 that the
 # tail warning allows the truncation.
 _MAX_RATE = 1e8
+# points y whose time-free terms are kept per start point: 7-11 MiB at the degree caps
+_PAIR_MEMO = 2**14
 
 
 def dirichlet_density(gw: GammaWeights, y) -> float:
@@ -128,7 +136,9 @@ class SpectralTransitionDensity:
     parameters index a table of distinct factors, so a point's basis
     values are one vectorised Jacobi call, a gather and a product.  y0's
     checked basis row is kept per (shape, bytes) and exp(-nu_n t) per t,
-    one entry each.
+    one entry each.  Beside y0's row, up to ``_PAIR_MEMO`` points y keep
+    pi_gamma(y) and their per-degree kernel sums, keyed on y's (shape,
+    bytes); they are dropped with the row when y0 changes.
     """
 
     def __init__(self, params: WfParams, max_degree: int | None = None):
@@ -162,7 +172,7 @@ class SpectralTransitionDensity:
         from scipy.special import eval_jacobi  # loaded on first build, not on import
 
         self._eval_jacobi = eval_jacobi
-        self._y0_row: tuple[tuple, np.ndarray] | None = None
+        self._y0_row: tuple[tuple, np.ndarray, dict] | None = None
         self._decay_memo: tuple[float, np.ndarray] | None = None
 
     def _normalized_values(self, y: np.ndarray, name: str = "y") -> np.ndarray:
@@ -183,8 +193,9 @@ class SpectralTransitionDensity:
         factors = np.array(remaining)[i] ** self._n * self._eval_jacobi(self._n, self._a, self._b, np.array(x)[i])
         return self._inv_norm * factors[self._gather].prod(axis=0)
 
-    def _start_row(self, y0) -> np.ndarray:
-        """Basis row of y0, checked and recomputed only when its shape or bytes change."""
+    def _start_row(self, y0) -> tuple[np.ndarray, dict]:
+        """Basis row of y0, checked and recomputed only when its shape or bytes change,
+        and the memo of y's terms that belongs to it."""
         y0 = np.asarray(y0, dtype=float)
         key = (y0.shape, y0.tobytes())
         memo = self._y0_row
@@ -192,9 +203,9 @@ class SpectralTransitionDensity:
             y0 = check_reduced(y0, "y0")
             if y0.size != self.gw.nvars:
                 raise ValidationError("y0", f"expected {self.gw.nvars} coordinates")
-            memo = (key, self._normalized_values(y0, "y0"))
+            memo = (key, self._normalized_values(y0, "y0"), {})
             self._y0_row = memo
-        return memo[1]
+        return memo[1], memo[2]
 
     def _decay(self, t: float) -> np.ndarray:
         """exp(-nu_n t) per degree, recomputed only when t changes."""
@@ -209,10 +220,17 @@ class SpectralTransitionDensity:
     def evaluate(self, y0, y, t: float) -> TransitionDensity:
         if not 0 < t < math.inf:
             raise ValidationError("t", f"transition density requires 0 < t < inf, got {t}")
-        start = self._start_row(y0)
-        stat = dirichlet_density(self.gw, y)  # checks y
+        start, pairs = self._start_row(y0)
         y = np.asarray(y, dtype=float)
-        per_degree = np.add.reduceat(self._normalized_values(y) * start, self._starts)
+        key = (y.shape, y.tobytes())
+        if key in pairs:
+            stat, per_degree = pairs[key]
+        else:
+            stat = dirichlet_density(self.gw, y)  # checks y
+            per_degree = np.add.reduceat(self._normalized_values(y) * start, self._starts)
+            if len(pairs) >= _PAIR_MEMO:
+                pairs.clear()
+            pairs[key] = stat, per_degree
         kernel_terms = per_degree * self._decay(t)
         total = stat * kernel_terms.sum()
         tail = abs(stat * kernel_terms[-1]) if self.max_degree >= 1 else 0.0

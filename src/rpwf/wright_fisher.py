@@ -236,14 +236,20 @@ def em_update(x, z, params: WfParams, dt: float) -> np.ndarray:
 
 
 def _n_steps(t: float, dt: float, name: str) -> int:
-    """Number of steps of size dt that cover [0, t]."""
+    """Number of steps of size dt that cover [0, t]: the least n with n * dt >= t in floats.
+
+    ceil(t / dt) can be one off either way, as the quotient rounds: 8.05 / 1e-3
+    is 8050.000000000001."""
     if not 0 < dt < math.inf:
         raise ValidationError("dt", f"must be finite and > 0, got {dt}")
     if not 0 <= t < math.inf:
         raise ValidationError(name, f"must be finite and >= 0, got {t}")
     if not t / dt <= _MAX_STEPS:
         raise ValidationError(name, f"{t} / dt = {t / dt:.4g} steps is over {_MAX_STEPS}")
-    return int(math.ceil(t / dt))
+    n = math.ceil(t / dt)
+    if n * dt < t:
+        return n + 1
+    return n - 1 if n > 0 and (n - 1) * dt >= t else n
 
 
 def _check_x0(params: WfParams, x0) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from rpwf import spectral
 from rpwf.boundary import stationary_beta_cdf
 from rpwf.errors import ValidationError
 from rpwf.polynomials import GammaWeights, basis_jacobi, multi_indices
@@ -126,9 +127,10 @@ def test_evaluate_past_the_float_range_names_the_point():
     S = SpectralTransitionDensity(WfParams(b=1e6, alpha=1.0, p=np.array([1e-3, 1 - 1e-3])), 40)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValidationError) as exc:
-            S.evaluate([1 - 1e-8], [1 - 1e-8], 1.0)
-        assert exc.value.field == "y" and "not a finite float" in str(exc.value)
+        for t in (1.0, 2.0):  # the second call reads y's memoised terms
+            with pytest.raises(ValidationError) as exc:
+                S.evaluate([1 - 1e-8], [1 - 1e-8], t)
+            assert exc.value.field == "y" and "not a finite float" in str(exc.value)
         assert math.isfinite(S.evaluate([1e-3], [1e-3], 1.0).value)
 
 
@@ -142,6 +144,20 @@ def test_evaluate_names_y0_when_its_basis_row_overflows():
         with pytest.raises(ValidationError) as exc:
             S.evaluate([1 - 1e-8], [1e-12], 1.0)
     assert exc.value.field == "y0"
+
+
+def test_point_memo_is_cleared_at_its_cap(monkeypatch):
+    params = WfParams(b=2.0, alpha=1.0, p=np.full(3, 1 / 3))
+    ys = np.random.default_rng(3).dirichlet(np.ones(3), 20)[:, :-1]
+    expected = [SpectralTransitionDensity(params, 10).evaluate([0.3, 0.3], y, t).value for t in (0.5, 1.0) for y in ys]
+    monkeypatch.setattr(spectral, "_PAIR_MEMO", 8)
+    S = SpectralTransitionDensity(params, 10)
+    got = []
+    for t in (0.5, 1.0):
+        for y in ys:
+            got.append(S.evaluate([0.3, 0.3], y, t).value)
+            assert len(S._y0_row[2]) <= 8
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 def test_dirichlet_density_past_the_float_range_is_inf():

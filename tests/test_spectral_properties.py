@@ -7,12 +7,12 @@ the truncated kernel at every k), detailed balance against the stationary
 Dirichlet density, and agreement with the symbolic product-Jacobi basis.
 
 The call-sequence property checks the evaluator's caches (the table of
-distinct Jacobi factors, the memoised basis row of y0 and the memoised
-exp(-nu t)) against a plain per-multi-index evaluation kept verbatim in
-this file, and against a fresh evaluator, bit for bit.  The error-path
-property gives ``evaluate`` exactly one bad argument and checks that it
-fails as an ``evaluate`` that checks y0 on every call, also kept verbatim
-here, fails.
+distinct Jacobi factors, the memoised basis row of y0, the memoised terms
+of each y and the memoised exp(-nu t)) against a plain per-multi-index
+evaluation kept verbatim in this file, and against a fresh evaluator, bit
+for bit.  The error-path property gives ``evaluate`` exactly one bad
+argument and checks that it fails as an ``evaluate`` that checks y0 on
+every call, also kept verbatim here, fails.
 """
 
 import copy
@@ -171,28 +171,35 @@ def test_cached_evaluation_matches_per_multi_index_oracle(case):
     pristine = copy.deepcopy(S)
     oracle = PerMultiIndexOracle(params, max_degree)
     held, other = first.copy(), second.copy()
-    # repeat y0, alternate two y0 arrays, pass lists, overwrite the held array in place,
-    # and cycle t from t1 to t2 and back
+    a, b, c, d, e, f, g = (y.copy() for y in ys)
+    # repeat y0, alternate two y0 arrays, pass lists, overwrite the held y0 and a y array in
+    # place, and cycle t from t1 to t2 and back; a y comes again at the other t, as a list
+    # after an array, after y0 went away and back, and after its array was overwritten
     plan = [
-        (held, t1, np.asarray),
-        (held, t1, list),
-        (other, t2, np.asarray),
-        (held, t2, list),
-        "overwrite",
-        (held, t1, np.asarray),
-        (other, t1, list),
-        (held, t2, np.asarray),
+        (held, a, t1, np.asarray),
+        (held, b, t1, list),
+        (held, a, t2, np.asarray),
+        (held, a, t2, list),
+        (other, c, t2, list),
+        (held, b, t1, np.asarray),
+        (held, b, t2, list),
+        (held, d, t2, np.asarray),
+        ("overwrite", d, e),
+        (held, d, t2, np.asarray),
+        ("overwrite", held, third),
+        (held, a, t1, np.asarray),
+        (other, f, t1, list),
+        (held, g, t2, np.asarray),
+        (held, a, t2, np.asarray),
     ]
-    ys = iter(ys)
     for step in plan:
-        if isinstance(step, str):
-            held[:] = third
+        if isinstance(step[0], str):
+            step[1][:] = step[2]
             continue
-        y0, t, form = step
-        y = next(ys)
+        y0, y, t, form = step
         got = S.evaluate(form(y0), form(y), t)
-        fresh = copy.deepcopy(pristine).evaluate(y0.copy(), y, t)
-        expected = _bits(*oracle.evaluate(y0.copy(), y, t))
+        fresh = copy.deepcopy(pristine).evaluate(y0.copy(), y.copy(), t)
+        expected = _bits(*oracle.evaluate(y0.copy(), y.copy(), t))
         assert _bits(got.value, got.tail_term, got.tail_warning, got.small_t) == expected
         assert _bits(fresh.value, fresh.tail_term, fresh.tail_warning, fresh.small_t) == expected
 

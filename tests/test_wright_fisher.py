@@ -16,6 +16,7 @@ from rpwf.wright_fisher import (
     SdeConfig,
     WfParams,
     _marginal_em,
+    _n_steps,
     drift,
     em_update,
     marginal_ensemble_values,
@@ -191,6 +192,14 @@ def test_simulate_wf_zero_horizon():
     path = simulate_wf(P2, [0.4, 0.6], 0.0, SdeConfig(dt=1e-2), 3)
     assert path.X.shape == (1, 2)
     assert np.allclose(path.X[0], [0.4, 0.6])
+
+
+@given(st.floats(0.0, 1e3), st.floats(1e-5, 1.0))
+@example(8.05, 1e-3)  # ceil(8.05 / 1e-3) is 8051
+@example(407.899267130288, 0.0013080737933576028)  # ceil(t / dt) * dt falls short of t
+def test_n_steps_is_the_least_count_that_covers_t(t, dt):
+    n = _n_steps(t, dt, "t")
+    assert n * dt >= t and (n == 0 or (n - 1) * dt < t)
 
 
 def test_simulate_wf_deterministic_in_seed():
