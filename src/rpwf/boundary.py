@@ -257,17 +257,20 @@ def _panel_nodes(a: float, b: float):
     return np.concatenate(pts), np.concatenate(wts)
 
 
+def _integral(lo: float, hi: float, f) -> float:
+    """Integral of f over [lo, hi] on the ``_panel_nodes`` grid, f taken node by node; 0.0 when hi <= lo."""
+    if hi <= lo:
+        return 0.0
+    s, w = _panel_nodes(lo, hi)
+    return float(w @ np.array([f(si) for si in s]))
+
+
 def expected_cost(ip: IntervalProblem, z0: float, g) -> float:
     """E[ integral of g(Z_t) dt up to the first exit from (a, b) ], via the
     Green function; g is sampled on a Gauss grid split at z0."""
     ratios = _scale_ratios(ip, ("z0", z0))  # z0's, shared by every node
-    total = 0.0
-    for lo, hi in ((ip.a, z0), (z0, ip.b_pt)):
-        if hi <= lo:
-            continue
-        s, w = _panel_nodes(lo, hi)
-        total += float(w @ np.array([_green(ip, ratios, z0, si) * g(si) for si in s]))
-    return total
+    integrand = lambda s: _green(ip, ratios, z0, s) * g(s)
+    return 0.0 + _integral(ip.a, z0, integrand) + _integral(z0, ip.b_pt, integrand)  # a running sum from 0.0
 
 
 def expected_cost_scale_form(ip: IntervalProblem, z0: float, g) -> float:
@@ -280,15 +283,8 @@ def expected_cost_scale_form(ip: IntervalProblem, z0: float, g) -> float:
     """
     u, v = _scale_ratios(ip, ("z0", z0))
     od, a, b = ip.od, ip.a, ip.b_pt
-
-    def side(lo, hi, increment):  # integral over [lo, hi] of increment(t) m(t) g(t)
-        if hi <= lo:
-            return 0.0
-        s, w = _panel_nodes(lo, hi)
-        return float(w @ np.array([increment(si) * speed_density(od, si) * g(si) for si in s]))
-
-    upper = side(z0, b, lambda si: scale_increment(od, si, b))
-    lower = side(a, z0, lambda si: scale_increment(od, a, si))
+    upper = _integral(z0, b, lambda t: scale_increment(od, t, b) * speed_density(od, t) * g(t))
+    lower = _integral(a, z0, lambda t: scale_increment(od, a, t) * speed_density(od, t) * g(t))
     return 2.0 * (u * upper + v * lower)
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "build_family_member",
     "family_member_for_start",
     "rescale_time",
-    "native_step_count",
     "project_group",
 ]
 
@@ -122,28 +121,28 @@ class RescaledPath:
         freeze_arrays(self, "t_grid", "X")
 
 
-def native_step_count(beta: float, t_max: float) -> int:
-    """Urn steps needed to cover rescaled time t_max at this beta."""
-    return int(math.ceil(t_max / (1.0 - beta) ** 2))
-
-
 def step_index(beta: float, t: float) -> int:
     """Urn step index holding the rescaled process at time t."""
     return int(math.floor(t / (1.0 - beta) ** 2))
 
 
 def rescale_time(traj: UrnTrajectory, t_max: float, dt_out: float) -> RescaledPath:
-    """Sample psi at indices floor(t/(1-beta)^2) on the grid {0, dt_out, ...}.
+    """Sample psi at indices ``step_index(beta, t)`` = floor(t/(1-beta)^2) on the grid {0, dt_out, ...}.
 
     No interpolation is performed; the process is constant on each native
-    step of length (1-beta)^2 in rescaled time.
+    step of length (1-beta)^2 in rescaled time.  The trajectory must hold
+    the ``step_index(beta, t_max)`` steps that the grid up to t_max reads;
+    a grid point past t_max reads no further than its last step.  A t_max
+    whose quotient t_max/(1-beta)^2 is past the float range is rejected
+    naming t-max.
     """
     beta = traj.params.beta
     if beta >= 1.0:
         raise ValidationError("beta", "time rescaling requires beta < 1")
-    if not (0 <= t_max < math.inf and 0 < dt_out < math.inf):  # positive form, so that a NaN fails
-        raise ValidationError("t-max", f"need finite t_max >= 0 and dt_out > 0, got {t_max} and {dt_out}")
-    required = native_step_count(beta, t_max)
+    # positive form, so that a NaN fails; the quotient is finite only when t_max is
+    if not (0 <= t_max and t_max / (1.0 - beta) ** 2 < math.inf and 0 < dt_out < math.inf):
+        raise ValidationError("t-max", f"need t_max >= 0, t_max/(1-beta)^2 finite and dt_out > 0 finite, got {t_max}, {dt_out}")
+    required = step_index(beta, t_max)
     if traj.n_steps < required:
         raise ValidationError(
             "steps",

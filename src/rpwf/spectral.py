@@ -23,18 +23,19 @@ degree only: at k = 5, degree 6, 91 of the 840 factors are distinct), so
 the build keeps a table of the distinct (i, n_i, a_i, b_i) rows and an
 inverse index; a point's basis row is one Jacobi call over the distinct
 rows, gathered back and multiplied out per multi-index as before.  Three
-things are memoised on the evaluator: the checked basis row of the start
-point y0, keyed on the (shape, bytes) of ``np.asarray(y0, float)``, so
-calls with y0 held fixed (a grid sweep) neither re-check nor re-evaluate
-it; with that row, the time-free part of each y evaluated against it,
-pi_gamma(y) and the per-degree sums of f_n(y) f_n(y0) / <f_n, f_n>_gamma,
-keyed the same way on y, so a sweep of the same points at another t only
-multiplies by exp(-nu_n t) and sums; and exp(-nu_n t) for the last t.
-The y memo goes with y0's row when y0 changes, and is cleared when it
-holds ``_PAIR_MEMO`` = 2^14 points (6.9-7.1 MiB at the degree caps of
-k = 3, 4 and 5, 11.0 MiB at k = 2, by ``tracemalloc``).  The k - 1 stick
-remainders of a point are Python floats, not array temporaries.  The
-Dirichlet exponents and log-normaliser are cached on ``GammaWeights``.
+things are memoised on the evaluator: the time-free part of each (y0, y)
+pair, pi_gamma(y) and the per-degree sums of f_n(y) f_n(y0) /
+<f_n, f_n>_gamma, keyed on the (shape, bytes) of ``np.asarray(y0, float)``
+and of ``np.asarray(y, float)``, so a pair seen before, at any t, is
+neither re-checked nor re-evaluated, and only multiplied by
+exp(-nu_n t) and summed; the checked basis row of the last y0 that
+missed, so a first sweep with y0 held fixed checks and evaluates y0 once;
+and exp(-nu_n t) for the last t.  The pairs survive a change of y0, and
+are cleared when they number ``_PAIR_MEMO`` = 2^14 (9.3-9.5 MiB at the
+degree caps of k = 3, 4 and 5, 13.3 MiB at k = 2, one y0, by
+``tracemalloc``).  The k - 1 stick remainders of a point are Python
+floats, not array temporaries.  The Dirichlet exponents and
+log-normaliser are cached on ``GammaWeights``.
 Every value is computed by the same arithmetic as a plain
 per-multi-index evaluation, to the last bit.
 
@@ -43,7 +44,7 @@ t < 0.05 are flagged unreliable rather than silently returned.  A value
 past the float range (at large b/alpha the basis rows near a face reach
 1e160-1e275, and their product overflows) is not returned either:
 ``evaluate`` raises a ``ValidationError`` naming y, or y0 when y0's
-memoised basis row overflowed, without a RuntimeWarning.
+basis row overflows, without a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ SMALL_T_THRESHOLD = 0.05
 # evaluation of the same series.  Past 1e8 it exceeds the 1e-6 that the
 # tail warning allows the truncation.
 _MAX_RATE = 1e8
-# points y whose time-free terms are kept per start point: 7-11 MiB at the degree caps
+# (y0, y) pairs whose time-free terms are kept: 9-14 MiB at the degree caps
 _PAIR_MEMO = 2**14
 
 
@@ -134,11 +135,11 @@ class SpectralTransitionDensity:
     Every multi-index up to ``max_degree`` is listed once, ordered by total
     degree, with its inverse norm; its per-factor degrees and Jacobi
     parameters index a table of distinct factors, so a point's basis
-    values are one vectorised Jacobi call, a gather and a product.  y0's
-    checked basis row is kept per (shape, bytes) and exp(-nu_n t) per t,
-    one entry each.  Beside y0's row, up to ``_PAIR_MEMO`` points y keep
-    pi_gamma(y) and their per-degree kernel sums, keyed on y's (shape,
-    bytes); they are dropped with the row when y0 changes.
+    values are one vectorised Jacobi call, a gather and a product.  Up to
+    ``_PAIR_MEMO`` (y0, y) pairs keep pi_gamma(y) and their per-degree
+    kernel sums, keyed on the (shape, bytes) of y0 and of y; the checked
+    basis row of the last y0 that missed and exp(-nu_n t) for the last t
+    are kept beside them, one entry each.
     """
 
     def __init__(self, params: WfParams, max_degree: int | None = None):
@@ -172,7 +173,8 @@ class SpectralTransitionDensity:
         from scipy.special import eval_jacobi  # loaded on first build, not on import
 
         self._eval_jacobi = eval_jacobi
-        self._y0_row: tuple[tuple, np.ndarray, dict] | None = None
+        self._row: tuple[tuple | None, np.ndarray | None] = (None, None)
+        self._pairs: dict[tuple, tuple[float, np.ndarray]] = {}
         self._decay_memo: tuple[float, np.ndarray] | None = None
 
     def _normalized_values(self, y: np.ndarray, name: str = "y") -> np.ndarray:
@@ -193,19 +195,12 @@ class SpectralTransitionDensity:
         factors = np.array(remaining)[i] ** self._n * self._eval_jacobi(self._n, self._a, self._b, np.array(x)[i])
         return self._inv_norm * factors[self._gather].prod(axis=0)
 
-    def _start_row(self, y0) -> tuple[np.ndarray, dict]:
-        """Basis row of y0, checked and recomputed only when its shape or bytes change,
-        and the memo of y's terms that belongs to it."""
-        y0 = np.asarray(y0, dtype=float)
-        key = (y0.shape, y0.tobytes())
-        memo = self._y0_row
-        if memo is None or memo[0] != key:
-            y0 = check_reduced(y0, "y0")
-            if y0.size != self.gw.nvars:
-                raise ValidationError("y0", f"expected {self.gw.nvars} coordinates")
-            memo = (key, self._normalized_values(y0, "y0"), {})
-            self._y0_row = memo
-        return memo[1], memo[2]
+    def _checked_row(self, y0: np.ndarray) -> np.ndarray:
+        """Basis row of y0, after checking y0."""
+        y0 = check_reduced(y0, "y0")
+        if y0.size != self.gw.nvars:
+            raise ValidationError("y0", f"expected {self.gw.nvars} coordinates")
+        return self._normalized_values(y0, "y0")
 
     def _decay(self, t: float) -> np.ndarray:
         """exp(-nu_n t) per degree, recomputed only when t changes."""
@@ -220,23 +215,25 @@ class SpectralTransitionDensity:
     def evaluate(self, y0, y, t: float) -> TransitionDensity:
         if not 0 < t < math.inf:
             raise ValidationError("t", f"transition density requires 0 < t < inf, got {t}")
-        start, pairs = self._start_row(y0)
-        y = np.asarray(y, dtype=float)
-        key = (y.shape, y.tobytes())
-        if key in pairs:
-            stat, per_degree = pairs[key]
+        y0, y = np.asarray(y0, dtype=float), np.asarray(y, dtype=float)
+        start_key = (y0.shape, y0.tobytes())
+        key = (start_key, y.shape, y.tobytes())
+        if key in self._pairs:
+            stat, per_degree = self._pairs[key]
         else:
+            if self._row[0] != start_key:
+                self._row = start_key, self._checked_row(y0)
             stat = dirichlet_density(self.gw, y)  # checks y
-            per_degree = np.add.reduceat(self._normalized_values(y) * start, self._starts)
-            if len(pairs) >= _PAIR_MEMO:
-                pairs.clear()
-            pairs[key] = stat, per_degree
+            per_degree = np.add.reduceat(self._normalized_values(y) * self._row[1], self._starts)
+            if len(self._pairs) >= _PAIR_MEMO:
+                self._pairs.clear()
+            self._pairs[key] = stat, per_degree
         kernel_terms = per_degree * self._decay(t)
         total = stat * kernel_terms.sum()
         tail = abs(stat * kernel_terms[-1]) if self.max_degree >= 1 else 0.0
         if not (math.isfinite(total) and math.isfinite(tail)):
-            reason = f"the density at y0={np.asarray(y0, float).tolist()}, y={y.tolist()} is {total}, not a finite float"
-            raise ValidationError("y" if np.isfinite(start).all() else "y0", reason)  # y0 if its memoised basis row overflowed
+            reason = f"the density at y0={y0.tolist()}, y={y.tolist()} is {total}, not a finite float"
+            raise ValidationError("y" if np.isfinite(self._checked_row(y0)).all() else "y0", reason)  # y0 if its basis row overflows
         warn = bool(tail > 1e-6 * max(abs(total), 1e-300))
         return TransitionDensity(
             value=total,

@@ -292,7 +292,8 @@ def simulate_wf(
     config: SdeConfig = SdeConfig(),
     seed: StreamKey | int = 0,
 ) -> PathRecord:
-    """Full path on the grid {0, dt, ..., ceil(t_max/dt)*dt}; an int seed draws from ``StreamKey(seed, "wf")``."""
+    """Full path on the grid {0, dt, ..., n*dt}, n the least with n*dt >= t_max in floats (``_n_steps``);
+    an int seed draws from ``StreamKey(seed, "wf")``."""
     x0 = _check_x0(params, x0)
     key = seed if isinstance(seed, StreamKey) else StreamKey(int(seed), "wf")
     n = _n_steps(t_max, config.dt, "t-max")

@@ -733,15 +733,17 @@ def test_fuzz_exits_0_with_finite_outputs_or_2_naming_its_flag(tmp_path, command
     fuzz()
 
 
-# sha256 of (exit code, stdout, stderr) of boundary, stationary-test and converge runs in an empty
-# directory; stdout is the manifest, which holds the sha256 of every output.  Taken when main had
-# one OSError handler per write, the seed default was set after the option loop and the CLI
-# summed the group's p itself.
+# sha256 of (exit code, stdout, stderr) of boundary, stationary-test, converge and density runs in
+# an empty directory; stdout is the manifest, which holds the sha256 of every output.  Taken when
+# main had one OSError handler per write, the seed default was set after the option loop and the
+# CLI summed the group's p itself; the README density run's (its output's sha256 is 4f61f692...)
+# when the spectral memo of y's terms still belonged to y0's basis row.
 _CLI_SHA = {
     "boundary-k2": "5fbcb866a2e7bd418e3e76b1841187de5904c6a30f4a464639b543c47c274aea",
     "boundary-k3": "f8c48a3b9ba391bdc8c0df7655a00ac773e1692f0885a040dc06b27fc5c42495",
     "stationary-test": "ed81b6935f74a77c9f02425daf1ce4d5a5db529e2809c970a649b851b255964e",
     "converge": "d3a2a71a6ed509d9f54467c28106ccd0247b7a0972121da6b25c9b38bdc09836",
+    "density": "2f7c991e459cea855fa7645efaf3ac8ff2653694de6dbef24e4f11093e1aab8e",
 }
 _CLI_RUNS = {
     "boundary-k2": ["boundary", "--b", "0.9,0.1", "--j", "1", "--out", "b2.json"],
@@ -753,6 +755,7 @@ _CLI_RUNS = {
         "converge", "--b", "1,1,2", "--betas", "0.6,0.9", "--times", "0.1,0.3", "--replicas", "40",
         "--dt", "0.01", "--seed", "3", "--workers", "1", "--out", "c.json",
     ],
+    "density": ["density", "--b", "1,1", "--y0", "0.3", "--y", "0.6", "--t", "1.0", "--max-degree", "30", "--out", "density.json"],
 }
 
 

@@ -14,9 +14,9 @@ from rpwf.scaling import (
     build_family_member,
     eps_delta,
     family_member_for_start,
-    native_step_count,
     project_group,
     rescale_time,
+    step_index,
 )
 from rpwf.urn import UrnParams, new_urn, predictive_mean, simulate_urn, step, total_balls
 
@@ -106,17 +106,28 @@ def test_rescale_time_index_arithmetic():
 
 
 def test_rescale_time_requires_enough_steps():
-    assert native_step_count(0.99, 2.0) == 20_000
+    assert step_index(0.99, 2.0) == 19_999
     fp = ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 1.0]), beta=0.99)
     traj = simulate_urn(build_family_member(fp), 100, 3)
     with pytest.raises(ValidationError) as exc:
         rescale_time(traj, t_max=2.0, dt_out=0.1)
-    assert "20000" in str(exc.value)
+    assert "19999" in str(exc.value)
 
 
-@pytest.mark.parametrize("t_max, dt_out", [(np.nan, 0.5), (1.0, np.nan), (np.inf, 0.5), (1.0, np.inf), (-1.0, 0.5), (1.0, 0.0)])
+def test_rescale_time_needs_only_the_steps_it_reads():
+    # the grid to t_max = 1 at beta = 0.9 reads psi_100 at most; 101 steps were required
+    member = build_family_member(ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 1.0]), beta=0.9))
+    assert step_index(0.9, 1.0) == 100
+    short, full = (rescale_time(simulate_urn(member, n, 3), t_max=1.0, dt_out=0.5) for n in (100, 120))
+    assert np.array_equal(short.t_grid, full.t_grid) and np.array_equal(short.X, full.X)
+
+
+@pytest.mark.parametrize(
+    "t_max, dt_out", [(np.nan, 0.5), (1.0, np.nan), (np.inf, 0.5), (1.0, np.inf), (-1.0, 0.5), (1.0, 0.0), (1e307, 1e306)]
+)
 def test_rescale_time_rejects_a_grid_that_is_not_finite_and_positive(t_max, dt_out):
-    # a NaN t_max or dt_out used to reach numpy and raise its ValueError
+    # a NaN t_max or dt_out used to reach numpy and raise its ValueError; t_max = 1e307 is
+    # finite, but t_max/(1-beta)^2 is not, and its step count raised OverflowError
     traj = simulate_urn(build_family_member(ScaledFamilyParams(alpha=1.0, b=np.array([1.0, 1.0]), beta=0.9)), 120, 3)
     with pytest.raises(ValidationError) as exc:
         rescale_time(traj, t_max=t_max, dt_out=dt_out)

@@ -156,7 +156,7 @@ def test_point_memo_is_cleared_at_its_cap(monkeypatch):
     for t in (0.5, 1.0):
         for y in ys:
             got.append(S.evaluate([0.3, 0.3], y, t).value)
-            assert len(S._y0_row[2]) <= 8
+            assert len(S._pairs) <= 8
     assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
@@ -383,6 +383,7 @@ _P3 = WfParams(b=1.0, alpha=1.0, p=np.array([0.2, 0.3, 0.5]))
         (lambda: SpectralTransitionDensity(_P3, 11), "max-degree"),
         (lambda: transition_density([0.2, 0.3], [1.0, 0.0], 0.5, _P3), "y"),
         (lambda: transition_density([1.0, 0.0], [0.2, 0.3], 0.5, _P3), "y0"),
+        pytest.param(lambda: transition_density([1.0, 0.0], [0.2, math.nan], 0.5, _P3), "y0", id="y0-before-y"),
         (lambda: forward_equation_residual(lambda y, t: 1.0, np.array([[0.2, 0.3, 0.1]]), 0.5, _P3), "y_grid"),
     ],
 )

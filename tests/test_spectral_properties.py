@@ -174,13 +174,15 @@ def test_cached_evaluation_matches_per_multi_index_oracle(case):
     a, b, c, d, e, f, g = (y.copy() for y in ys)
     # repeat y0, alternate two y0 arrays, pass lists, overwrite the held y0 and a y array in
     # place, and cycle t from t1 to t2 and back; a y comes again at the other t, as a list
-    # after an array, after y0 went away and back, and after its array was overwritten
+    # after an array, with the other y0, after y0 went away and back, and after its array
+    # was overwritten
     plan = [
         (held, a, t1, np.asarray),
         (held, b, t1, list),
         (held, a, t2, np.asarray),
         (held, a, t2, list),
         (other, c, t2, list),
+        (other, a, t2, np.asarray),
         (held, b, t1, np.asarray),
         (held, b, t2, list),
         (held, d, t2, np.asarray),
